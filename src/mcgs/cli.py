@@ -42,7 +42,6 @@ _VALUE_FLAGS = [
     ("--q-init", "q_init", float),
     ("--dirichlet-epsilon", "dirichlet_epsilon", float),
     ("--dirichlet-alpha", "dirichlet_alpha", float),
-    ("--threads", "threads", int),
     ("--seed", "seed", int),
     ("--capacity", "capacity", int),
     ("--stall-rounds", "stall_rounds_limit", int),

@@ -16,7 +16,7 @@ from math import ceil, log2
 from typing import Any
 
 from .graph import NEG_INF, Node
-from .solver import SolverStatus
+from .solver import is_real
 
 EPS_GREEDY = "eps_greedy"
 FORCING = "forcing"
@@ -55,7 +55,7 @@ def best_path(root: Node) -> tuple[list[Node], list[int]]:
     while True:
         if node.is_terminal or not node.expanded:
             break
-        if SolverStatus.UNKNOWN < node.status < SolverStatus.TB_WIN:
+        if is_real(node.status):
             break
         en = node.en
         qs = node.q
@@ -94,7 +94,7 @@ def execute_branch(engine, plan: BranchPlan):
     node = plan.branch
     if node.is_terminal or not node.expanded:
         return None
-    if SolverStatus.UNKNOWN < node.status < SolverStatus.TB_WIN:
+    if is_real(node.status):
         return None
     env = engine.env
     state = engine._root_state

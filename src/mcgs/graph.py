@@ -3,7 +3,6 @@
 Edges are stored as parallel per-node lists (action, prior, Q, visit count,
 virtual loss, child reference) rather than edge objects; at branching factors
 of a dozen this keeps the selection loop allocation-free and cache-friendly.
-EdgeView wraps one slot for code that wants an object.
 
 Statistics are simple moving averages on both nodes and edges. Q-values start
 at q_init (a first-play-urgency pessimism, not a sample): the first real
@@ -19,9 +18,7 @@ node is one join event, i.e. one allocation the tree could not have shared.
 from __future__ import annotations
 
 from .envs import StateKey
-from .solver import SolverStatus
-
-NEG_INF = float("-inf")
+from .solver import NEG_INF, SolverStatus  # noqa: F401 (NEG_INF is re-exported)
 
 
 class StoreFullError(RuntimeError):
@@ -55,78 +52,11 @@ class Node:
         self.parents: list[tuple["Node", int]] = []
         self.in_degree = 0
 
-    @property
-    def priors(self) -> list[float]:
-        return self.p
-
-    def edge(self, idx: int) -> "EdgeView":
-        return EdgeView(self, idx)
-
-    @property
-    def edges(self) -> list["EdgeView"]:
-        return [EdgeView(self, i) for i in range(len(self.actions))]
-
-    def edge_index(self, action: int) -> int:
-        return self.actions.index(action)
-
     def __repr__(self) -> str:
         return (
             f"Node(key={self.key}, v={self.v:+.3f}, n={self.n}, "
             f"edges={len(self.actions)}, status={self.status.name})"
         )
-
-
-class EdgeView:
-    """Object view of one edge slot, for tests and non-hot-path code."""
-
-    __slots__ = ("node", "idx")
-
-    def __init__(self, node: Node, idx: int) -> None:
-        self.node = node
-        self.idx = idx
-
-    @property
-    def action(self) -> int:
-        return self.node.actions[self.idx]
-
-    @property
-    def prior(self) -> float:
-        return self.node.p[self.idx]
-
-    @property
-    def q(self) -> float:
-        return self.node.q[self.idx]
-
-    @property
-    def n(self) -> int:
-        return self.node.en[self.idx]
-
-    @property
-    def virtual_loss(self) -> int:
-        return self.node.evl[self.idx]
-
-    @property
-    def child(self) -> Node | None:
-        return self.node.child[self.idx]
-
-    @property
-    def pruned(self) -> bool:
-        return self.node.q[self.idx] == NEG_INF
-
-    def __repr__(self) -> str:
-        return (
-            f"Edge(a={self.action}, p={self.prior:.3f}, q={self.q:+.3f}, "
-            f"n={self.n}, vl={self.virtual_loss})"
-        )
-
-
-def update_edge_sma(node: Node, idx: int, value: float) -> None:
-    """Moving-average update of one edge: n += 1, q += (value - q) / n."""
-    n1 = node.en[idx] + 1
-    node.en[idx] = n1
-    q = node.q[idx]
-    if q != NEG_INF:
-        node.q[idx] = q + (value - q) / n1
 
 
 def update_node_value(node: Node, value: float) -> None:
@@ -155,9 +85,6 @@ class GraphStore:
 
     def __len__(self) -> int:
         return len(self.nodes)
-
-    def get(self, key: StateKey) -> Node | None:
-        return self.nodes.get(key)
 
     def lookup_or_insert(self, key: StateKey) -> tuple[Node, bool]:
         """Return (node, was_existing); insert a fresh node on miss."""

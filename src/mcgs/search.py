@@ -26,11 +26,10 @@ from __future__ import annotations
 
 import random
 import time
-from dataclasses import dataclass, field, fields
-from math import ceil, log, sqrt
+from dataclasses import asdict, dataclass, field, fields
+from math import log, sqrt
 from typing import Any
 
-from .envs import Outcome
 from .evaluators import EvalQueue, apply_node_temperature
 from .graph import NEG_INF, GraphStore, Node, StoreFullError, update_node_value
 from .solver import (
@@ -104,7 +103,6 @@ class SearchConfig:
     # batching
     mini_batch_size: int = 16
     virtual_loss: float = 1.0
-    threads: int = 2  # worker contexts of the batching model; execution is synchronous
     terminal_cap_factor: int = 4  # terminal trajectories per batch <= factor * mini_batch
     # budget
     budget: str = "simulations"
@@ -145,8 +143,6 @@ class SearchConfig:
             raise ValueError("q_init must lie in the value range")
         if self.capacity < 1:
             raise ValueError("capacity must be >= 1")
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
@@ -205,21 +201,6 @@ def correction_value(q_edge: float, v_star: float, visits: int,
     return value
 
 
-_SETTLED_VALUE = {
-    SolverStatus.UNKNOWN: 1.0,  # only reachable with every edge pruned
-    SolverStatus.WIN: 1.0,
-    SolverStatus.TB_WIN: 1.0,
-    SolverStatus.LOSS: -1.0,
-    SolverStatus.TB_LOSS: -1.0,
-    SolverStatus.DRAW: 0.0,
-    SolverStatus.TB_DRAW: 0.0,
-}
-
-
-def _settled_value(status) -> float:
-    return _SETTLED_VALUE[status]
-
-
 @dataclass
 class SearchResult:
     game: str
@@ -240,24 +221,7 @@ class SearchResult:
     memory: dict = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "game": self.game,
-            "ply": self.ply,
-            "actions": self.actions,
-            "selected_action": self.selected_action,
-            "policy": self.policy,
-            "pv": self.pv,
-            "value": self.value,
-            "root_status": self.root_status,
-            "root_end_in_ply": self.root_end_in_ply,
-            "simulations": self.simulations,
-            "evaluations": self.evaluations,
-            "terminal_trajectories": self.terminal_trajectories,
-            "early_stop_trajectories": self.early_stop_trajectories,
-            "stop_reason": self.stop_reason,
-            "wall_ms": self.wall_ms,
-            "memory": self.memory,
-        }
+        return asdict(self)
 
 
 class SearchEngine:
@@ -301,6 +265,8 @@ class SearchEngine:
                 node.v = outcome.score
                 if self.solver is not None:
                     self.solver.mark_terminal(node, outcome)
+        if node.expanded:
+            self._mix_root_noise(node)
 
     def advance(self, action: int) -> None:
         """Move the root one ply down after `action` was played."""
@@ -315,6 +281,8 @@ class SearchEngine:
                 child = self._resolve_child(root, idx, state)
             self._root = child
             self._root_state = state
+            if child.expanded:
+                self._mix_root_noise(child)
         else:
             self.reset(state)
 
@@ -343,10 +311,9 @@ class SearchEngine:
         if not root.expanded:
             evaluation = self.evaluator.evaluate(state)
             queue.total_evaluated += 1
-            self._expand(root, state, evaluation, is_root=True)
-            self._sims += 1
-        elif cfg.dirichlet_epsilon > 0.0:
+            self._expand(root, state, evaluation)
             self._mix_root_noise(root)
+            self._sims += 1
 
         stop_reason = self._run(root, queue, t0)
         status = root.status if self.solver is not None else SolverStatus.UNKNOWN
@@ -355,42 +322,41 @@ class SearchEngine:
 
     # ----- batched simulation loop ------------------------------------------
 
+    def _stop_reason(self, root: Node, queue: EvalQueue, t0: float) -> str | None:
+        """Why the search must stop now, or None to keep simulating.
+
+        Budgets count the trajectories still pending in the queue as spent.
+        """
+        cfg = self.config
+        if self._store_full:
+            return "store_full"
+        if cfg.stop_when_solved and is_real(root.status):
+            return "solved"
+        budget = cfg.budget
+        if budget == "simulations":
+            spent = self._sims + len(queue)
+        elif budget == "evaluations":
+            spent = queue.total_evaluated + len(queue)
+        else:
+            spent = (time.perf_counter() - t0) * 1000.0
+        return "budget" if spent >= cfg.budget_amount else None
+
     def _run(self, root: Node, queue: EvalQueue, t0: float) -> str:
         cfg = self.config
-        budget = cfg.budget
-        amount = cfg.budget_amount
-        mini_batch = cfg.mini_batch_size
-        terminal_cap = cfg.terminal_cap_factor * mini_batch
-        stop_when_solved = cfg.stop_when_solved
+        terminal_cap = cfg.terminal_cap_factor * cfg.mini_batch_size
         stall_rounds = 0
         store = self.store
 
         while True:
-            if self._store_full:
-                return "store_full"
-            if stop_when_solved and is_real(root.status):
-                return "solved"
-            if budget == "simulations":
-                if self._sims >= amount:
-                    return "budget"
-            elif budget == "evaluations":
-                if queue.total_evaluated >= amount:
-                    return "budget"
-            else:
-                if (time.perf_counter() - t0) * 1000.0 >= amount:
-                    return "budget"
+            # The queue is empty here: every round ends with a flush.
+            reason = self._stop_reason(root, queue, t0)
+            if reason is not None:
+                return reason
 
             terminals_this_round = 0
             flushed = None
-            while terminals_this_round < terminal_cap:
-                if stop_when_solved and is_real(root.status):
-                    break
-                if budget == "simulations" and self._sims + len(queue) >= amount:
-                    break
-                if budget == "evaluations" and queue.total_evaluated + len(queue) >= amount:
-                    break
-                if budget == "milliseconds" and (time.perf_counter() - t0) * 1000.0 >= amount:
-                    break
+            while (terminals_this_round < terminal_cap
+                   and self._stop_reason(root, queue, t0) is None):
                 traj = self._simulate(root)
                 if traj is None:  # store filled up mid-simulation
                     break
@@ -415,7 +381,7 @@ class SearchEngine:
             for traj, evaluation in flushed:
                 self._finish_eval(traj, evaluation)
 
-            if budget == "evaluations":
+            if cfg.budget == "evaluations":
                 stall_rounds = 0 if had_evals else stall_rounds + 1
                 if stall_rounds >= cfg.stall_rounds_limit:
                     return "stalled"
@@ -430,9 +396,7 @@ class SearchEngine:
         else:
             # A sibling trajectory of this batch expanded the leaf already:
             # count the extra visit, keep N(s,a) <= N(child).
-            n1 = leaf.n + 1
-            leaf.n = n1
-            leaf.v += (evaluation.value - leaf.v) / n1
+            update_node_value(leaf, evaluation.value)
         self._backpropagate(traj.pairs, evaluation.value, False)
         self._sims += 1
 
@@ -481,10 +445,9 @@ class SearchEngine:
                 else:
                     i = self._select_index(node)
                     if i < 0:
-                        # Every edge settled. A solved node backs up its own
-                        # class value; all-edges-pruned means every child is a
-                        # proven loss for them, i.e. a win here.
-                        value = _settled_value(node.status)
+                        # Every edge settled: back up the node's own settled
+                        # value (UNKNOWN here means every edge is pruned).
+                        value = STATUS_VALUE[node.status]
                         update_node_value(node, value)
                         return Trajectory(pairs, TERMINAL, value=value)
                 node.evl[i] += 1
@@ -500,7 +463,7 @@ class SearchEngine:
                     update_node_value(child, child.v)
                     return Trajectory(pairs, TERMINAL, value=child.v)
                 status = child.status
-                if SolverStatus.UNKNOWN < status < SolverStatus.TB_WIN:
+                if is_real(status):
                     update_node_value(child, STATUS_VALUE[status])
                     return Trajectory(pairs, TERMINAL, value=STATUS_VALUE[status])
                 if transpositions:
@@ -510,11 +473,7 @@ class SearchEngine:
                         q_edge = node.q[i]
                         delta = v_star - q_edge
                         if delta > q_eps or delta < -q_eps:
-                            value = v_star + edge_n * delta
-                            if value > vmax:
-                                value = vmax
-                            elif value < vmin:
-                                value = vmin
+                            value = correction_value(q_edge, v_star, edge_n, vmin, vmax)
                             return Trajectory(pairs, EARLY_STOP, value=value)
                 if not child.expanded:
                     return Trajectory(pairs, EVAL, leaf=child, leaf_state=state)
@@ -545,8 +504,7 @@ class SearchEngine:
         total = 0
         for j in range(len(en)):
             total += en[j] + evl[j]
-        u_scale = (log((total + cfg.c_puct_base + 1.0) / cfg.c_puct_base)
-                   + cfg.c_puct_init) * sqrt(total)
+        u_scale = cpuct(total, cfg.c_puct_base, cfg.c_puct_init) * sqrt(total)
         best = -1
         best_score = NEG_INF
         actions = node.actions
@@ -555,6 +513,8 @@ class SearchEngine:
             if q == NEG_INF:
                 continue
             if solver_on:
+                # is_real(child.status), spelled inline: calling it per edge
+                # made the select-heavy nim:5,6,7,8 proof about 25% slower.
                 child = children[j]
                 if child is not None and 0 < child.status < 4:
                     continue
@@ -590,13 +550,11 @@ class SearchEngine:
             self.solver.note_link(node, idx, child)
         return child
 
-    def _expand(self, node: Node, state, evaluation, is_root: bool = False) -> None:
+    def _expand(self, node: Node, state, evaluation) -> None:
         """Create the node's edges from an evaluation and run solver hooks."""
         cfg = self.config
         actions = self.env.legal_actions(state)
         priors = apply_node_temperature(evaluation.priors, cfg.node_tau)
-        if is_root and cfg.dirichlet_epsilon > 0.0:
-            priors = self._dirichlet_mix(priors)
         order = sorted(range(len(actions)), key=lambda j: -priors[j])
         self.store.attach_edges(
             node,
@@ -627,20 +585,19 @@ class SearchEngine:
                 self._store_full = True
             solver.probe_expanded(node, state)
 
-    def _dirichlet_mix(self, priors: list[float]) -> list[float]:
-        rng = self.rng
-        eps = self.config.dirichlet_epsilon
-        alpha = self.config.dirichlet_alpha
-        noise = [rng.gammavariate(alpha, 1.0) for _ in priors]
-        total = sum(noise) or 1.0
-        return [(1.0 - eps) * p + eps * (g / total) for p, g in zip(priors, noise)]
-
     def _mix_root_noise(self, root: Node) -> None:
+        """Mix Dirichlet noise into a newly placed root's live priors.
+
+        Runs once per root placement, so repeated searches on one root do not
+        compound the noise. Pruned edges keep prior 0; the live mass is kept.
+        """
+        eps = self.config.dirichlet_epsilon
+        if eps <= 0.0:
+            return
         keep = [i for i, q in enumerate(root.q) if q != NEG_INF]
         if not keep:
             return
         rng = self.rng
-        eps = self.config.dirichlet_epsilon
         alpha = self.config.dirichlet_alpha
         noise = [rng.gammavariate(alpha, 1.0) for _ in keep]
         total = sum(noise) or 1.0

@@ -48,11 +48,17 @@ _TB_FOR_OUTCOME = {
     Outcome.DRAW: SolverStatus.TB_DRAW,
 }
 
-# Scalar value of a real solved status, from the solved node's perspective.
+# Scalar value of a settled node, from its own perspective. UNKNOWN is only
+# read for a node whose every edge is pruned: each child is a proven loss for
+# the opponent, so the node itself is a win.
 STATUS_VALUE = {
+    SolverStatus.UNKNOWN: 1.0,
     SolverStatus.WIN: 1.0,
     SolverStatus.LOSS: -1.0,
     SolverStatus.DRAW: 0.0,
+    SolverStatus.TB_WIN: 1.0,
+    SolverStatus.TB_LOSS: -1.0,
+    SolverStatus.TB_DRAW: 0.0,
 }
 
 _OUTCOME_CLASS = {

@@ -90,7 +90,7 @@ def test_criterion_3_reduction_to_tree_puct(ttt):
     evaluator = make_evaluator("heuristic", ttt)
     config = SearchConfig(transpositions=False, terminal_solver=False,
                           eps_greedy=False, check_enhance=False, q_boost=False,
-                          threads=1, budget="simulations", budget_amount=1000,
+                          budget="simulations", budget_amount=1000,
                           seed=0)
     engine = SearchEngine(ttt, evaluator, config)
     engine.reset(ttt.initial_state())

@@ -1,4 +1,8 @@
-"""Graph store: statistics updates, transposition joins, memory accounting."""
+"""Graph store: statistics updates, transposition joins, memory accounting.
+
+Edge updates are driven through the engine's backpropagation, which holds
+the only copy of the edge moving-average update.
+"""
 
 import statistics
 
@@ -13,21 +17,34 @@ from mcgs.graph import (
     GraphStore,
     Node,
     StoreFullError,
-    update_edge_sma,
     update_node_value,
 )
 from mcgs.search import SearchConfig, SearchEngine, run_search
 
-from helpers import attach_child, expanded_node, fresh_key
+from helpers import expanded_node, fresh_key
+
+_TTT = make_env("tictactoe")
+_ENGINE = SearchEngine(_TTT, UniformEvaluator(_TTT), SearchConfig())
+
+
+def _edge_update(node, sample):
+    """Back one sample up edge 0 through the engine's backpropagation.
+
+    The leaf value is given from the child's perspective, so the edge sees
+    its negation: passing -sample makes the edge's new sample exactly sample.
+    """
+    node.evl[0] += 1
+    _ENGINE._backpropagate([(node, 0)], -sample, early_stop=False)
+    assert node.evl[0] == 0
 
 
 def test_first_edge_update_replaces_the_pessimistic_init():
     store = GraphStore()
     node = expanded_node(store, actions=[0, 1], q_init=-1.0)
-    update_edge_sma(node, 0, 0.5)
+    _edge_update(node, 0.5)
     assert node.en[0] == 1
     assert node.q[0] == 0.5
-    update_edge_sma(node, 0, 0.1)
+    _edge_update(node, 0.1)
     assert node.en[0] == 2
     assert node.q[0] == pytest.approx(0.3)
     assert node.q[1] == -1.0  # untouched sibling keeps its init
@@ -38,7 +55,7 @@ def test_edge_sma_worked_example():
     node = expanded_node(store, actions=[0])
     node.q[0] = 0.5
     node.en[0] = 3
-    update_edge_sma(node, 0, -0.1)
+    _edge_update(node, -0.1)
     assert node.en[0] == 4
     assert node.q[0] == pytest.approx(0.35)
 
@@ -47,10 +64,10 @@ def test_pruned_edge_counts_visits_but_keeps_neg_inf():
     store = GraphStore()
     node = expanded_node(store, actions=[0])
     node.q[0] = NEG_INF
-    update_edge_sma(node, 0, 0.9)
+    _edge_update(node, 0.9)
     assert node.en[0] == 1
     assert node.q[0] == NEG_INF
-    assert node.edge(0).pruned
+    assert (node.n, node.v) == (1, 0.9)  # the node still averages the sample
 
 
 @given(st.lists(st.floats(min_value=-1.0, max_value=1.0), min_size=1, max_size=50))
@@ -58,7 +75,7 @@ def test_edge_sma_equals_the_running_mean(values):
     store = GraphStore()
     node = expanded_node(store, actions=[0])
     for v in values:
-        update_edge_sma(node, 0, v)
+        _edge_update(node, v)
     assert node.en[0] == len(values)
     assert node.q[0] == pytest.approx(statistics.fmean(values), abs=1e-12)
 
@@ -120,23 +137,6 @@ def test_store_capacity_is_enforced():
     store.lookup_or_insert(fresh_key(1))
     with pytest.raises(StoreFullError):
         store.lookup_or_insert(fresh_key(2))
-
-
-def test_edge_view_mirrors_the_slot_arrays():
-    store = GraphStore()
-    node = expanded_node(store, actions=[5, 7], priors=[0.75, 0.25])
-    child = attach_child(store, node, 1)
-    node.en[1] = 4
-    node.evl[1] = 2
-    edge = node.edge(1)
-    assert edge.action == 7
-    assert edge.prior == 0.25
-    assert edge.n == 4
-    assert edge.virtual_loss == 2
-    assert edge.child is child
-    assert not edge.pruned
-    assert node.edge_index(7) == 1
-    assert len(node.edges) == 2
 
 
 def test_chain_game_allocates_no_joins():

@@ -16,8 +16,9 @@ from mcgs.search import (
     cpuct,
     run_search,
 )
+from mcgs.solver import SolverStatus
 
-from helpers import expanded_node
+from helpers import attach_child, expanded_node
 
 INF = float("inf")
 
@@ -138,7 +139,6 @@ def test_config_rejects_unknown_keys_and_bad_bools():
     ("value_min", 1.0),
     ("q_init", -3.0),
     ("capacity", 0),
-    ("threads", 0),
 ])
 def test_config_validation_errors(field, value):
     cfg = SearchConfig(**{field: value})
@@ -213,6 +213,42 @@ def test_virtual_loss_diverts_parallel_simulations(ttt):
     assert node.actions[engine._select_index(node)] == 0  # tie -> lower action
     node.evl[0] = 3  # three simulations already in flight
     assert node.actions[engine._select_index(node)] == 1
+
+
+def _solved_edge_probe(engine, status):
+    """Edge 0 looks best by far but leads to a child with `status`; edge 1
+    leads to an unsolved child with a poor record."""
+    node = expanded_node(engine.store, actions=[0, 1], priors=[0.9, 0.1])
+    node.q = [1.0, -0.9]
+    node.en = [10, 10]
+    attach_child(engine.store, node, 0, status=status)
+    attach_child(engine.store, node, 1)
+    return node
+
+
+@pytest.mark.parametrize("status", [SolverStatus.WIN, SolverStatus.LOSS,
+                                    SolverStatus.DRAW], ids=lambda s: s.name)
+def test_selection_skips_edges_into_real_solved_children(ttt, status):
+    # The LOSS child is deliberately left unpruned: the status test alone
+    # must keep selection off the edge.
+    engine = _engine(ttt)
+    assert engine._select_index(_solved_edge_probe(engine, status)) == 1
+
+
+@pytest.mark.parametrize("status", [SolverStatus.TB_WIN, SolverStatus.TB_DRAW],
+                         ids=lambda s: s.name)
+def test_selection_keeps_edges_into_probe_solved_children(ttt, status):
+    engine = _engine(ttt)
+    assert engine._select_index(_solved_edge_probe(engine, status)) == 0
+
+
+def test_selection_returns_minus_one_when_every_edge_is_settled(ttt):
+    engine = _engine(ttt)
+    node = expanded_node(engine.store, actions=[0, 1, 2])
+    attach_child(engine.store, node, 0, status=SolverStatus.WIN)
+    attach_child(engine.store, node, 1, status=SolverStatus.DRAW)
+    node.q[2] = NEG_INF  # pruned, child never resolved
+    assert engine._select_index(node) == -1
 
 
 # ----- expansion --------------------------------------------------------------
@@ -552,16 +588,42 @@ def test_search_stalls_when_the_game_is_exhausted():
     assert result.evaluations == 3
 
 
-def test_dirichlet_noise_remixes_root_priors(ttt):
+def test_dirichlet_noise_is_mixed_once_per_root_placement(ttt):
     engine = _engine(ttt, budget_amount=50, dirichlet_epsilon=0.25, seed=3)
     engine.reset(ttt.initial_state())
     engine.search()
-    first = list(engine._root.p)
+    root = engine._root
+    first = list(root.p)
+    assert sum(first) == pytest.approx(1.0)
     engine.search()
-    second = list(engine._root.p)
-    assert first != second
-    assert sum(second) == pytest.approx(1.0)
-    assert all(p > 0 for p in second)
+    assert root.p == first  # a second search on the same root adds no noise
+
+    action = root.actions[0]
+    child = root.child[0]
+    assert child is not None and child.expanded
+    before = list(child.p)
+    engine.advance(action)
+    mixed = list(child.p)
+    assert mixed != before
+    assert sum(mixed) == pytest.approx(1.0)
+    engine.search()
+    assert child.p == mixed
+
+
+def test_dirichlet_noise_leaves_pruned_edges_at_zero(ttt):
+    # X threatens 0-1-2: expansion proves the mate, pruning the mating edge
+    # before the noise is mixed in.
+    state = ttt.initial_state()
+    for move in (0, 4, 1, 5):
+        state = ttt.apply(state, move)
+    engine = _engine(ttt, budget_amount=50, dirichlet_epsilon=0.25, seed=3)
+    engine.reset(state)
+    engine.search()
+    root = engine._root
+    idx = root.actions.index(2)
+    assert root.q[idx] == NEG_INF
+    assert root.p[idx] == 0.0
+    assert all(p > 0 for j, p in enumerate(root.p) if j != idx)
 
 
 def test_search_before_reset_raises(ttt):
