@@ -190,12 +190,12 @@ class Nim:
         return action // self._stride, action % self._stride + 1
 
     def apply(self, state: NimState, action: int) -> NimState:
+        piles = state.piles
         pile, take = self.decode(action)
-        if not 0 <= pile < len(state.piles) or not 1 <= take <= state.piles[pile]:
-            raise ValueError(f"illegal nim action {action} in {state.piles}")
-        piles = list(state.piles)
-        piles[pile] -= take
-        return NimState(tuple(piles), state.ply + 1)
+        if not 0 <= pile < len(piles) or not 1 <= take <= piles[pile]:
+            raise ValueError(f"illegal nim action {action} in {piles}")
+        return NimState(piles[:pile] + (piles[pile] - take,) + piles[pile + 1:],
+                        state.ply + 1)
 
     def terminal_value(self, state: NimState) -> Outcome | None:
         if any(state.piles):

@@ -13,7 +13,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from math import ceil, log2
-from typing import Any
 
 from .graph import NEG_INF, Node
 from .solver import is_real
@@ -26,7 +25,6 @@ FORCING = "forcing"
 class BranchPlan:
     kind: str
     depth: int
-    path: tuple[int, ...]  # actions from the root to the branch node
     branch: Node
 
 
@@ -81,8 +79,7 @@ def best_path(root: Node) -> tuple[list[Node], list[int]]:
 def make_plan(engine, root: Node, kind: str) -> BranchPlan | None:
     nodes, actions = best_path(root)
     depth = sample_branch_depth(engine.rng.random(), max_depth=len(actions))
-    return BranchPlan(kind=kind, depth=depth,
-                      path=tuple(actions[:depth]), branch=nodes[depth])
+    return BranchPlan(kind=kind, depth=depth, branch=nodes[depth])
 
 
 def execute_branch(engine, plan: BranchPlan):
@@ -96,19 +93,15 @@ def execute_branch(engine, plan: BranchPlan):
         return None
     if is_real(node.status):
         return None
-    env = engine.env
-    state = engine._root_state
-    for action in plan.path:
-        state = env.apply(state, action)
     if plan.kind == EPS_GREEDY:
         idx = _first_unexplored(node)
     else:
-        idx = _first_forcing(engine, node, state)
+        idx = _first_forcing(engine, node)
     if idx is None:
         idx = _uniform_fallback(engine, node)
         if idx is None:  # every edge pruned
             return None
-    return engine._descend(node, state, [], forced_idx=idx)
+    return engine._descend(node, [], forced_idx=idx)
 
 
 def _first_unexplored(node: Node) -> int | None:
@@ -122,14 +115,14 @@ def _first_unexplored(node: Node) -> int | None:
     return None
 
 
-def _first_forcing(engine, node: Node, state) -> int | None:
+def _first_forcing(engine, node: Node) -> int | None:
     en = node.en
     qs = node.q
     actions = node.actions
     if not node.checks_expanded:
         env = engine.env
         for j in range(len(en)):
-            if en[j] == 0 and qs[j] != NEG_INF and env.is_forcing(state, actions[j]):
+            if en[j] == 0 and qs[j] != NEG_INF and env.is_forcing(node.state, actions[j]):
                 return j
         node.checks_expanded = True
     return _first_unexplored(node)

@@ -9,6 +9,12 @@ at q_init (a first-play-urgency pessimism, not a sample): the first real
 update replaces the initial value entirely because the SMA divides by the
 post-increment count.
 
+Each node keeps the state that first reached its key, so a descent applies a
+move only to resolve an unknown edge. The key must determine the state (the
+same condition that makes sharing statistics sound); with transpositions off
+only the ply is shared. Cost: one state object per node, 128 bytes for a
+four-pile NimState, 168 for a TicTacToeState.
+
 Memory accounting distinguishes the nodes actually allocated from
 tree_equivalent_node_count, the nodes a pure tree would have allocated for
 the same simulations: every first resolution of an edge onto a pre-existing
@@ -27,14 +33,15 @@ class StoreFullError(RuntimeError):
 
 class Node:
     __slots__ = (
-        "key", "v", "n", "expanded", "is_terminal",
+        "key", "state", "v", "n", "expanded", "is_terminal",
         "actions", "p", "q", "en", "evl", "child",
         "status", "end_in_ply", "unknown_children_count", "checks_expanded",
         "parents", "in_degree",
     )
 
-    def __init__(self, key: StateKey) -> None:
+    def __init__(self, key: StateKey, state=None) -> None:
         self.key = key
+        self.state = state            # the state that first reached key
         self.v = 0.0
         self.n = 0
         self.expanded = False
@@ -86,8 +93,8 @@ class GraphStore:
     def __len__(self) -> int:
         return len(self.nodes)
 
-    def lookup_or_insert(self, key: StateKey) -> tuple[Node, bool]:
-        """Return (node, was_existing); insert a fresh node on miss."""
+    def lookup_or_insert(self, key: StateKey, state=None) -> tuple[Node, bool]:
+        """Return (node, was_existing); insert a fresh node holding state on miss."""
         if self.transpositions:
             node = self.nodes.get(key)
             if node is not None:
@@ -97,7 +104,7 @@ class GraphStore:
             key = StateKey(self._serial, key.ply)
         if len(self.nodes) >= self.capacity:
             raise StoreFullError(f"graph store capacity {self.capacity} exhausted")
-        node = Node(key)
+        node = Node(key, state)
         self.nodes[key] = node
         return node, False
 

@@ -36,11 +36,17 @@ def negamax_solve(
     cache: dict[StateKey, SolvedEntry] | None = None,
     node_limit: int | None = None,
 ) -> SolvedEntry:
-    """Solve a state exactly, memoized on the transposition key."""
+    """Solve a state exactly, memoized on the transposition key.
+
+    The depth-first walk keeps its own stack, so a game's depth is not
+    bounded by Python's recursion limit.
+    """
     if cache is None:
         cache = {}
+    stack: list = []  # frames: state, key, legal actions, solved children so far
 
-    def solve(st) -> SolvedEntry:
+    def visit(st) -> SolvedEntry | None:
+        """Return st's entry if it is known or terminal, else push its frame."""
         key = env.state_key(st)
         hit = cache.get(key)
         if hit is not None:
@@ -48,27 +54,28 @@ def negamax_solve(
         if node_limit is not None and len(cache) >= node_limit:
             raise OracleLimitError(f"oracle node limit {node_limit} exceeded")
         terminal = env.terminal_value(st)
-        if terminal is not None:
-            entry = SolvedEntry(terminal, 0, ())
-        else:
-            best_outcome = None
-            results = []
-            for action in env.legal_actions(st):
-                child = solve(env.apply(st, action))
-                mine = child.outcome.inverted
-                results.append((action, mine, child.distance + 1))
-                if best_outcome is None or _RANK[mine] > _RANK[best_outcome]:
-                    best_outcome = mine
-            optimal = tuple(a for a, o, _ in results if o is best_outcome)
-            if best_outcome is Outcome.LOSS:
-                distance = max(d for _, _, d in results)
-            else:
-                distance = min(d for _, o, d in results if o is best_outcome)
-            entry = SolvedEntry(best_outcome, distance, optimal)
-        cache[key] = entry
+        if terminal is None:
+            stack.append((st, key, env.legal_actions(st), []))
+            return None
+        entry = cache[key] = SolvedEntry(terminal, 0, ())
         return entry
 
-    return solve(state)
+    entry = visit(state)
+    while stack:
+        st, key, actions, children = stack[-1]
+        if entry is not None:  # the child after actions[len(children)] is solved
+            children.append(entry)
+        if len(children) < len(actions):
+            entry = visit(env.apply(st, actions[len(children)]))
+            continue
+        stack.pop()
+        mine = [child.outcome.inverted for child in children]
+        best = max(mine, key=_RANK.__getitem__)
+        plies = [c.distance + 1 for c, o in zip(children, mine) if o is best]
+        distance = max(plies) if best is Outcome.LOSS else min(plies)
+        optimal = tuple(a for a, o in zip(actions, mine) if o is best)
+        entry = cache[key] = SolvedEntry(best, distance, optimal)
+    return entry
 
 
 def solved_table(env, node_limit: int | None = None) -> dict[StateKey, SolvedEntry]:

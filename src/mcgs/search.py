@@ -28,7 +28,6 @@ import random
 import time
 from dataclasses import asdict, dataclass, field, fields
 from math import log, sqrt
-from typing import Any
 
 from .evaluators import EvalQueue, apply_node_temperature
 from .graph import NEG_INF, GraphStore, Node, StoreFullError, update_node_value
@@ -66,7 +65,6 @@ class Trajectory:
     kind: str = EVAL
     value: float = 0.0
     leaf: Node | None = None
-    leaf_state: Any = None
 
     @property
     def early_stop(self) -> bool:
@@ -244,7 +242,6 @@ class SearchEngine:
             endgame_oracle = make_endgame_oracle(config.endgame_oracle, env)
         self.solver = TerminalSolver(endgame_oracle) if config.terminal_solver else None
         self._root: Node | None = None
-        self._root_state = None
         # per-search counters
         self._sims = 0
         self._terminals = 0
@@ -255,8 +252,7 @@ class SearchEngine:
 
     def reset(self, state) -> None:
         """Place the root at a state, reusing the node if the store knows it."""
-        self._root_state = state
-        node, existed = self.store.lookup_or_insert(self.env.state_key(state))
+        node, existed = self.store.lookup_or_insert(self.env.state_key(state), state)
         self._root = node
         if not existed and not node.is_terminal:
             outcome = self.env.terminal_value(state)
@@ -272,19 +268,17 @@ class SearchEngine:
         """Move the root one ply down after `action` was played."""
         if self._root is None:
             raise RuntimeError("advance() before reset()")
-        state = self.env.apply(self._root_state, action)
         root = self._root
-        if root.expanded:
+        if action in root.actions:
             idx = root.actions.index(action)
             child = root.child[idx]
             if child is None:
-                child = self._resolve_child(root, idx, state)
+                child = self._resolve_child(root, idx, self.env.apply(root.state, action))
             self._root = child
-            self._root_state = state
             if child.expanded:
                 self._mix_root_noise(child)
-        else:
-            self.reset(state)
+        else:  # an unexpanded root, or an illegal action for the env to reject
+            self.reset(self.env.apply(root.state, action))
 
     # ----- public search ---------------------------------------------------
 
@@ -294,7 +288,6 @@ class SearchEngine:
         cfg = self.config
         t0 = time.perf_counter()
         root = self._root
-        state = self._root_state
 
         self._sims = 0
         self._terminals = 0
@@ -302,16 +295,16 @@ class SearchEngine:
         self._store_full = False
 
         if root.is_terminal:
-            outcome = self.env.terminal_value(state)
+            outcome = self.env.terminal_value(root.state)
             return self._result(root, t0, "terminal_root",
                                 status=status_for_outcome(outcome), evaluations=0)
 
         queue = EvalQueue(self.evaluator, cfg.mini_batch_size)
 
         if not root.expanded:
-            evaluation = self.evaluator.evaluate(state)
+            evaluation = self.evaluator.evaluate(root.state)
             queue.total_evaluated += 1
-            self._expand(root, state, evaluation)
+            self._expand(root, evaluation)
             self._mix_root_noise(root)
             self._sims += 1
 
@@ -361,7 +354,7 @@ class SearchEngine:
                 if traj is None:  # store filled up mid-simulation
                     break
                 if traj.kind == EVAL:
-                    flushed = queue.submit(traj.leaf_state, traj)
+                    flushed = queue.submit(traj.leaf.state, traj)
                     if len(queue) > store.trajectory_buffer_peak:
                         store.trajectory_buffer_peak = len(queue)
                     if flushed is not None:
@@ -386,13 +379,14 @@ class SearchEngine:
                 if stall_rounds >= cfg.stall_rounds_limit:
                     return "stalled"
             elif not had_evals and terminals_this_round == 0:
-                # No progress is possible (e.g. every root edge pruned).
-                return "stalled"
+                # No progress is possible (e.g. every root edge pruned), or a
+                # millisecond budget ran out between the two stop checks.
+                return self._stop_reason(root, queue, t0) or "stalled"
 
     def _finish_eval(self, traj: Trajectory, evaluation) -> None:
         leaf = traj.leaf
         if not leaf.expanded:
-            self._expand(leaf, traj.leaf_state, evaluation)
+            self._expand(leaf, evaluation)
         else:
             # A sibling trajectory of this batch expanded the leaf already:
             # count the extra visit, keep N(s,a) <= N(child).
@@ -418,25 +412,24 @@ class SearchEngine:
                 traj = explore.execute_branch(self, plan)
                 if traj is not None:
                     return traj
-            return self._descend(root, self._root_state, [])
+            return self._descend(root, [])
         except StoreFullError:
             self._store_full = True
             return None
 
-    def _descend(self, node: Node, state, pairs: list, forced_idx: int | None = None) -> Trajectory:
+    def _descend(self, node: Node, pairs: list, forced_idx: int | None = None) -> Trajectory:
         """Walk the graph from `node` until the simulation terminates.
 
         Appends (node, edge index) pairs and applies virtual loss as it goes.
-        On StoreFullError the virtual loss applied so far is rolled back
-        before re-raising.
+        Nodes carry their states, so the env applies a move only to resolve
+        an edge whose child is still unknown. On StoreFullError the virtual
+        loss applied so far is rolled back before re-raising.
         """
-        env = self.env
         cfg = self.config
         transpositions = cfg.transpositions
         q_eps = cfg.q_epsilon
         vmin = cfg.value_min
         vmax = cfg.value_max
-        apply_action = env.apply
         try:
             while True:
                 if forced_idx is not None:
@@ -452,10 +445,10 @@ class SearchEngine:
                         return Trajectory(pairs, TERMINAL, value=value)
                 node.evl[i] += 1
                 pairs.append((node, i))
-                state = apply_action(state, node.actions[i])
                 child = node.child[i]
                 if child is None:
-                    child = self._resolve_child(node, i, state)
+                    child = self._resolve_child(
+                        node, i, self.env.apply(node.state, node.actions[i]))
                 # Trajectory endpoints count as a visit of the reached node
                 # too, keeping N(s,a) <= N(child) for terminal and proven
                 # children. The value is a constant there, so v never moves.
@@ -476,7 +469,7 @@ class SearchEngine:
                             value = correction_value(q_edge, v_star, edge_n, vmin, vmax)
                             return Trajectory(pairs, EARLY_STOP, value=value)
                 if not child.expanded:
-                    return Trajectory(pairs, EVAL, leaf=child, leaf_state=state)
+                    return Trajectory(pairs, EVAL, leaf=child)
                 node = child
         except StoreFullError:
             for pnode, pi in pairs:
@@ -536,8 +529,7 @@ class SearchEngine:
 
     def _resolve_child(self, node: Node, idx: int, state) -> Node:
         """First traversal of an edge: find or create the child node."""
-        key = self.env.state_key(state)
-        child, existed = self.store.lookup_or_insert(key)
+        child, existed = self.store.lookup_or_insert(self.env.state_key(state), state)
         self.store.link(node, idx, child, existed)
         if not existed:
             outcome = self.env.terminal_value(state)
@@ -550,9 +542,10 @@ class SearchEngine:
             self.solver.note_link(node, idx, child)
         return child
 
-    def _expand(self, node: Node, state, evaluation) -> None:
+    def _expand(self, node: Node, evaluation) -> None:
         """Create the node's edges from an evaluation and run solver hooks."""
         cfg = self.config
+        state = node.state
         actions = self.env.legal_actions(state)
         priors = apply_node_temperature(evaluation.priors, cfg.node_tau)
         order = sorted(range(len(actions)), key=lambda j: -priors[j])
@@ -573,8 +566,8 @@ class SearchEngine:
                     outcome = env.terminal_value(child_state)
                     if outcome is None:
                         continue
-                    key = env.state_key(child_state)
-                    child, existed = self.store.lookup_or_insert(key)
+                    child, existed = self.store.lookup_or_insert(
+                        env.state_key(child_state), child_state)
                     if not existed:
                         child.is_terminal = True
                         child.v = outcome.score
@@ -680,7 +673,7 @@ class SearchEngine:
         wall_ms = (time.perf_counter() - t0) * 1000.0
         return SearchResult(
             game=self.env.game_id,
-            ply=getattr(self._root_state, "ply", 0),
+            ply=getattr(root.state, "ply", 0),
             actions=actions,
             selected_action=selected,
             policy=policy,

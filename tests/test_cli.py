@@ -294,6 +294,13 @@ def test_solve_dumps_full_table(capsys):
                for e in payload["entries"])
 
 
+def test_solve_handles_games_deeper_than_the_recursion_limit(capsys):
+    assert main(["solve", "--game", "leftright:1200"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["states"] == 2399
+    assert max(e["distance"] for e in payload["entries"]) == 1199
+
+
 def test_solve_out_file(tmp_path, capsys):
     out = tmp_path / "table.json"
     assert main(["solve", "--game", "leftright:4", "--out", str(out)]) == 0

@@ -1,10 +1,11 @@
 """Environment contract: moves, terminals, keys, and the forcing predicate."""
 
+import itertools
 import random
 
 import pytest
 
-from mcgs.envs import LEFT, RIGHT, Outcome, make_env
+from mcgs.envs import LEFT, RIGHT, NimState, Outcome, make_env
 
 
 def test_tictactoe_initial_nine_actions(ttt):
@@ -175,3 +176,19 @@ def test_make_env_rejects_unknown_id():
         make_env("go:19")
     with pytest.raises(ValueError):
         make_env("leftright:1")
+
+
+def test_nim_apply_agrees_with_decode_on_every_state_and_action():
+    env = make_env("nim:3,4,5")
+    stride = 5
+    for piles in itertools.product(range(4), range(5), range(6)):
+        state = NimState(piles, 7)
+        for action in range(-1, len(piles) * stride + 1):
+            pile, take = env.decode(action)
+            if 0 <= pile < len(piles) and 1 <= take <= piles[pile]:
+                expected = list(piles)
+                expected[pile] -= take
+                assert env.apply(state, action) == NimState(tuple(expected), 8)
+            else:
+                with pytest.raises(ValueError, match=f"illegal nim action {action} "):
+                    env.apply(state, action)

@@ -114,7 +114,6 @@ def test_make_plan_lands_on_the_sampled_depth(ttt):
     assert plan.kind == EPS_GREEDY
     assert plan.depth == 1
     assert plan.branch is nodes[1]
-    assert plan.path == (actions[0],)
 
     engine.rng = _FixedRng(0.9999999)  # deeper than the path: clamped
     plan = make_plan(engine, root, FORCING)
@@ -134,9 +133,9 @@ def test_execute_branch_discards_settled_branch_nodes(ttt):
     proven.status = SolverStatus.DRAW
 
     for node in (terminal, proven):
-        plan = BranchPlan(kind=EPS_GREEDY, depth=0, path=(), branch=node)
+        plan = BranchPlan(kind=EPS_GREEDY, depth=0, branch=node)
         assert execute_branch(engine, plan) is None
-    plan = BranchPlan(kind=EPS_GREEDY, depth=0, path=(), branch=unexpanded)
+    plan = BranchPlan(kind=EPS_GREEDY, depth=0, branch=unexpanded)
     assert execute_branch(engine, plan) is None
 
 
@@ -158,9 +157,9 @@ def test_first_forcing_prefers_checks_then_marks_the_node(ttt):
         state = ttt.apply(state, move)
     engine.reset(state)
     node = engine._root
-    engine._expand(node, state, UniformEvaluator(ttt).evaluate(state))
+    engine._expand(node, UniformEvaluator(ttt).evaluate(state))
 
-    idx = explore._first_forcing(engine, node, state)
+    idx = explore._first_forcing(engine, node)
     assert ttt.is_forcing(state, node.actions[idx])
     assert not node.checks_expanded
 
@@ -168,7 +167,7 @@ def test_first_forcing_prefers_checks_then_marks_the_node(ttt):
     for j, action in enumerate(node.actions):
         if ttt.is_forcing(state, action):
             node.en[j] = 1
-    idx = explore._first_forcing(engine, node, state)
+    idx = explore._first_forcing(engine, node)
     assert idx is not None
     assert not ttt.is_forcing(state, node.actions[idx])
     assert node.checks_expanded

@@ -2,7 +2,7 @@
 
 import pytest
 
-from mcgs.envs import Outcome, make_env
+from mcgs.envs import LEFT, RIGHT, Outcome, make_env
 from mcgs.oracle import (
     OracleLimitError,
     negamax_solve,
@@ -107,6 +107,21 @@ def test_leftright_eight_reachable_set_and_outcome():
     entry = negamax_solve(env, env.initial_state())
     assert entry.outcome is Outcome.WIN
     assert entry.distance == 7
+
+
+@pytest.mark.parametrize("length", [3000, 3001])
+def test_leftright_deeper_than_the_recursion_limit(length):
+    # Whoever steps onto the last cell wins: that is the first player exactly
+    # when the length - 1 RIGHT moves are odd in number. The loser drags the
+    # game out to the end, so the distance is length - 1 either way.
+    env = make_env(f"leftright:{length}")
+    cache = {}
+    entry = negamax_solve(env, env.initial_state(), cache=cache)
+    if length % 2 == 0:
+        assert entry == (Outcome.WIN, length - 1, (RIGHT,))
+    else:
+        assert entry == (Outcome.LOSS, length - 1, (LEFT, RIGHT))
+    assert len(cache) == 2 * (length - 1) + 1
 
 
 def test_solve_node_limit_raises(ttt):

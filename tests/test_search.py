@@ -260,7 +260,7 @@ def test_expansion_orders_edges_by_descending_prior():
     state = env.initial_state()
     engine.reset(state)
     root = engine._root
-    engine._expand(root, state, Evaluation(0.25, [0.1, 0.7, 0.2]))
+    engine._expand(root, Evaluation(0.25, [0.1, 0.7, 0.2]))
     assert root.actions == [1, 2, 0]
     assert root.p == [0.7, 0.2, 0.1]
     assert root.q == [-1.0] * 3
@@ -276,7 +276,7 @@ def test_expansion_links_and_prunes_terminal_children(ttt):
         state = ttt.apply(state, move)
     engine.reset(state)
     root = engine._root
-    engine._expand(root, state, UniformEvaluator(ttt).evaluate(state))
+    engine._expand(root, UniformEvaluator(ttt).evaluate(state))
     idx = root.actions.index(2)
     assert root.child[idx] is not None
     assert root.child[idx].is_terminal
@@ -294,14 +294,14 @@ def _early_stop_probe(q_edge, edge_n, child_n, child_v, **overrides):
     state = env.initial_state()
     engine.reset(state)
     root = engine._root
-    engine._expand(root, state, Evaluation(0.0, [0.5, 0.5]))
+    engine._expand(root, Evaluation(0.0, [0.5, 0.5]))
     idx = root.actions.index(1)
     child = engine._resolve_child(root, idx, env.apply(state, 1))
     child.n = child_n
     child.v = child_v
     root.q[idx] = q_edge
     root.en[idx] = edge_n
-    return engine._descend(root, state, [], forced_idx=idx)
+    return engine._descend(root, [], forced_idx=idx)
 
 
 def test_early_stop_fires_on_a_stale_edge():
@@ -569,6 +569,14 @@ def test_advance_keeps_solved_statuses_and_pruning(ttt):
         assert (root.q[j] == NEG_INF) == was_pruned
 
 
+def test_advance_rejects_an_illegal_action_with_the_env_error(ttt):
+    engine = _engine(ttt, budget_amount=50)
+    engine.reset(ttt.apply(ttt.initial_state(), 4))
+    engine.search()
+    with pytest.raises(ValueError, match="illegal tictactoe action 4"):
+        engine.advance(4)
+
+
 def test_store_full_stops_gracefully(ttt):
     config = SearchConfig(budget_amount=500, capacity=5)
     result = run_search(ttt, UniformEvaluator(ttt), ttt.initial_state(), config)
@@ -642,3 +650,77 @@ def test_result_serializes_to_plain_types(ttt):
     text = json.dumps(result.to_dict())
     assert '"selected_action"' in text
     assert '"memory"' in text
+
+
+# ----- node states ---------------------------------------------------------------
+
+
+@pytest.mark.parametrize("game, overrides", [
+    ("nim:3,4,5", {}),
+    ("tictactoe", {}),
+    ("tictactoe", {"transpositions": False}),
+    ("tictactoe", {"transpositions": False, "terminal_solver": False,
+                   "eps_greedy": False, "check_enhance": False}),
+])
+def test_every_node_keeps_a_state_of_its_key(game, overrides):
+    env = make_env(game)
+    engine = _engine(env, budget_amount=1500, seed=5, **overrides)
+    engine.reset(env.initial_state())
+    result = engine.search()
+    engine.advance(result.selected_action)
+    engine.search()
+    assert len(engine.store) > 100
+    for node in engine.store.nodes.values():
+        if engine.store.transpositions:
+            assert env.state_key(node.state) == node.key
+        else:  # keys are serial numbers; only the ply survives
+            assert node.state.ply == node.key.ply
+
+
+class _CountingEnv:
+    """Delegates to an env and records every (state key, action) it applies."""
+
+    def __init__(self, env):
+        self._env = env
+        self.applied = []
+
+    def __getattr__(self, name):
+        return getattr(self._env, name)
+
+    def apply(self, state, action):
+        self.applied.append((self._env.state_key(state), action))
+        return self._env.apply(state, action)
+
+
+def _resolved_edges(store):
+    return {(node.key, node.actions[j])
+            for node in store.nodes.values()
+            for j in range(len(node.actions)) if node.child[j] is not None}
+
+
+def test_descent_applies_moves_only_on_unresolved_edges(ttt):
+    env = _CountingEnv(ttt)
+    engine = _engine(env, budget_amount=600, seed=2)
+    engine.reset(ttt.initial_state())
+    engine.search()
+    resolved = _resolved_edges(engine.store)
+    env.applied.clear()
+    engine.search()
+    assert env.applied  # the second search still resolved new edges
+    assert not resolved & set(env.applied)
+
+
+def test_search_on_a_resolved_graph_applies_no_moves():
+    # Without the solver leftright:8 is never proven, so the second search
+    # walks the fully resolved 15-state chain for its whole budget.
+    env = _CountingEnv(make_env("leftright:8"))
+    engine = _engine(env, budget_amount=300, terminal_solver=False)
+    engine.reset(env.initial_state())
+    engine.search()
+    unresolved = [node for node in engine.store.nodes.values()
+                  if not node.is_terminal and (not node.expanded or None in node.child)]
+    assert unresolved == []
+    env.applied.clear()
+    result = engine.search()
+    assert result.simulations == 300
+    assert env.applied == []
