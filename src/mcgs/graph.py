@@ -36,7 +36,7 @@ class Node:
         "key", "state", "v", "n", "expanded", "is_terminal",
         "actions", "p", "q", "en", "evl", "child",
         "status", "end_in_ply", "unknown_children_count", "checks_expanded",
-        "parents", "in_degree",
+        "parents",
     )
 
     def __init__(self, key: StateKey, state=None) -> None:
@@ -57,7 +57,6 @@ class Node:
         self.unknown_children_count = 0
         self.checks_expanded = False
         self.parents: list[tuple["Node", int]] = []
-        self.in_degree = 0
 
     def __repr__(self) -> str:
         return (
@@ -129,7 +128,6 @@ class GraphStore:
         """Resolve an edge to its child node and record the back-reference."""
         parent.child[idx] = child
         child.parents.append((parent, idx))
-        child.in_degree += 1
         if was_existing:
             self.join_count += 1
 

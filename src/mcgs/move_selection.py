@@ -21,62 +21,39 @@ class MovePolicy:
     solver_override: bool = False
 
 
+def _visit_order(node: Node) -> list[int]:
+    """Live visited edges, most visits first; ties by higher Q, then lower action id."""
+    en = node.en
+    qs = node.q
+    actions = node.actions
+    order = [j for j in range(len(en)) if en[j] and qs[j] != NEG_INF]
+    order.sort(key=lambda j: (-en[j], -qs[j], actions[j]))
+    return order
+
+
 def visit_policy(node: Node, tau: float) -> list[float]:
     """Distribution proportional to N^(1/tau); tau=0 is the visits argmax.
 
     Pruned edges get probability 0 regardless of any visits they collected
     before being pruned. Argmax ties prefer higher Q, then lower action id.
     """
-    en = node.en
-    qs = node.q
-    k = len(en)
-    if tau == 0.0:
-        best = -1
-        for j in range(k):
-            if qs[j] == NEG_INF or en[j] == 0:
-                continue
-            if best < 0:
-                best = j
-                continue
-            if en[j] > en[best]:
-                best = j
-            elif en[j] == en[best]:
-                if qs[j] > qs[best] or (qs[j] == qs[best]
-                                        and node.actions[j] < node.actions[best]):
-                    best = j
-        if best < 0:
-            raise ValueError("visit_policy on a root with no visited children")
-        out = [0.0] * k
-        out[best] = 1.0
-        return out
-    inv = 1.0 / tau
-    weights = [0.0] * k
-    total = 0.0
-    for j in range(k):
-        if qs[j] == NEG_INF or en[j] == 0:
-            continue
-        w = en[j] ** inv
-        weights[j] = w
-        total += w
-    if total <= 0.0:
+    order = _visit_order(node)
+    if not order:
         raise ValueError("visit_policy on a root with no visited children")
-    return [w / total for w in weights]
-
-
-def _top_two(node: Node) -> tuple[int, int] | None:
-    """Most- and second-most-visited live edges; ties by Q, then action id."""
-    en = node.en
-    qs = node.q
-    actions = node.actions
-    order: list[int] = []
-    for j in range(len(en)):
-        if qs[j] == NEG_INF or en[j] == 0:
-            continue
-        order.append(j)
-    if len(order) < 2:
-        return None
-    order.sort(key=lambda j: (-en[j], -qs[j], actions[j]))
-    return order[0], order[1]
+    out = [0.0] * len(node.en)
+    if tau == 0.0:
+        out[order[0]] = 1.0
+        return out
+    # Visits are scaled by the largest one first: N^(1/tau) itself overflows
+    # a float for small tau.
+    inv = 1.0 / tau
+    top = node.en[order[0]]
+    total = 0.0
+    for j in order:
+        w = (node.en[j] / top) ** inv
+        out[j] = w
+        total += w
+    return [w / total for w in out]
 
 
 def q_boost(node: Node, policy: list[float], q_weight: float) -> tuple[list[float], bool]:
@@ -85,10 +62,10 @@ def q_boost(node: Node, policy: list[float], q_weight: float) -> tuple[list[floa
     Applied at most once, to the original (most-visited, second-most-visited)
     pair, then renormalized.
     """
-    pair = _top_two(node)
-    if pair is None:
+    order = _visit_order(node)
+    if len(order) < 2:
         return policy, False
-    alpha, beta = pair
+    alpha, beta = order[0], order[1]
     q_delta = node.q[beta] - node.q[alpha]
     if q_delta <= 0.0:
         return policy, False
@@ -103,14 +80,7 @@ def _argmax_policy(node: Node, policy: list[float]) -> int:
     en = node.en
     qs = node.q
     actions = node.actions
-    best = 0
-    for j in range(1, len(policy)):
-        if policy[j] > policy[best]:
-            best = j
-        elif policy[j] == policy[best]:
-            if (en[j], qs[j], -actions[j]) > (en[best], qs[best], -actions[best]):
-                best = j
-    return best
+    return max(range(len(policy)), key=lambda j: (policy[j], en[j], qs[j], -actions[j]))
 
 
 def _prior_policy(node: Node) -> list[float]:
@@ -139,9 +109,7 @@ def select_move(node: Node, config, rng, solver_on: bool) -> MovePolicy:
             policy[node.actions.index(action)] = 1.0
             return MovePolicy(action, policy, solver_override=True)
 
-    visited = any(node.en[j] > 0 and node.q[j] != NEG_INF
-                  for j in range(len(node.en)))
-    if not visited:
+    if not _visit_order(node):
         policy = _prior_policy(node)
         boosted = False
     else:

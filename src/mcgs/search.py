@@ -27,7 +27,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import asdict, dataclass, field, fields
-from math import log, sqrt
+from math import inf, isfinite, log, sqrt
 
 from .evaluators import EvalQueue, apply_node_temperature
 from .graph import NEG_INF, GraphStore, Node, StoreFullError, update_node_value
@@ -56,19 +56,14 @@ class Trajectory:
     """One simulation: (node, edge index) pairs from the root downward.
 
     For kind "eval" the leaf is an unexpanded node awaiting its evaluation;
-    for the other kinds value already holds the backup value. early_stop
-    values are expressed from the last pair's parent perspective and skip
-    the initial sign flip during backpropagation.
+    for the other kinds value already holds the backup value. Every value is
+    from the side to move at the node the last pair's edge reaches.
     """
 
     pairs: list[tuple[Node, int]]
     kind: str = EVAL
     value: float = 0.0
     leaf: Node | None = None
-
-    @property
-    def early_stop(self) -> bool:
-        return self.kind == EARLY_STOP
 
 
 @dataclass
@@ -119,12 +114,18 @@ class SearchConfig:
     endgame_oracle: str = "none"
 
     def validate(self) -> None:
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            if spec.type == "float" and not isfinite(value):
+                raise ValueError(f"{spec.name} must be finite, got {value}")
         if self.budget not in BUDGET_KINDS:
             raise ValueError(f"budget must be one of {BUDGET_KINDS}, got {self.budget!r}")
         if self.budget_amount < 1:
             raise ValueError("budget_amount must be >= 1")
         if self.mini_batch_size < 1:
             raise ValueError("mini_batch_size must be >= 1")
+        if self.c_puct_base <= 0:
+            raise ValueError("c_puct_base must be > 0")
         if self.node_tau <= 0:
             raise ValueError("node_tau must be > 0")
         if self.tau < 0:
@@ -252,15 +253,8 @@ class SearchEngine:
 
     def reset(self, state) -> None:
         """Place the root at a state, reusing the node if the store knows it."""
-        node, existed = self.store.lookup_or_insert(self.env.state_key(state), state)
+        node, _ = self._node_for(state)
         self._root = node
-        if not existed and not node.is_terminal:
-            outcome = self.env.terminal_value(state)
-            if outcome is not None:
-                node.is_terminal = True
-                node.v = outcome.score
-                if self.solver is not None:
-                    self.solver.mark_terminal(node, outcome)
         if node.expanded:
             self._mix_root_noise(node)
 
@@ -360,7 +354,7 @@ class SearchEngine:
                     if flushed is not None:
                         break
                 else:
-                    self._backpropagate(traj.pairs, traj.value, traj.early_stop)
+                    self._backpropagate(traj.pairs, traj.value)
                     self._sims += 1
                     terminals_this_round += 1
                     if traj.kind == EARLY_STOP:
@@ -390,8 +384,9 @@ class SearchEngine:
         else:
             # A sibling trajectory of this batch expanded the leaf already:
             # count the extra visit, keep N(s,a) <= N(child).
+            self._check_evaluation(evaluation, len(leaf.actions))
             update_node_value(leaf, evaluation.value)
-        self._backpropagate(traj.pairs, evaluation.value, False)
+        self._backpropagate(traj.pairs, evaluation.value)
         self._sims += 1
 
     # ----- simulation ------------------------------------------------------
@@ -466,8 +461,15 @@ class SearchEngine:
                         q_edge = node.q[i]
                         delta = v_star - q_edge
                         if delta > q_eps or delta < -q_eps:
+                            if q_edge == NEG_INF:
+                                # The edge was pruned as it resolved, onto an
+                                # oracle-proven loss: -inf has no correction
+                                # sample, so back up the settled value.
+                                value = STATUS_VALUE[status]
+                                update_node_value(child, value)
+                                return Trajectory(pairs, TERMINAL, value=value)
                             value = correction_value(q_edge, v_star, edge_n, vmin, vmax)
-                            return Trajectory(pairs, EARLY_STOP, value=value)
+                            return Trajectory(pairs, EARLY_STOP, value=-value)
                 if not child.expanded:
                     return Trajectory(pairs, EVAL, leaf=child)
                 node = child
@@ -527,17 +529,22 @@ class SearchEngine:
 
     # ----- node lifecycle ----------------------------------------------------
 
-    def _resolve_child(self, node: Node, idx: int, state) -> Node:
-        """First traversal of an edge: find or create the child node."""
-        child, existed = self.store.lookup_or_insert(self.env.state_key(state), state)
-        self.store.link(node, idx, child, existed)
+    def _node_for(self, state) -> tuple[Node, bool]:
+        """Find or create the node of a state; a new terminal node is stamped."""
+        node, existed = self.store.lookup_or_insert(self.env.state_key(state), state)
         if not existed:
             outcome = self.env.terminal_value(state)
             if outcome is not None:
-                child.is_terminal = True
-                child.v = outcome.score
+                node.is_terminal = True
+                node.v = outcome.score
                 if self.solver is not None:
-                    self.solver.mark_terminal(child, outcome)
+                    self.solver.mark_terminal(node, outcome)
+        return node, existed
+
+    def _resolve_child(self, node: Node, idx: int, state) -> Node:
+        """First traversal of an edge: find or create the child node."""
+        child, existed = self._node_for(state)
+        self.store.link(node, idx, child, existed)
         if self.solver is not None:
             self.solver.note_link(node, idx, child)
         return child
@@ -547,6 +554,7 @@ class SearchEngine:
         cfg = self.config
         state = node.state
         actions = self.env.legal_actions(state)
+        self._check_evaluation(evaluation, len(actions))
         priors = apply_node_temperature(evaluation.priors, cfg.node_tau)
         order = sorted(range(len(actions)), key=lambda j: -priors[j])
         self.store.attach_edges(
@@ -563,20 +571,27 @@ class SearchEngine:
             try:
                 for j, action in enumerate(node.actions):
                     child_state = env.apply(state, action)
-                    outcome = env.terminal_value(child_state)
-                    if outcome is None:
-                        continue
-                    child, existed = self.store.lookup_or_insert(
-                        env.state_key(child_state), child_state)
-                    if not existed:
-                        child.is_terminal = True
-                        child.v = outcome.score
-                        solver.mark_terminal(child, outcome)
-                    self.store.link(node, j, child, existed)
-                    solver.note_link(node, j, child)
+                    if env.terminal_value(child_state) is not None:
+                        self._resolve_child(node, j, child_state)
             except StoreFullError:
                 self._store_full = True
             solver.probe_expanded(node, state)
+
+    def _check_evaluation(self, evaluation, k: int) -> None:
+        """Reject evaluator output the search cannot use, naming the evaluator."""
+        cfg = self.config
+        priors = evaluation.priors
+        value = evaluation.value
+        if len(priors) != k:
+            problem = f"{len(priors)} priors for {k} legal actions"
+        elif not 0.0 < sum(priors) < inf or min(priors) < 0.0:
+            problem = f"priors that are negative, non-finite or of no mass: {priors}"
+        elif not cfg.value_min <= value <= cfg.value_max:
+            problem = f"value {value} outside [{cfg.value_min}, {cfg.value_max}]"
+        else:
+            return
+        name = getattr(self.evaluator, "name", type(self.evaluator).__name__)
+        raise ValueError(f"evaluator {name!r} returned {problem}")
 
     def _mix_root_noise(self, root: Node) -> None:
         """Mix Dirichlet noise into a newly placed root's live priors.
@@ -600,26 +615,21 @@ class SearchEngine:
 
     # ----- backpropagation ---------------------------------------------------
 
-    def _backpropagate(self, pairs: list, value: float, early_stop: bool) -> None:
+    def _backpropagate(self, pairs: list, value: float) -> None:
         """Algorithm: reverse walk with qTarget re-anchoring at transpositions.
 
-        The first processed pair flips the child-perspective value into the
-        parent perspective, except for early-stop values which are already
-        expressed there. Above a node with in-degree > 1 the pushed value is
-        re-derived from that node's own (fresher) statistics.
+        value is from the side to move at the node the last pair's edge
+        reaches, so the walk negates it into each node's perspective in turn.
+        Above a node with several parents the pushed value is re-derived from
+        that node's own (fresher) statistics.
         """
         cfg = self.config
         vmin = cfg.value_min
         vmax = cfg.value_max
         qtarget_set = False
         qtarget = 0.0
-        first = True
         for node, i in reversed(pairs):
-            if first:
-                first = False
-                if not early_stop:
-                    value = -value
-            elif qtarget_set:
+            if qtarget_set:
                 q_edge = node.q[i]
                 if q_edge != NEG_INF:
                     value = correction_value(q_edge, qtarget, node.en[i], vmin, vmax)
@@ -636,7 +646,7 @@ class SearchEngine:
             m1 = node.n + 1
             node.n = m1
             node.v += (value - node.v) / m1
-            if node.in_degree > 1:
+            if len(node.parents) > 1:
                 qtarget = -node.v
                 qtarget_set = True
             else:

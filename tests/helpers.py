@@ -1,8 +1,15 @@
-"""Builders for synthetic graph fixtures used by the solver and policy tests."""
+"""Builders for synthetic graph fixtures, and the engine invariant check."""
 
 from mcgs.envs import StateKey
-from mcgs.graph import GraphStore
-from mcgs.solver import SolverStatus
+from mcgs.graph import NEG_INF, GraphStore
+from mcgs.oracle import negamax_solve
+from mcgs.solver import (
+    STATUS_VALUE,
+    SolverStatus,
+    is_loss_like,
+    is_solved,
+    status_for_outcome,
+)
 
 _serial = [7000]
 
@@ -31,3 +38,60 @@ def attach_child(store: GraphStore, parent, idx: int,
     child.end_in_ply = eip
     store.link(parent, idx, child, was_existing=False)
     return child
+
+
+class FixedEvaluator:
+    """Returns the same evaluation for every state, valid or not."""
+
+    def __init__(self, evaluation, name: str = "fixed") -> None:
+        self.evaluation = evaluation
+        self.name = name
+
+    def evaluate(self, state):
+        return self.evaluation
+
+
+_NEGAMAX_CACHES: dict[str, dict] = {}  # game id -> solved entries; pure, so shared
+
+
+def check_invariants(engine) -> None:
+    """Assert the bookkeeping invariants of every node in an engine's store.
+
+    Meant to run between searches, when no simulation is in flight.
+    """
+    env = engine.env
+    solver_on = engine.solver is not None
+    vmin, vmax = engine.config.value_min, engine.config.value_max
+    negamax_cache = _NEGAMAX_CACHES.setdefault(env.game_id, {})
+    incoming: dict[int, int] = {}
+    nodes = list(engine.store.nodes.values())
+    for node in nodes:
+        outcome = env.terminal_value(node.state)
+        assert node.is_terminal == (outcome is not None), node
+        if outcome is not None:
+            assert node.v == outcome.score, node
+            if solver_on:
+                assert node.status == status_for_outcome(outcome), node
+        assert vmin <= node.v <= vmax, node
+        unknown = 0
+        for i, child in enumerate(node.child):
+            assert node.evl[i] == 0, f"virtual loss left in flight on {node}"
+            pruned = node.q[i] == NEG_INF
+            assert pruned or vmin <= node.q[i] <= vmax, f"edge {i} of {node}: q={node.q[i]}"
+            if child is None:
+                unknown += 1
+                assert not pruned, f"unresolved edge {i} of {node} is pruned"
+                continue
+            incoming[id(child)] = incoming.get(id(child), 0) + 1
+            assert node.en[i] <= child.n, f"edge {i} of {node} outvisits {child}"
+            if child.status == SolverStatus.UNKNOWN:
+                unknown += 1
+            loss_like = solver_on and is_loss_like(child.status)
+            assert pruned == loss_like, f"edge {i} of {node}: pruned={pruned}, child {child}"
+        if node.expanded:
+            assert node.unknown_children_count == unknown, node
+        if is_solved(node.status):
+            entry = negamax_solve(env, node.state, cache=negamax_cache)
+            assert STATUS_VALUE[node.status] == entry.outcome.score, (node, entry)
+    for node in nodes:
+        assert len(node.parents) == incoming.get(id(node), 0), node

@@ -19,8 +19,11 @@ from mcgs.arena import (
     wilson_bounds,
 )
 from mcgs.envs import Outcome, make_env
+from mcgs.evaluators import Evaluation
 from mcgs.oracle import negamax_solve
 from mcgs.search import SearchConfig
+
+from helpers import FixedEvaluator
 
 PLAIN = dict(transpositions=False, terminal_solver=False, eps_greedy=False,
              check_enhance=False, q_boost=False)
@@ -209,6 +212,20 @@ class _Bomb:
 
     def evaluate(self, state):
         raise RuntimeError("evaluator crashed")
+
+
+def test_bad_evaluator_output_forfeits_the_game(monkeypatch):
+    real = arena.make_evaluator
+    monkeypatch.setattr(
+        "mcgs.arena.make_evaluator",
+        lambda name, env: (FixedEvaluator(Evaluation(0.0, [1.0]), name) if name == "one-prior"
+                           else real(name, env)))
+    env = make_env("nim:2,2")
+    config = _match_config("nim:2,2", budget=16)
+    config.evaluator_b = "one-prior"
+    record = play_game(env, config, opening=(), first="B", seed_a=1, seed_b=2)
+    assert record.forfeited_by == "B"
+    assert "evaluator 'one-prior' returned 1 priors" in record.error
 
 
 def test_engine_failure_forfeits_the_game(monkeypatch):

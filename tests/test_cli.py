@@ -6,7 +6,10 @@ import json
 import pytest
 
 from mcgs.cli import _config_from_args, build_parser, main
+from mcgs.evaluators import Evaluation
 from mcgs.oracle import OracleLimitError
+
+from helpers import FixedEvaluator
 
 
 def parse(argv):
@@ -136,6 +139,23 @@ def test_invalid_config_value_exits_1(tmp_path, capsys):
     assert "tau" in capsys.readouterr().err
 
 
+def test_zero_c_puct_base_exits_1(capsys):
+    assert main(["search", "--c-puct-base", "0", "--budget-sims", "8"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "c_puct_base" in err
+
+
+@pytest.mark.parametrize("flag,value", [
+    ("--node-tau", "nan"),
+    ("--q-weight", "nan"),
+    ("--virtual-loss", "inf"),
+    ("--c-puct-init", "inf"),
+])
+def test_non_finite_float_flags_exit_1(flag, value, capsys):
+    assert main(["search", flag, value, "--budget-sims", "8"]) == 1
+    assert capsys.readouterr().err.startswith("error:")
+
+
 # ---------------------------------------------------------------- search
 
 
@@ -186,6 +206,15 @@ def test_search_moves_shift_the_root(capsys):
 def test_search_bad_move_token_exits_1(capsys):
     assert main(["search", "--moves", "banana"]) == 1
     assert capsys.readouterr().err.startswith("error:")
+
+
+def test_search_with_bad_evaluator_output_exits_1(monkeypatch, capsys):
+    bad = FixedEvaluator(Evaluation(float("nan"), [0.05] * 20))
+    monkeypatch.setattr("mcgs.cli.make_evaluator", lambda name, env: bad)
+    assert main(["search", "--game", "tictactoe", "--budget-sims", "16"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: evaluator 'fixed' returned")
+    assert captured.out == ""
 
 
 # ----------------------------------------------------------------- match

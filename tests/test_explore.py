@@ -203,7 +203,7 @@ def test_branch_trajectories_never_touch_ancestors(ttt):
     assert traj.pairs[0][0] is plan.branch
     assert all(node is not root for node, _ in traj.pairs)
     if traj.kind != "eval":
-        engine._backpropagate(traj.pairs, traj.value, traj.early_stop)
+        engine._backpropagate(traj.pairs, traj.value)
     assert root.n == root_n
     assert root.en == root_en
 

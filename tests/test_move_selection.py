@@ -9,7 +9,7 @@ from mcgs.move_selection import (
     MovePolicy,
     _argmax_policy,
     _prior_policy,
-    _top_two,
+    _visit_order,
     principal_variation,
     q_boost,
     select_move,
@@ -75,14 +75,24 @@ def test_visit_policy_temperature_examples():
     assert visit_policy(node, 1.0) == [1.0, 0.0]  # unvisited stays at zero
 
 
+def test_visit_policy_small_tau_with_thousands_of_visits_stays_finite():
+    # 3000 ** 200 overflows a float; scaled by the top count it cannot
+    node = _node(GraphStore(), en=[1200, 3000, 2990, 0], q=[0.1, 0.2, 0.3, 0.0])
+    policy = visit_policy(node, 0.005)
+    assert all(math.isfinite(p) for p in policy)
+    assert sum(policy) == pytest.approx(1.0)
+    assert max(range(4), key=policy.__getitem__) == 1
+    assert policy[3] == 0.0
+
+
 def test_top_two_ordering():
     store = GraphStore()
     node = _node(store, en=[3, 9, 5])
-    assert _top_two(node) == (1, 2)
+    assert _visit_order(node)[:2] == [1, 2]
     node = _node(store, en=[5, 5, 1], q=[0.1, 0.7, 0.0])
-    assert _top_two(node) == (1, 0)  # visit tie: higher Q first
+    assert _visit_order(node)[:2] == [1, 0]  # visit tie: higher Q first
     node = _node(store, en=[4, 0, 0])
-    assert _top_two(node) is None  # fewer than two live candidates
+    assert _visit_order(node) == [0]  # one visited edge: no runner-up
 
 
 def test_q_boost_worked_example():

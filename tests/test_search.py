@@ -12,13 +12,14 @@ from mcgs.graph import NEG_INF, GraphStore
 from mcgs.search import (
     SearchConfig,
     SearchEngine,
+    Trajectory,
     correction_value,
     cpuct,
     run_search,
 )
 from mcgs.solver import SolverStatus
 
-from helpers import attach_child, expanded_node
+from helpers import FixedEvaluator, attach_child, expanded_node
 
 INF = float("inf")
 
@@ -139,11 +140,62 @@ def test_config_rejects_unknown_keys_and_bad_bools():
     ("value_min", 1.0),
     ("q_init", -3.0),
     ("capacity", 0),
+    ("c_puct_base", 0.0),
+    ("node_tau", float("nan")),
+    ("q_weight", float("nan")),
+    ("virtual_loss", INF),
+    ("c_puct_init", INF),
+    ("q_epsilon", -INF),
 ])
 def test_config_validation_errors(field, value):
     cfg = SearchConfig(**{field: value})
     with pytest.raises(ValueError):
         cfg.validate()
+
+
+# ----- evaluator output ---------------------------------------------------------
+
+
+@pytest.mark.parametrize("evaluation,message", [
+    (Evaluation(0.0, [0.05] * 20), "20 priors for 9 legal actions"),
+    (Evaluation(0.0, [1.0]), "1 priors for 9 legal actions"),
+    (Evaluation(0.0, [-0.1] + [1.1 / 8] * 8), "negative"),
+    (Evaluation(0.0, [float("nan")] + [1 / 8] * 8), "non-finite"),
+    (Evaluation(0.0, [INF] + [0.0] * 8), "non-finite"),
+    (Evaluation(0.0, [0.0] * 9), "no mass"),
+    (Evaluation(float("nan"), [1 / 9] * 9), "value nan"),
+    (Evaluation(INF, [1 / 9] * 9), "value inf"),
+    (Evaluation(1.5, [1 / 9] * 9), "value 1.5 outside"),
+])
+def test_bad_evaluator_output_is_rejected_naming_the_evaluator(ttt, evaluation, message):
+    config = SearchConfig(budget_amount=32)
+    with pytest.raises(ValueError, match="evaluator 'fixed' returned") as err:
+        run_search(ttt, FixedEvaluator(evaluation), ttt.initial_state(), config)
+    assert message in str(err.value)
+
+
+def test_evaluator_output_is_checked_for_an_already_expanded_leaf(ttt):
+    engine = SearchEngine(ttt, UniformEvaluator(ttt), SearchConfig())
+    engine.reset(ttt.initial_state())
+    root = engine._root
+    engine._expand(root, Evaluation(0.0, [1 / 9] * 9))
+    child = engine._resolve_child(root, 0, ttt.apply(root.state, root.actions[0]))
+    engine._expand(child, Evaluation(0.0, [1 / 8] * 8))
+    root.evl[0] = 1
+    traj = Trajectory([(root, 0)], leaf=child)
+    with pytest.raises(ValueError, match="value nan"):
+        engine._finish_eval(traj, Evaluation(float("nan"), [1 / 8] * 8))
+
+
+class _ValueEvaluator(UniformEvaluator):
+    def evaluate(self, state):
+        return Evaluation(1.5, super().evaluate(state).priors)
+
+
+def test_value_range_of_the_config_bounds_the_evaluator(ttt):
+    config = SearchConfig(budget_amount=32, value_min=-2.0, value_max=2.0, q_init=-2.0)
+    result = run_search(ttt, _ValueEvaluator(ttt), ttt.initial_state(), config)
+    assert result.simulations == 32
 
 
 # ----- selection --------------------------------------------------------------
@@ -288,7 +340,8 @@ def test_expansion_links_and_prunes_terminal_children(ttt):
 # ----- descent and early stops --------------------------------------------------
 
 
-def _early_stop_probe(q_edge, edge_n, child_n, child_v, **overrides):
+def _early_stop_setup(q_edge, edge_n, child_n, child_v, **overrides):
+    """An engine whose root edge 1 is stale against its better-visited child."""
     env = make_env("leftright:8")
     engine = _engine(env, eps_greedy=False, check_enhance=False, **overrides)
     state = env.initial_state()
@@ -301,26 +354,32 @@ def _early_stop_probe(q_edge, edge_n, child_n, child_v, **overrides):
     child.v = child_v
     root.q[idx] = q_edge
     root.en[idx] = edge_n
+    return engine, root, idx
+
+
+def _early_stop_probe(q_edge, edge_n, child_n, child_v, **overrides):
+    engine, root, idx = _early_stop_setup(q_edge, edge_n, child_n, child_v, **overrides)
     return engine._descend(root, [], forced_idx=idx)
 
 
 def test_early_stop_fires_on_a_stale_edge():
     traj = _early_stop_probe(q_edge=0.2, edge_n=2, child_n=6, child_v=-0.5)
     assert traj.kind == "early_stop"
-    # v* = 0.5 from the parent's perspective; 0.5 + 2 * 0.3 = 1.1 clips to 1
-    assert traj.value == 1.0
+    # v* = 0.5 from the parent's perspective; 0.5 + 2 * 0.3 = 1.1 clips to 1,
+    # and the trajectory carries it from the child's side
+    assert traj.value == -1.0
 
 
 def test_early_stop_clips_the_worked_example_to_minus_one():
     traj = _early_stop_probe(q_edge=0.8, edge_n=5, child_n=6, child_v=-0.2)
     assert traj.kind == "early_stop"
-    assert traj.value == -1.0
+    assert traj.value == 1.0
 
 
 def test_early_stop_value_inside_range_is_the_exact_landing_sample():
     traj = _early_stop_probe(q_edge=0.2, edge_n=1, child_n=6, child_v=-0.3)
     assert traj.kind == "early_stop"
-    assert traj.value == pytest.approx(0.3 + 1 * (0.3 - 0.2))
+    assert traj.value == pytest.approx(-(0.3 + 1 * (0.3 - 0.2)))
 
 
 def test_no_early_stop_inside_the_agreement_band():
@@ -339,6 +398,19 @@ def test_no_early_stop_with_transpositions_off():
     assert traj.kind == "eval"
 
 
+def test_resolving_onto_an_oracle_proven_loss_ends_on_its_settled_value():
+    # A transposition resolves a fresh edge onto a TB_LOSS node: the edge is
+    # pruned on the spot, and an early stop off its -inf Q would back up NaN.
+    env = make_env("nim:1,1,2")
+    engine = SearchEngine(env, UniformEvaluator(env), SearchConfig(
+        mini_batch_size=2, budget_amount=10, eps_greedy=False, check_enhance=False,
+        endgame_oracle="nim-xor"))
+    engine.reset(env.initial_state())
+    result = engine.search()
+    assert math.isfinite(result.value)
+    assert all(math.isfinite(node.v) for node in engine.store.nodes.values())
+
+
 # ----- backpropagation ----------------------------------------------------------
 
 
@@ -347,20 +419,26 @@ def test_backprop_flips_the_leaf_value_once(ttt):
     store = GraphStore()
     root = expanded_node(store, actions=[0])
     root.evl[0] = 1
-    engine._backpropagate([(root, 0)], 0.6, early_stop=False)
+    engine._backpropagate([(root, 0)], 0.6)
     assert root.en[0] == 1
     assert root.q[0] == pytest.approx(-0.6)
     assert root.evl[0] == 0
     assert (root.n, root.v) == (1, pytest.approx(-0.6))
 
 
-def test_backprop_takes_early_stop_values_unflipped(ttt):
-    engine = _engine(ttt)
-    store = GraphStore()
-    root = expanded_node(store, actions=[0])
-    root.evl[0] = 1
-    engine._backpropagate([(root, 0)], 1.0, early_stop=True)
-    assert root.q[0] == 1.0
+def test_backprop_lands_an_early_stop_edge_on_the_child_value():
+    # dyadic values: the unclipped landing sample 0.75 is exact in binary
+    engine, root, idx = _early_stop_setup(q_edge=0.25, edge_n=1, child_n=6, child_v=-0.5)
+    traj = engine._descend(root, [], forced_idx=idx)
+    assert traj.kind == "early_stop"
+    assert traj.pairs == [(root, idx)]
+    child = root.child[idx]
+    child_v = child.v
+    engine._backpropagate(traj.pairs, traj.value)
+    assert root.q[idx] == -child_v
+    assert root.en[idx] == 2
+    assert root.evl[idx] == 0
+    assert child.v == child_v  # an early stop leaves the child untouched
 
 
 def test_backprop_reanchors_above_a_join(ttt):
@@ -371,13 +449,13 @@ def test_backprop_reanchors_above_a_join(ttt):
     other = expanded_node(store, actions=[0])
     store.link(root, 0, mid, was_existing=False)
     store.link(other, 0, mid, was_existing=True)
-    assert mid.in_degree == 2
+    assert len(mid.parents) == 2
 
     mid.n, mid.v = 3, -0.1
     root.q[0], root.en[0] = 0.3, 4
     root.evl[0] = mid.evl[0] = 1
 
-    engine._backpropagate([(root, 0), (mid, 0)], 0.5, early_stop=False)
+    engine._backpropagate([(root, 0), (mid, 0)], 0.5)
     # mid's value moved to -0.2, so the edge above re-anchors on +0.2 and the
     # correction sample lands root's average exactly there.
     assert mid.v == pytest.approx(-0.2)
@@ -398,7 +476,7 @@ def test_backprop_correction_saturates_at_the_value_floor(ttt):
     root.q[0], root.en[0] = 0.9, 5
     root.evl[0] = mid.evl[0] = 1
 
-    engine._backpropagate([(root, 0), (mid, 0)], -0.5, early_stop=False)
+    engine._backpropagate([(root, 0), (mid, 0)], -0.5)
     assert mid.v == pytest.approx(0.5)
     # raw landing sample is -7.5; the clipped -1 moves Q as far as it can
     assert root.q[0] == pytest.approx(0.9 + (-1.0 - 0.9) / 6)
@@ -410,7 +488,7 @@ def test_backprop_counts_visits_on_pruned_edges_without_unpruning(ttt):
     root = expanded_node(store, actions=[0])
     root.q[0] = NEG_INF
     root.evl[0] = 1
-    engine._backpropagate([(root, 0)], 0.4, early_stop=False)
+    engine._backpropagate([(root, 0)], 0.4)
     assert root.en[0] == 1
     assert root.q[0] == NEG_INF
 
