@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .envs import Outcome, make_env
 from .evaluators import make_evaluator
 from .oracle import negamax_solve
-from .search import SearchConfig, SearchEngine
+from .search import ENHANCEMENTS, SearchConfig, SearchEngine
 
 log = logging.getLogger("mcgs.arena")
 
@@ -304,9 +304,7 @@ def scaling_report(game: str, config: SearchConfig, budgets: list[int],
     if budgets != sorted(budgets):
         raise ValueError("budgets must be ascending")
     env = make_env(game)
-    reference = dataclasses.replace(
-        config, transpositions=False, terminal_solver=False, eps_greedy=False,
-        check_enhance=False, q_boost=False)
+    reference = dataclasses.replace(config, **dict.fromkeys(ENHANCEMENTS, False))
     rng = random.Random(seed)
     openings = generate_openings(env, opening_plies, opening_count, rng)
     rows: list[dict] = []

@@ -25,7 +25,7 @@ from .arena import MatchConfig, move_log, play_match, scaling_report
 from .envs import make_env
 from .evaluators import make_evaluator
 from .oracle import solved_table
-from .search import SearchConfig, run_search
+from .search import ENHANCEMENTS, SearchConfig, run_search
 
 # (flag, SearchConfig field, type) for everything settable by plain value
 _VALUE_FLAGS = [
@@ -91,9 +91,7 @@ def _config_from_args(args) -> SearchConfig:
         data["eps_greedy"] = False
         data["check_enhance"] = False
     if args.plain:
-        for key in ("transpositions", "terminal_solver", "eps_greedy",
-                    "check_enhance", "q_boost"):
-            data[key] = False
+        data.update(dict.fromkeys(ENHANCEMENTS, False))
     if args.budget_sims is not None:
         data["budget"], data["budget_amount"] = "simulations", args.budget_sims
     elif args.budget_evals is not None:

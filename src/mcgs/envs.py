@@ -84,9 +84,6 @@ class TicTacToe:
     def initial_state(self) -> TicTacToeState:
         return TicTacToeState((0,) * 9, 0)
 
-    def side_to_move(self, state: TicTacToeState) -> int:
-        return state.ply & 1
-
     def legal_actions(self, state: TicTacToeState) -> list[int]:
         if self.terminal_value(state) is not None:
             raise ValueError("legal_actions called on a terminal state")
@@ -172,9 +169,6 @@ class Nim:
     def initial_state(self) -> NimState:
         return NimState(self.piles, 0)
 
-    def side_to_move(self, state: NimState) -> int:
-        return state.ply & 1
-
     def legal_actions(self, state: NimState) -> list[int]:
         if self.terminal_value(state) is not None:
             raise ValueError("legal_actions called on a terminal state")
@@ -249,9 +243,6 @@ class LeftRight:
 
     def initial_state(self) -> LeftRightState:
         return LeftRightState(0, 0)
-
-    def side_to_move(self, state: LeftRightState) -> int:
-        return state.ply & 1
 
     def legal_actions(self, state: LeftRightState) -> list[int]:
         if self.terminal_value(state) is not None:

@@ -119,12 +119,10 @@ def _first_forcing(engine, node: Node) -> int | None:
     en = node.en
     qs = node.q
     actions = node.actions
-    if not node.checks_expanded:
-        env = engine.env
-        for j in range(len(en)):
-            if en[j] == 0 and qs[j] != NEG_INF and env.is_forcing(node.state, actions[j]):
-                return j
-        node.checks_expanded = True
+    env = engine.env
+    for j in range(len(en)):
+        if en[j] == 0 and qs[j] != NEG_INF and env.is_forcing(node.state, actions[j]):
+            return j
     return _first_unexplored(node)
 
 

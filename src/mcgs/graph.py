@@ -35,8 +35,7 @@ class Node:
     __slots__ = (
         "key", "state", "v", "n", "expanded", "is_terminal",
         "actions", "p", "q", "en", "evl", "child",
-        "status", "end_in_ply", "unknown_children_count", "checks_expanded",
-        "parents",
+        "status", "end_in_ply", "parents",
     )
 
     def __init__(self, key: StateKey, state=None) -> None:
@@ -54,8 +53,6 @@ class Node:
         self.child: list = []         # child Node or None while unresolved
         self.status = SolverStatus.UNKNOWN
         self.end_in_ply = 0
-        self.unknown_children_count = 0
-        self.checks_expanded = False
         self.parents: list[tuple["Node", int]] = []
 
     def __repr__(self) -> str:
@@ -85,7 +82,6 @@ class GraphStore:
         self.nodes: dict[StateKey, Node] = {}
         self.join_count = 0
         self.edge_count = 0
-        self.prior_entry_count = 0
         self.trajectory_buffer_peak = 0
         self._serial = 0
 
@@ -119,10 +115,8 @@ class GraphStore:
         node.en = [0] * k
         node.evl = [0] * k
         node.child = [None] * k
-        node.unknown_children_count = k
         node.expanded = True
         self.edge_count += k
-        self.prior_entry_count += k
 
     def link(self, parent: Node, idx: int, child: Node, was_existing: bool) -> None:
         """Resolve an edge to its child node and record the back-reference."""
@@ -137,7 +131,7 @@ class GraphStore:
         return {
             "node_count": node_count,
             "edge_count": self.edge_count,
-            "prior_entry_count": self.prior_entry_count,
+            "prior_entry_count": self.edge_count,  # one prior per edge
             "trajectory_buffer_size": self.trajectory_buffer_peak,
             "tree_equivalent_node_count": node_count + self.join_count,
             "transposition_join_count": self.join_count,

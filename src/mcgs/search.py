@@ -44,6 +44,9 @@ from . import move_selection
 
 BUDGET_KINDS = ("simulations", "evaluations", "milliseconds")
 
+# The SearchConfig toggles of the paper's enhancements; all off is tree-PUCT.
+ENHANCEMENTS = ("transpositions", "terminal_solver", "eps_greedy", "check_enhance", "q_boost")
+
 # Trajectory kinds. "terminal" covers real terminals and solver-proven nodes;
 # both backpropagate immediately and are free of evaluator cost.
 EVAL = "eval"
@@ -433,8 +436,7 @@ class SearchEngine:
                 else:
                     i = self._select_index(node)
                     if i < 0:
-                        # Every edge settled: back up the node's own settled
-                        # value (UNKNOWN here means every edge is pruned).
+                        # Every edge settled: back up the node's proven value.
                         value = STATUS_VALUE[node.status]
                         update_node_value(node, value)
                         return Trajectory(pairs, TERMINAL, value=value)
@@ -483,10 +485,9 @@ class SearchEngine:
 
         Pruned edges are never candidates. With the solver on, edges into
         proven children are skipped too: their value is exact, so another
-        simulation there is search in vain. An unsolved node always keeps a
-        live edge (unknown_children_count > 0 guarantees one), so -1 is
-        returned only when every edge is settled and the caller can read the
-        node's own status.
+        simulation there is search in vain. -1 is returned only when every
+        edge is settled, and then the solver has proven the node itself, so
+        the caller can read the node's own status.
         """
         en = node.en
         evl = node.evl
@@ -546,7 +547,7 @@ class SearchEngine:
         child, existed = self._node_for(state)
         self.store.link(node, idx, child, existed)
         if self.solver is not None:
-            self.solver.note_link(node, idx, child)
+            self.solver.note_link(node, child)
         return child
 
     def _expand(self, node: Node, evaluation) -> None:
@@ -575,7 +576,7 @@ class SearchEngine:
                         self._resolve_child(node, j, child_state)
             except StoreFullError:
                 self._store_full = True
-            solver.probe_expanded(node, state)
+            solver.probe_expanded(node)
 
     def _check_evaluation(self, evaluation, k: int) -> None:
         """Reject evaluator output the search cannot use, naming the evaluator."""

@@ -1,13 +1,16 @@
 """Terminal solver: propagate proven WIN/LOSS/DRAW through the search DAG.
 
-Statuses move monotonically from UNKNOWN to solved and never back. A node
-becomes WIN the moment one child is proven LOSS; it becomes LOSS or DRAW only
-once all children are known. END_IN_PLY tracks the proven line length: wins
-take the shortest proven mate, losses the longest resistance. Because the
-first proven mate is not always the shortest one, END_IN_PLY of WIN nodes may
-refine downward as further LOSS children are proven; statuses themselves are
-frozen. Edges into proven-LOSS children are pruned (Q = -inf, prior = 0) so
-simulations stop re-entering refuted lines.
+A node's status is a function of its children (the MCTS-Solver rules of
+Winands, Bjornsson & Saito, CG 2008), re-derived by one method whenever a
+child changes and carried up the parents' back-references until nothing
+changes. A node becomes WIN the moment one child is proven LOSS; it becomes
+LOSS or DRAW only once all children are known. END_IN_PLY tracks the proven
+line length: wins take the shortest proven mate, losses the longest
+resistance. Because the first proven mate is not always the shortest one,
+END_IN_PLY of WIN nodes may refine downward as further LOSS children are
+proven; statuses move monotonically from UNKNOWN to solved and never back.
+The same derivation prunes every edge into a proven-LOSS child (Q = -inf,
+prior = 0) so simulations stop re-entering refuted lines.
 
 TB_* statuses come from an endgame oracle probe and behave like their real
 counterparts for propagation and pruning, except that search keeps flowing
@@ -20,7 +23,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 
-from .envs import Outcome
+from .envs import Nim, Outcome
 from .oracle import solved_table
 
 NEG_INF = float("-inf")
@@ -48,11 +51,8 @@ _TB_FOR_OUTCOME = {
     Outcome.DRAW: SolverStatus.TB_DRAW,
 }
 
-# Scalar value of a settled node, from its own perspective. UNKNOWN is only
-# read for a node whose every edge is pruned: each child is a proven loss for
-# the opponent, so the node itself is a win.
+# Scalar value of a settled node, from its own perspective.
 STATUS_VALUE = {
-    SolverStatus.UNKNOWN: 1.0,
     SolverStatus.WIN: 1.0,
     SolverStatus.LOSS: -1.0,
     SolverStatus.DRAW: 0.0,
@@ -82,10 +82,6 @@ def is_solved(status) -> bool:
 
 def is_real(status) -> bool:
     return SolverStatus.UNKNOWN < status < SolverStatus.TB_WIN
-
-
-def is_loss_like(status) -> bool:
-    return status == SolverStatus.LOSS or status == SolverStatus.TB_LOSS
 
 
 class SolverContradictionError(RuntimeError):
@@ -123,24 +119,37 @@ class TableOracle:
 
 
 def make_endgame_oracle(spec: str | None, env):
-    """Build an endgame oracle from its id: "none", "nim-xor", "table:<game>[:<min_ply>]"."""
-    if spec is None or spec.strip().lower() in ("", "none"):
+    """Build an endgame oracle from its id: "none", "nim-xor", "table[:<game>[:<min_ply>]]".
+
+    The oracle must fit the searched game: "nim-xor" needs Nim, and a table's
+    <game> must equal env.game_id. Raises ValueError otherwise.
+    """
+    text = (spec or "").strip().lower()
+    if text in ("", "none"):
         return None
-    parts = spec.strip().lower().split(":")
-    if parts[0] == "nim-xor":
+    if text == "nim-xor":
+        if not isinstance(env, Nim):
+            raise ValueError(f"endgame oracle 'nim-xor' needs a nim game, not {env.game_id!r}")
         return NimXorOracle(env)
-    if parts[0] == "table":
-        min_ply = int(parts[2]) if len(parts) > 2 else 0
-        return TableOracle(env, min_ply=min_ply)
+    kind, _, rest = text.partition(":")
+    if kind == "table":
+        if rest and not (rest + ":").startswith(env.game_id + ":"):
+            raise ValueError(f"endgame oracle {spec!r} names another game than {env.game_id!r}; "
+                             f"expected table:{env.game_id}[:<min_ply>]")
+        min_ply = rest[len(env.game_id) + 1:] or "0"
+        if not min_ply.isdigit():
+            raise ValueError(f"endgame oracle {spec!r}: min_ply must be a non-negative integer")
+        return TableOracle(env, min_ply=int(min_ply))
     raise ValueError(f"unknown endgame oracle {spec!r}")
 
 
 class TerminalSolver:
-    """Solved-status bookkeeping over a graph store's nodes.
+    """Solved statuses over a graph store's nodes, derived from children.
 
-    The engine reports link and expansion events; the solver maintains
-    status, END_IN_PLY, unknown_children_count, pruning, and propagation
-    to parents via the nodes' back-references.
+    The engine reports terminal, link and expansion events. Each one feeds
+    `propagate`, whose `_recompute` is the only code that reads a node's
+    children: it derives status and END_IN_PLY, prunes edges into loss-like
+    children, and reports a change so the parents are re-derived in turn.
     """
 
     def __init__(self, endgame_oracle=None) -> None:
@@ -153,76 +162,59 @@ class TerminalSolver:
         node.end_in_ply = 0
         self.nodes_solved += 1
 
-    def note_link(self, parent, idx, child) -> None:
-        """Account for an edge that just resolved onto a solved child."""
-        if child.status == SolverStatus.UNKNOWN:
-            return
-        parent.unknown_children_count -= 1
-        if is_loss_like(child.status):
-            prune_edge(parent, idx)
-        self.propagate(parent)
+    def note_link(self, parent, child) -> None:
+        """Re-derive a parent whose edge just resolved onto a solved child."""
+        if child.status != SolverStatus.UNKNOWN:
+            self.propagate(parent)
 
-    def probe_expanded(self, node, state) -> None:
+    def probe_expanded(self, node) -> None:
         """Probe the endgame oracle for a node that just expanded."""
         if self.endgame_oracle is None or node.status != SolverStatus.UNKNOWN:
             return
-        status = self.endgame_oracle.probe(state)
+        status = self.endgame_oracle.probe(node.state)
         if status is None:
             return
         node.status = status
         node.end_in_ply = 0
         self.nodes_solved += 1
-        self._notify_parents_solved(node)
+        for parent, _ in node.parents:
+            self.propagate(parent)
 
     def propagate(self, seed) -> None:
-        """Recompute statuses up the DAG from a seed node until quiescent."""
+        """Re-derive statuses up the DAG from a seed node until quiescent."""
         queue = deque([seed])
         while queue:
             node = queue.popleft()
-            event = self._recompute(node)
-            if event == "none":
-                continue
-            if event == "solved":
-                self._notify_parents_solved(node, queue)
-            else:  # upgraded or refined: parents re-derive, counters unchanged
-                for parent, idx in node.parents:
-                    if is_loss_like(node.status):
-                        prune_edge(parent, idx)
+            if self._recompute(node):
+                for parent, _ in node.parents:
                     queue.append(parent)
 
-    def _notify_parents_solved(self, node, queue=None) -> None:
-        loss = is_loss_like(node.status)
-        for parent, idx in node.parents:
-            parent.unknown_children_count -= 1
-            if loss:
-                prune_edge(parent, idx)
-            if queue is None:
-                self.propagate(parent)
-            else:
-                queue.append(parent)
+    def _recompute(self, node) -> bool:
+        """Re-derive one node's status from its children; prune loss-like ones.
 
-    def _recompute(self, node) -> str:
-        """Re-derive one node's status from its children.
-
-        Returns "none", "solved" (UNKNOWN -> solved), "upgraded" (TB -> real),
-        or "refined" (END_IN_PLY changed).
+        Returns whether the node's status or END_IN_PLY changed.
         """
         if node.is_terminal or not node.expanded:
-            return "none"
-        children = node.child
+            return False
         min_loss = min_tb_loss = None
         min_draw = min_tb_draw = None
         max_any = 0
+        all_known = True
         all_real_wins = True
-        for child in children:
+        for j, child in enumerate(node.child):
             if child is None:
+                all_known = False
                 continue
             st = child.status
             eip = child.end_in_ply
-            if st == SolverStatus.LOSS:
+            if st == SolverStatus.UNKNOWN:
+                all_known = False
+            elif st == SolverStatus.LOSS:
+                prune_edge(node, j)
                 if min_loss is None or eip < min_loss:
                     min_loss = eip
             elif st == SolverStatus.TB_LOSS:
+                prune_edge(node, j)
                 if min_tb_loss is None or eip < min_tb_loss:
                     min_tb_loss = eip
             elif st == SolverStatus.DRAW:
@@ -240,7 +232,7 @@ class TerminalSolver:
             new_status, new_eip = SolverStatus.WIN, min_loss + 1
         elif min_tb_loss is not None:
             new_status, new_eip = SolverStatus.TB_WIN, min_tb_loss + 1
-        elif node.unknown_children_count == 0:
+        elif all_known:
             if min_draw is not None:
                 new_status, new_eip = SolverStatus.DRAW, min_draw + 1
             elif min_tb_draw is not None:
@@ -250,28 +242,22 @@ class TerminalSolver:
             else:
                 new_status, new_eip = SolverStatus.TB_LOSS, max_any + 1
         else:
-            return "none"
+            return False
 
         current = node.status
         if current == SolverStatus.UNKNOWN:
-            node.status = new_status
-            node.end_in_ply = new_eip
             self.nodes_solved += 1
-            return "solved"
-        if _OUTCOME_CLASS[current] is not _OUTCOME_CLASS[new_status]:
+        elif _OUTCOME_CLASS[current] is not _OUTCOME_CLASS[new_status]:
             raise SolverContradictionError(
                 f"node {node.key} proven {current.name} re-derived as {new_status.name}"
             )
-        if is_real(new_status) and not is_real(current):
-            node.status = new_status
-            node.end_in_ply = new_eip
-            return "upgraded"
-        if is_real(current) and not is_real(new_status):
-            return "none"  # keep the stronger real proof
-        if new_eip != node.end_in_ply:
-            node.end_in_ply = new_eip
-            return "refined"
-        return "none"
+        elif is_real(current) and not is_real(new_status):
+            return False  # keep the stronger real proof
+        elif current == new_status and new_eip == node.end_in_ply:
+            return False
+        node.status = new_status
+        node.end_in_ply = new_eip
+        return True
 
 
 def prune_edge(node, idx: int) -> None:

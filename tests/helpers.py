@@ -6,7 +6,7 @@ from mcgs.oracle import negamax_solve
 from mcgs.solver import (
     STATUS_VALUE,
     SolverStatus,
-    is_loss_like,
+    is_real,
     is_solved,
     status_for_outcome,
 )
@@ -57,7 +57,9 @@ _NEGAMAX_CACHES: dict[str, dict] = {}  # game id -> solved entries; pure, so sha
 def check_invariants(engine) -> None:
     """Assert the bookkeeping invariants of every node in an engine's store.
 
-    Meant to run between searches, when no simulation is in flight.
+    Meant to run between searches, when no simulation is in flight. With
+    the solver on, every node must be quiescent: re-deriving it from its
+    children changes nothing, so no propagation was cut short.
     """
     env = engine.env
     solver_on = engine.solver is not None
@@ -73,25 +75,27 @@ def check_invariants(engine) -> None:
             if solver_on:
                 assert node.status == status_for_outcome(outcome), node
         assert vmin <= node.v <= vmax, node
-        unknown = 0
         for i, child in enumerate(node.child):
             assert node.evl[i] == 0, f"virtual loss left in flight on {node}"
             pruned = node.q[i] == NEG_INF
             assert pruned or vmin <= node.q[i] <= vmax, f"edge {i} of {node}: q={node.q[i]}"
             if child is None:
-                unknown += 1
                 assert not pruned, f"unresolved edge {i} of {node} is pruned"
                 continue
             incoming[id(child)] = incoming.get(id(child), 0) + 1
             assert node.en[i] <= child.n, f"edge {i} of {node} outvisits {child}"
-            if child.status == SolverStatus.UNKNOWN:
-                unknown += 1
-            loss_like = solver_on and is_loss_like(child.status)
+            loss_like = solver_on and child.status in (SolverStatus.LOSS, SolverStatus.TB_LOSS)
             assert pruned == loss_like, f"edge {i} of {node}: pruned={pruned}, child {child}"
-        if node.expanded:
-            assert node.unknown_children_count == unknown, node
+        if solver_on:
+            before = (node.status, node.end_in_ply, list(node.q), list(node.p))
+            assert not engine.solver._recompute(node), f"{node} is not quiescent"
+            assert (node.status, node.end_in_ply, node.q, node.p) == before, node
         if is_solved(node.status):
             entry = negamax_solve(env, node.state, cache=negamax_cache)
             assert STATUS_VALUE[node.status] == entry.outcome.score, (node, entry)
+            if is_real(node.status):
+                # A partial proof may be longer than the optimal line, never shorter.
+                assert node.end_in_ply >= entry.distance, (node, entry)
+                assert (node.end_in_ply == 0) == node.is_terminal, node
     for node in nodes:
         assert len(node.parents) == incoming.get(id(node), 0), node

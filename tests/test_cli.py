@@ -217,6 +217,15 @@ def test_search_with_bad_evaluator_output_exits_1(monkeypatch, capsys):
     assert captured.out == ""
 
 
+def test_endgame_oracle_for_another_game_exits_1(capsys):
+    argv = ["search", "--game", "tictactoe", "--endgame-oracle", "nim-xor", "--budget-sims", "8"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: endgame oracle 'nim-xor'")
+    assert "tictactoe" in captured.err
+    assert captured.out == ""
+
+
 # ----------------------------------------------------------------- match
 
 
@@ -273,6 +282,13 @@ def test_match_unknown_top_key_exits_1(tmp_path, capsys):
     write_match_config(cfg, extra="rounds = 3\n")
     assert main(["match", "--config", str(cfg)]) == 1
     assert "rounds" in capsys.readouterr().err
+
+
+def test_match_with_another_games_endgame_oracle_exits_1(tmp_path, capsys):
+    cfg = tmp_path / "match.cfg"
+    write_match_config(cfg, extra="engineA.endgame_oracle = table:tictactoe\n")
+    assert main(["match", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err.startswith("error: endgame oracle 'table:tictactoe'")
 
 
 def test_match_unequal_budgets_exit_1(tmp_path, capsys):

@@ -28,7 +28,7 @@ def test_tictactoe_center_move(ttt):
     assert state.board[4] == 1
     assert state.board.count(0) == 8
     assert state.ply == 1
-    assert ttt.side_to_move(state) == 1
+    assert (state.ply & 1) == 1
 
 
 def test_nim_take_three_from_first_pile():
@@ -56,7 +56,7 @@ def test_tictactoe_completed_line_is_loss_for_mover(ttt):
     state = ttt.initial_state()
     for move in (0, 3, 1, 4, 2):  # X takes the top row
         state = ttt.apply(state, move)
-    assert ttt.side_to_move(state) == 1  # O to move, facing the X line
+    assert (state.ply & 1) == 1  # O to move, facing the X line
     assert ttt.terminal_value(state) is Outcome.LOSS
 
 

@@ -150,7 +150,7 @@ def test_first_unexplored_respects_prior_order_and_pruning():
     assert explore._first_unexplored(node) is None
 
 
-def test_first_forcing_prefers_checks_then_marks_the_node(ttt):
+def test_first_forcing_prefers_checks_then_falls_back(ttt):
     engine = SearchEngine(ttt, UniformEvaluator(ttt), SearchConfig())
     state = ttt.initial_state()
     for move in (0, 4):
@@ -161,16 +161,14 @@ def test_first_forcing_prefers_checks_then_marks_the_node(ttt):
 
     idx = explore._first_forcing(engine, node)
     assert ttt.is_forcing(state, node.actions[idx])
-    assert not node.checks_expanded
 
-    # exhaust the forcing moves; the helper then falls back and flips the flag
+    # exhaust the forcing moves; the helper then falls back
     for j, action in enumerate(node.actions):
         if ttt.is_forcing(state, action):
             node.en[j] = 1
     idx = explore._first_forcing(engine, node)
     assert idx is not None
     assert not ttt.is_forcing(state, node.actions[idx])
-    assert node.checks_expanded
 
 
 def test_fallback_is_uniform_over_unpruned_edges(ttt):

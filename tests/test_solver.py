@@ -14,7 +14,6 @@ from mcgs.solver import (
     SolverStatus,
     TableOracle,
     TerminalSolver,
-    is_loss_like,
     is_real,
     is_solved,
     make_endgame_oracle,
@@ -34,8 +33,6 @@ def test_status_helpers():
     assert all(is_solved(s) for s in SolverStatus if s != SolverStatus.UNKNOWN)
     assert is_real(SolverStatus.WIN) and is_real(SolverStatus.DRAW)
     assert not is_real(SolverStatus.TB_WIN) and not is_real(SolverStatus.UNKNOWN)
-    assert is_loss_like(SolverStatus.LOSS) and is_loss_like(SolverStatus.TB_LOSS)
-    assert not is_loss_like(SolverStatus.DRAW)
 
 
 def test_mark_terminal_stamps_the_node():
@@ -53,10 +50,9 @@ def test_one_losing_child_proves_the_parent_won():
     store = GraphStore()
     parent = expanded_node(store, actions=[0, 1, 2])
     child = attach_child(store, parent, 1, status=SolverStatus.LOSS, eip=0)
-    solver.note_link(parent, 1, child)
+    solver.note_link(parent, child)
     assert parent.status == SolverStatus.WIN
     assert parent.end_in_ply == 1
-    assert parent.unknown_children_count == 2
     # the refuted line is blocked for simulations
     assert parent.q[1] == NEG_INF
     assert parent.p[1] == 0.0
@@ -67,9 +63,8 @@ def test_note_link_ignores_unknown_children():
     store = GraphStore()
     parent = expanded_node(store, actions=[0, 1])
     child = attach_child(store, parent, 0)
-    solver.note_link(parent, 0, child)
+    solver.note_link(parent, child)
     assert parent.status == SolverStatus.UNKNOWN
-    assert parent.unknown_children_count == 2
 
 
 def test_all_winning_children_prove_the_parent_lost():
@@ -78,7 +73,7 @@ def test_all_winning_children_prove_the_parent_lost():
     parent = expanded_node(store, actions=[0, 1, 2])
     for idx, eip in enumerate((2, 4, 6)):
         child = attach_child(store, parent, idx, status=SolverStatus.WIN, eip=eip)
-        solver.note_link(parent, idx, child)
+        solver.note_link(parent, child)
     assert parent.status == SolverStatus.LOSS
     # losers drag the game out: the longest resistance plus this ply
     assert parent.end_in_ply == 7
@@ -90,13 +85,13 @@ def test_draw_needs_every_child_known():
     store = GraphStore()
     parent = expanded_node(store, actions=[0, 1, 2])
     first = attach_child(store, parent, 0, status=SolverStatus.DRAW, eip=3)
-    solver.note_link(parent, 0, first)
+    solver.note_link(parent, first)
     assert parent.status == SolverStatus.UNKNOWN  # a better child might exist
     second = attach_child(store, parent, 1, status=SolverStatus.WIN, eip=2)
-    solver.note_link(parent, 1, second)
+    solver.note_link(parent, second)
     assert parent.status == SolverStatus.UNKNOWN
     third = attach_child(store, parent, 2, status=SolverStatus.DRAW, eip=5)
-    solver.note_link(parent, 2, third)
+    solver.note_link(parent, third)
     assert parent.status == SolverStatus.DRAW
     assert parent.end_in_ply == 4  # shortest drawing line plus one
 
@@ -107,7 +102,7 @@ def test_every_child_lost_prunes_everything_and_wins():
     parent = expanded_node(store, actions=[0, 1])
     for idx in range(2):
         child = attach_child(store, parent, idx, status=SolverStatus.LOSS, eip=idx)
-        solver.note_link(parent, idx, child)
+        solver.note_link(parent, child)
     assert parent.status == SolverStatus.WIN
     assert parent.end_in_ply == 1
     assert all(q == NEG_INF for q in parent.q)
@@ -120,10 +115,10 @@ def test_win_proof_refines_toward_the_shortest_mate():
     gp = expanded_node(store, actions=[0], ply=0)
     parent = expanded_node(store, actions=[0, 1], ply=1)
     store.link(gp, 0, parent, was_existing=False)
-    solver.note_link(gp, 0, parent)
+    solver.note_link(gp, parent)
 
     slow = attach_child(store, parent, 0, status=SolverStatus.LOSS, eip=4, ply=2)
-    solver.note_link(parent, 0, slow)
+    solver.note_link(parent, slow)
     assert parent.status == SolverStatus.WIN
     assert parent.end_in_ply == 5
     # gp's only move reaches a won position, so gp is lost on the spot
@@ -131,7 +126,7 @@ def test_win_proof_refines_toward_the_shortest_mate():
     assert gp.end_in_ply == 6
 
     fast = attach_child(store, parent, 1, status=SolverStatus.LOSS, eip=0, ply=2)
-    solver.note_link(parent, 1, fast)
+    solver.note_link(parent, fast)
     assert parent.status == SolverStatus.WIN
     assert parent.end_in_ply == 1  # refined downward, status unchanged
     assert gp.status == SolverStatus.LOSS
@@ -144,11 +139,11 @@ def test_refinement_reaches_grandparents():
     gp = expanded_node(store, actions=[0])
     parent = expanded_node(store, actions=[0, 1], ply=1)
     store.link(gp, 0, parent, was_existing=False)
-    solver.note_link(gp, 0, parent)
+    solver.note_link(gp, parent)
     a = attach_child(store, parent, 0, status=SolverStatus.LOSS, eip=6, ply=2)
-    solver.note_link(parent, 0, a)
+    solver.note_link(parent, a)
     b = attach_child(store, parent, 1, status=SolverStatus.LOSS, eip=4, ply=2)
-    solver.note_link(parent, 1, b)
+    solver.note_link(parent, b)
     assert (parent.end_in_ply, gp.end_in_ply) == (5, 6)
     # a shorter mate appears below the already-proven child
     b.end_in_ply = 0
@@ -162,9 +157,9 @@ def test_contradiction_is_detected():
     store = GraphStore()
     parent = expanded_node(store, actions=[0, 1])
     loser = attach_child(store, parent, 0, status=SolverStatus.LOSS, eip=0)
-    solver.note_link(parent, 0, loser)
+    solver.note_link(parent, loser)
     other = attach_child(store, parent, 1, status=SolverStatus.WIN, eip=1)
-    solver.note_link(parent, 1, other)
+    solver.note_link(parent, other)
     assert parent.status == SolverStatus.WIN
     # corrupt the proof: no loss children left, all known -> derives DRAW
     loser.status = SolverStatus.DRAW
@@ -178,11 +173,11 @@ def test_tb_probe_solves_and_propagates():
     store = GraphStore()
     parent = expanded_node(store, actions=[0, 1])
     child = attach_child(store, parent, 0)
-    state = env.initial_state()  # xor == 0: mover loses
-    solver.probe_expanded(child, state)
+    child.state = env.initial_state()  # xor == 0: mover loses
+    solver.probe_expanded(child)
     assert child.status == SolverStatus.TB_LOSS
     assert child.end_in_ply == 0
-    solver.note_link(parent, 0, child)
+    solver.note_link(parent, child)
     # one TB refutation proves TB_WIN, mirroring the real WIN rule
     assert parent.status == SolverStatus.TB_WIN
     assert parent.end_in_ply == 1
@@ -201,14 +196,15 @@ def test_probe_respects_min_ply_and_upgrade_to_real(ttt):
 
     store = GraphStore()
     node = expanded_node(store, actions=list(ttt.legal_actions(state)))
-    solver.probe_expanded(node, state)
+    node.state = state
+    solver.probe_expanded(node)
     assert node.status == SolverStatus.TB_WIN
     assert node.end_in_ply == 0
 
     # a real proof upgrades the TB status in place
     idx = node.actions.index(2)
     mate = attach_child(store, node, idx, status=SolverStatus.LOSS, eip=0)
-    solver.note_link(node, idx, mate)
+    solver.note_link(node, mate)
     assert node.status == SolverStatus.WIN
     assert node.end_in_ply == 1
 
@@ -218,10 +214,10 @@ def test_real_proof_outranks_a_later_tb_derivation():
     store = GraphStore()
     parent = expanded_node(store, actions=[0, 1])
     real = attach_child(store, parent, 0, status=SolverStatus.LOSS, eip=0)
-    solver.note_link(parent, 0, real)
+    solver.note_link(parent, real)
     assert parent.status == SolverStatus.WIN
     tb = attach_child(store, parent, 1, status=SolverStatus.TB_LOSS, eip=0)
-    solver.note_link(parent, 1, tb)
+    solver.note_link(parent, tb)
     assert parent.status == SolverStatus.WIN  # stays real
     assert is_real(parent.status)
 
@@ -232,7 +228,7 @@ def test_probe_skips_already_solved_nodes(ttt):
     node = expanded_node(store, actions=[0])
     node.status = SolverStatus.WIN
     node.end_in_ply = 3
-    solver.probe_expanded(node, ttt.initial_state())
+    solver.probe_expanded(node)
     assert node.status == SolverStatus.WIN
     assert node.end_in_ply == 3
 
@@ -335,8 +331,22 @@ def test_make_endgame_oracle_specs(ttt):
     oracle = make_endgame_oracle("table:tictactoe:4", ttt)
     assert isinstance(oracle, TableOracle)
     assert oracle.min_ply == 4
+    assert make_endgame_oracle("table", ttt).min_ply == 0
+    assert make_endgame_oracle("table:tictactoe", ttt).min_ply == 0
+    # Nim ids carry a colon of their own
+    oracle = make_endgame_oracle("table:nim:3,4,5:2", nim)
+    assert oracle.env is nim and oracle.min_ply == 2
+    assert make_endgame_oracle("table:nim:3,4,5", nim).min_ply == 0
     with pytest.raises(ValueError):
         make_endgame_oracle("dtz", ttt)
+    with pytest.raises(ValueError, match="nim-xor.*'tictactoe'"):
+        make_endgame_oracle("nim-xor", ttt)
+    with pytest.raises(ValueError, match="'table:tictactoe'.*'nim:3,4,5'"):
+        make_endgame_oracle("table:tictactoe", nim)
+    with pytest.raises(ValueError, match="'table:nim:3,4'.*'nim:3,4,5'"):
+        make_endgame_oracle("table:nim:3,4", nim)
+    with pytest.raises(ValueError, match="min_ply"):
+        make_endgame_oracle("table:tictactoe:four", ttt)
 
 
 def test_nim_xor_oracle_probe():
