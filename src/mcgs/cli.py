@@ -24,7 +24,7 @@ import sys
 from .arena import MatchConfig, move_log, play_match, scaling_report
 from .envs import make_env
 from .evaluators import make_evaluator
-from .oracle import solved_table
+from .oracle import OracleLimitError, solved_table
 from .search import ENHANCEMENTS, SearchConfig, run_search
 
 # (flag, SearchConfig field, type) for everything settable by plain value
@@ -279,7 +279,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError) as exc:
+    except (ValueError, OSError, OracleLimitError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -170,11 +170,11 @@ def make_evaluator(name: str, env):
 class EvalQueue:
     """Synchronous mini-batch evaluation queue.
 
-    submit() holds requests in FIFO order and auto-flushes when the pending
-    count reaches mini_batch_size, returning that batch's results; otherwise
-    it returns None. flush() evaluates whatever is pending. total_evaluated
-    counts every evaluation ever returned, which is what evaluation budgets
-    meter.
+    submit() holds requests in FIFO order; the caller decides when a batch
+    is full (mini_batch_size) and calls flush(), which evaluates whatever is
+    pending and returns (token, evaluation) pairs in submission order.
+    total_evaluated counts every evaluation ever returned, which is what
+    evaluation budgets meter.
     """
 
     def __init__(self, evaluator, mini_batch_size: int) -> None:
@@ -188,11 +188,8 @@ class EvalQueue:
     def __len__(self) -> int:
         return len(self._pending)
 
-    def submit(self, state, token) -> list[tuple[object, Evaluation]] | None:
+    def submit(self, state, token) -> None:
         self._pending.append((state, token))
-        if len(self._pending) >= self.mini_batch_size:
-            return self.flush()
-        return None
 
     def flush(self) -> list[tuple[object, Evaluation]]:
         batch = self._pending

@@ -11,7 +11,6 @@ check-like actions.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import ceil, log2
 
 from .graph import NEG_INF, Node
@@ -19,13 +18,6 @@ from .solver import is_real
 
 EPS_GREEDY = "eps_greedy"
 FORCING = "forcing"
-
-
-@dataclass
-class BranchPlan:
-    kind: str
-    depth: int
-    branch: Node
 
 
 def sample_branch_depth(r2: float, max_depth: int | None = None) -> int:
@@ -76,24 +68,23 @@ def best_path(root: Node) -> tuple[list[Node], list[int]]:
     return nodes, actions
 
 
-def make_plan(engine, root: Node, kind: str) -> BranchPlan | None:
+def make_plan(engine, root: Node) -> Node:
+    """The branch node: the best path's node at a geometrically sampled depth."""
     nodes, actions = best_path(root)
-    depth = sample_branch_depth(engine.rng.random(), max_depth=len(actions))
-    return BranchPlan(kind=kind, depth=depth, branch=nodes[depth])
+    return nodes[sample_branch_depth(engine.rng.random(), max_depth=len(actions))]
 
 
-def execute_branch(engine, plan: BranchPlan):
-    """Run one simulation from the branch node, or None to discard the plan.
+def execute_branch(engine, node: Node, kind: str):
+    """Run one `kind` simulation from the branch node, or None to discard it.
 
     The returned trajectory's pairs start at the branch node, so the ensuing
     backpropagation never touches ancestors of the branch point.
     """
-    node = plan.branch
     if node.is_terminal or not node.expanded:
         return None
     if is_real(node.status):
         return None
-    if plan.kind == EPS_GREEDY:
+    if kind == EPS_GREEDY:
         idx = _first_unexplored(node)
     else:
         idx = _first_forcing(engine, node)

@@ -85,9 +85,6 @@ class GraphStore:
         self.trajectory_buffer_peak = 0
         self._serial = 0
 
-    def __len__(self) -> int:
-        return len(self.nodes)
-
     def lookup_or_insert(self, key: StateKey, state=None) -> tuple[Node, bool]:
         """Return (node, was_existing); insert a fresh node holding state on miss."""
         if self.transpositions:

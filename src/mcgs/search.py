@@ -15,11 +15,11 @@ mechanisms reconcile them:
   the value handed further up is re-anchored to that node's negated value
   (qTarget) instead of the raw leaf sample.
 
-Trajectory collection is synchronously batched: up to mini_batch_size
-simulations are gathered under virtual loss, evaluated in one flush, then
-backpropagated in submission order. Terminal, proven, and early-stop
-trajectories never occupy an evaluator slot; an evaluations budget counts
-only real evaluator work.
+Trajectory collection is synchronously batched: a round gathers up to
+mini_batch_size leaves under virtual loss, then its one flush evaluates them
+and backpropagates them in submission order. Terminal, proven, and
+early-stop trajectories never occupy an evaluator slot; an evaluations
+budget counts only real evaluator work.
 """
 
 from __future__ import annotations
@@ -52,6 +52,9 @@ ENHANCEMENTS = ("transpositions", "terminal_solver", "eps_greedy", "check_enhanc
 EVAL = "eval"
 TERMINAL = "terminal"
 EARLY_STOP = "early_stop"
+
+# A round backs up at most this many evaluator-free trajectories per batch slot.
+TERMINAL_CAP_FACTOR = 4
 
 
 @dataclass
@@ -99,7 +102,6 @@ class SearchConfig:
     # batching
     mini_batch_size: int = 16
     virtual_loss: float = 1.0
-    terminal_cap_factor: int = 4  # terminal trajectories per batch <= factor * mini_batch
     # budget
     budget: str = "simulations"
     budget_amount: int = 800
@@ -234,7 +236,7 @@ class SearchEngine:
     played, keeping all statistics (and any pruning) for reuse.
     """
 
-    def __init__(self, env, evaluator, config: SearchConfig, endgame_oracle=None) -> None:
+    def __init__(self, env, evaluator, config: SearchConfig) -> None:
         config.validate()
         self.env = env
         self.evaluator = evaluator
@@ -242,9 +244,9 @@ class SearchEngine:
         self.rng = random.Random(config.seed)
         self.store = GraphStore(transpositions=config.transpositions,
                                 capacity=config.capacity)
-        if endgame_oracle is None and config.endgame_oracle:
-            endgame_oracle = make_endgame_oracle(config.endgame_oracle, env)
-        self.solver = TerminalSolver(endgame_oracle) if config.terminal_solver else None
+        # Built with the solver off too, so a spec for another game still fails.
+        oracle = make_endgame_oracle(config.endgame_oracle, env)
+        self.solver = TerminalSolver(oracle) if config.terminal_solver else None
         self._root: Node | None = None
         # per-search counters
         self._sims = 0
@@ -333,7 +335,8 @@ class SearchEngine:
 
     def _run(self, root: Node, queue: EvalQueue, t0: float) -> str:
         cfg = self.config
-        terminal_cap = cfg.terminal_cap_factor * cfg.mini_batch_size
+        batch = queue.mini_batch_size
+        terminal_cap = TERMINAL_CAP_FACTOR * batch
         stall_rounds = 0
         store = self.store
 
@@ -344,17 +347,14 @@ class SearchEngine:
                 return reason
 
             terminals_this_round = 0
-            flushed = None
             while (terminals_this_round < terminal_cap
                    and self._stop_reason(root, queue, t0) is None):
                 traj = self._simulate(root)
                 if traj is None:  # store filled up mid-simulation
                     break
                 if traj.kind == EVAL:
-                    flushed = queue.submit(traj.leaf.state, traj)
-                    if len(queue) > store.trajectory_buffer_peak:
-                        store.trajectory_buffer_peak = len(queue)
-                    if flushed is not None:
+                    queue.submit(traj.leaf.state, traj)
+                    if len(queue) == batch:
                         break
                 else:
                     self._backpropagate(traj.pairs, traj.value)
@@ -365,17 +365,17 @@ class SearchEngine:
                     else:
                         self._terminals += 1
 
-            if flushed is None:
-                flushed = queue.flush()
-            had_evals = bool(flushed)
+            flushed = queue.flush()
+            if len(flushed) > store.trajectory_buffer_peak:
+                store.trajectory_buffer_peak = len(flushed)
             for traj, evaluation in flushed:
                 self._finish_eval(traj, evaluation)
 
             if cfg.budget == "evaluations":
-                stall_rounds = 0 if had_evals else stall_rounds + 1
+                stall_rounds = 0 if flushed else stall_rounds + 1
                 if stall_rounds >= cfg.stall_rounds_limit:
-                    return "stalled"
-            elif not had_evals and terminals_this_round == 0:
+                    return "store_full" if self._store_full else "stalled"
+            elif not flushed and terminals_this_round == 0:
                 # No progress is possible (e.g. every root edge pruned), or a
                 # millisecond budget ran out between the two stop checks.
                 return self._stop_reason(root, queue, t0) or "stalled"
@@ -397,17 +397,18 @@ class SearchEngine:
     def _simulate(self, root: Node) -> Trajectory | None:
         cfg = self.config
         rng = self.rng
-        plan = None
+        kind = None
         if cfg.eps_greedy or cfg.check_enhance:
             u_greedy = rng.random() if cfg.eps_greedy else 1.0
             u_checks = rng.random() if cfg.check_enhance else 1.0
             if u_greedy <= cfg.epsilon_greedy:
-                plan = explore.make_plan(self, root, explore.EPS_GREEDY)
+                kind = explore.EPS_GREEDY
             elif u_checks <= cfg.epsilon_checks:
-                plan = explore.make_plan(self, root, explore.FORCING)
+                kind = explore.FORCING
         try:
-            if plan is not None:
-                traj = explore.execute_branch(self, plan)
+            if kind is not None:
+                branch = explore.make_plan(self, root)
+                traj = explore.execute_branch(self, branch, kind)
                 if traj is not None:
                     return traj
             return self._descend(root, [])
@@ -658,8 +659,6 @@ class SearchEngine:
     def _result(self, root: Node, t0: float, stop_reason: str,
                 status: SolverStatus, evaluations: int) -> SearchResult:
         cfg = self.config
-        if self._store_full and stop_reason != "store_full":
-            stop_reason = "store_full"
         selected = None
         policy: list[float] = []
         pv: list[int] = []
@@ -702,9 +701,8 @@ class SearchEngine:
         )
 
 
-def run_search(env, evaluator, state, config: SearchConfig,
-               endgame_oracle=None) -> SearchResult:
+def run_search(env, evaluator, state, config: SearchConfig) -> SearchResult:
     """One-shot search from a state with a fresh engine."""
-    engine = SearchEngine(env, evaluator, config, endgame_oracle=endgame_oracle)
+    engine = SearchEngine(env, evaluator, config)
     engine.reset(state)
     return engine.search()

@@ -22,9 +22,10 @@ from __future__ import annotations
 
 import enum
 from collections import deque
+from functools import cached_property
 
 from .envs import Nim, Outcome
-from .oracle import solved_table
+from .oracle import nim_xor_outcome, solved_table
 
 NEG_INF = float("-inf")
 
@@ -76,10 +77,6 @@ def status_for_outcome(outcome: Outcome) -> SolverStatus:
     return _REAL_FOR_OUTCOME[outcome]
 
 
-def is_solved(status) -> bool:
-    return status != SolverStatus.UNKNOWN
-
-
 def is_real(status) -> bool:
     return SolverStatus.UNKNOWN < status < SolverStatus.TB_WIN
 
@@ -95,10 +92,7 @@ class NimXorOracle:
         self.env = env
 
     def probe(self, state) -> SolverStatus | None:
-        x = 0
-        for p in state.piles:
-            x ^= p
-        return SolverStatus.TB_WIN if x else SolverStatus.TB_LOSS
+        return _TB_FOR_OUTCOME[nim_xor_outcome(state.piles)]
 
 
 class TableOracle:
@@ -107,7 +101,11 @@ class TableOracle:
     def __init__(self, env, min_ply: int = 0) -> None:
         self.env = env
         self.min_ply = min_ply
-        self.table = solved_table(env)
+
+    @cached_property
+    def table(self) -> dict:
+        """The game's exhaustive solve, run on the first probe."""
+        return solved_table(self.env)
 
     def probe(self, state) -> SolverStatus | None:
         if state.ply < self.min_ply:
@@ -295,7 +293,7 @@ def solved_move(node) -> int:
         for i, child in enumerate(node.child):
             if child is None:
                 continue
-            if is_solved(child.status) and child.end_in_ply > best_eip:
+            if child.status != SolverStatus.UNKNOWN and child.end_in_ply > best_eip:
                 best_eip = child.end_in_ply
                 best_idx = i
     else:

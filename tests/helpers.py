@@ -7,7 +7,6 @@ from mcgs.solver import (
     STATUS_VALUE,
     SolverStatus,
     is_real,
-    is_solved,
     status_for_outcome,
 )
 
@@ -90,7 +89,7 @@ def check_invariants(engine) -> None:
             before = (node.status, node.end_in_ply, list(node.q), list(node.p))
             assert not engine.solver._recompute(node), f"{node} is not quiescent"
             assert (node.status, node.end_in_ply, node.q, node.p) == before, node
-        if is_solved(node.status):
+        if node.status != SolverStatus.UNKNOWN:
             entry = negamax_solve(env, node.state, cache=negamax_cache)
             assert STATUS_VALUE[node.status] == entry.outcome.score, (node, entry)
             if is_real(node.status):

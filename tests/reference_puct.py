@@ -1,8 +1,8 @@
 """Plain batched tree-PUCT, written against the same conventions as the
 engine but over an explicit tree: no transpositions, no solver, no
-exploration branches, no policy boost. The reduction test requires the
+exploration branches, no policy boost. The differential test requires the
 engine with every enhancement disabled to reproduce this implementation's
-visit counts exactly and its Q-values to 1e-12.
+tree exactly: visit counts, values, edge Q and priors, bit for bit.
 """
 
 from __future__ import annotations

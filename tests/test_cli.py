@@ -7,7 +7,6 @@ import pytest
 
 from mcgs.cli import _config_from_args, build_parser, main
 from mcgs.evaluators import Evaluation
-from mcgs.oracle import OracleLimitError
 
 from helpers import FixedEvaluator
 
@@ -226,6 +225,15 @@ def test_endgame_oracle_for_another_game_exits_1(capsys):
     assert captured.out == ""
 
 
+def test_endgame_oracle_for_another_game_exits_1_with_the_solver_off(capsys):
+    argv = ["search", "--game", "tictactoe", "--plain", "--endgame-oracle", "nim-xor",
+            "--budget-sims", "8"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: endgame oracle 'nim-xor'")
+    assert captured.out == ""
+
+
 # ----------------------------------------------------------------- match
 
 
@@ -353,10 +361,11 @@ def test_solve_out_file(tmp_path, capsys):
     assert json.loads(out.read_text())["game"] == "leftright:4"
 
 
-def test_solve_limit_overflow_is_not_swallowed():
-    # an exploded state count is an operational abort, not a config error
-    with pytest.raises(OracleLimitError):
-        main(["solve", "--game", "tictactoe", "--limit", "10"])
+def test_solve_limit_overflow_exits_1(capsys):
+    assert main(["solve", "--game", "tictactoe", "--limit", "10"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: oracle node limit 10 exceeded\n"
+    assert captured.out == ""
 
 
 def test_solve_unknown_game_exits_1(capsys):

@@ -165,18 +165,6 @@ def test_node_temperature_keeps_order_and_mass(weights, tau):
                 assert out[i] >= out[j] - 1e-12
 
 
-def test_eval_queue_flushes_full_batches_in_fifo_order(ttt):
-    queue = EvalQueue(UniformEvaluator(ttt), mini_batch_size=4)
-    states = [ttt.initial_state()] * 3
-    for i, state in enumerate(states):
-        assert queue.submit(state, token=i) is None
-    assert len(queue) == 3
-    results = queue.submit(ttt.initial_state(), token=3)
-    assert [token for token, _ in results] == [0, 1, 2, 3]
-    assert len(queue) == 0
-    assert queue.total_evaluated == 4
-
-
 def test_eval_queue_partial_flush_and_empty_flush(ttt):
     queue = EvalQueue(UniformEvaluator(ttt), mini_batch_size=16)
     for i in range(5):

@@ -9,8 +9,6 @@ from mcgs.envs import make_env
 from mcgs.evaluators import UniformEvaluator
 from mcgs.explore import (
     EPS_GREEDY,
-    FORCING,
-    BranchPlan,
     best_path,
     execute_branch,
     make_plan,
@@ -110,15 +108,10 @@ def test_make_plan_lands_on_the_sampled_depth(ttt):
     assert len(actions) >= 2
 
     engine.rng = _FixedRng(0.75)  # depth 1
-    plan = make_plan(engine, root, EPS_GREEDY)
-    assert plan.kind == EPS_GREEDY
-    assert plan.depth == 1
-    assert plan.branch is nodes[1]
+    assert make_plan(engine, root) is nodes[1]
 
     engine.rng = _FixedRng(0.9999999)  # deeper than the path: clamped
-    plan = make_plan(engine, root, FORCING)
-    assert plan.depth == len(actions)
-    assert plan.branch is nodes[-1]
+    assert make_plan(engine, root) is nodes[-1]
 
 
 def test_execute_branch_discards_settled_branch_nodes(ttt):
@@ -132,11 +125,8 @@ def test_execute_branch_discards_settled_branch_nodes(ttt):
     proven = expanded_node(store, actions=[0])
     proven.status = SolverStatus.DRAW
 
-    for node in (terminal, proven):
-        plan = BranchPlan(kind=EPS_GREEDY, depth=0, branch=node)
-        assert execute_branch(engine, plan) is None
-    plan = BranchPlan(kind=EPS_GREEDY, depth=0, branch=unexpanded)
-    assert execute_branch(engine, plan) is None
+    for node in (terminal, proven, unexpanded):
+        assert execute_branch(engine, node, EPS_GREEDY) is None
 
 
 def test_first_unexplored_respects_prior_order_and_pruning():
@@ -193,12 +183,12 @@ def test_branch_trajectories_never_touch_ancestors(ttt):
     assert len(nodes) >= 2
 
     engine.rng = _FixedRng(0.75)  # branch at depth 1
-    plan = make_plan(engine, root, EPS_GREEDY)
+    branch = make_plan(engine, root)
     root_n = root.n
     root_en = list(root.en)
-    traj = explore.execute_branch(engine, plan)
+    traj = explore.execute_branch(engine, branch, EPS_GREEDY)
     assert traj is not None
-    assert traj.pairs[0][0] is plan.branch
+    assert traj.pairs[0][0] is branch
     assert all(node is not root for node, _ in traj.pairs)
     if traj.kind != "eval":
         engine._backpropagate(traj.pairs, traj.value)
@@ -208,13 +198,13 @@ def test_branch_trajectories_never_touch_ancestors(ttt):
 
 def test_branch_rates_track_the_configured_epsilons(ttt, monkeypatch):
     calls = {"eps_greedy": 0, "forcing": 0}
-    real = explore.make_plan
+    real = explore.execute_branch
 
-    def counting(engine, root, kind):
+    def counting(engine, node, kind):
         calls[kind] += 1
-        return real(engine, root, kind)
+        return real(engine, node, kind)
 
-    monkeypatch.setattr("mcgs.explore.make_plan", counting)
+    monkeypatch.setattr("mcgs.explore.execute_branch", counting)
     config = SearchConfig(budget_amount=20_000, terminal_solver=False, seed=2)
     engine = SearchEngine(ttt, UniformEvaluator(ttt), config)
     engine.reset(ttt.initial_state())

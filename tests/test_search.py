@@ -9,7 +9,9 @@ from hypothesis import strategies as st
 from mcgs.envs import make_env
 from mcgs.evaluators import Evaluation, UniformEvaluator
 from mcgs.graph import NEG_INF, GraphStore
+from mcgs.oracle import solved_table
 from mcgs.search import (
+    ENHANCEMENTS,
     SearchConfig,
     SearchEngine,
     Trajectory,
@@ -22,6 +24,7 @@ from mcgs.solver import SolverStatus
 from helpers import FixedEvaluator, attach_child, expanded_node
 
 INF = float("inf")
+PLAIN = dict.fromkeys(ENHANCEMENTS, False)
 
 
 def _engine(env, **overrides):
@@ -602,12 +605,12 @@ def test_advance_reuses_the_subtree(ttt):
     child = root.child[idx]
     assert child is not None and child.n > 0
     carried = child.n
-    nodes_before = len(engine.store)
+    nodes_before = len(engine.store.nodes)
 
     engine.advance(first.selected_action)
     assert engine._root is child
     assert engine._root.n == carried
-    assert len(engine.store) == nodes_before  # nothing was rebuilt
+    assert len(engine.store.nodes) == nodes_before  # nothing was rebuilt
 
     second = engine.search()
     assert second.ply == 1
@@ -661,6 +664,38 @@ def test_store_full_stops_gracefully(ttt):
     assert result.stop_reason == "store_full"
     assert result.memory["node_count"] <= 5
     assert result.selected_action is not None  # best-so-far still reported
+
+
+def test_store_full_stops_an_evaluation_budget_search(ttt):
+    # One-leaf rounds and a one-round stall limit: the round that fills the
+    # store evaluates nothing, so the stall exit is what ends the search.
+    config = SearchConfig(budget="evaluations", budget_amount=500, capacity=5,
+                          mini_batch_size=1, stall_rounds_limit=1)
+    result = run_search(ttt, UniformEvaluator(ttt), ttt.initial_state(), config)
+    assert result.stop_reason == "store_full"
+
+
+@pytest.mark.parametrize("batch", [1, 16])
+def test_trajectory_buffer_size_is_the_largest_batch_evaluated(ttt, batch):
+    config = SearchConfig(budget_amount=200, mini_batch_size=batch, **PLAIN)
+    result = run_search(ttt, UniformEvaluator(ttt), ttt.initial_state(), config)
+    assert result.evaluations >= 16
+    assert result.memory["trajectory_buffer_size"] == batch
+
+
+def test_table_oracle_is_not_solved_without_the_solver(monkeypatch):
+    calls = []
+    monkeypatch.setattr("mcgs.solver.solved_table",
+                        lambda *args: calls.append(args) or solved_table(*args))
+    env = make_env("nim:3,4,5")
+    config = SearchConfig(budget_amount=50, endgame_oracle="table", **PLAIN)
+    result = run_search(env, UniformEvaluator(env), env.initial_state(), config)
+    assert result.simulations == 50
+    assert calls == []
+
+    config = SearchConfig(budget_amount=50, endgame_oracle="table")
+    run_search(env, UniformEvaluator(env), env.initial_state(), config)
+    assert len(calls) == 1  # the solver's first probe builds the table, once
 
 
 def test_search_stalls_when_the_game_is_exhausted():
@@ -747,7 +782,7 @@ def test_every_node_keeps_a_state_of_its_key(game, overrides):
     result = engine.search()
     engine.advance(result.selected_action)
     engine.search()
-    assert len(engine.store) > 100
+    assert len(engine.store.nodes) > 100
     for node in engine.store.nodes.values():
         if engine.store.transpositions:
             assert env.state_key(node.state) == node.key

@@ -15,7 +15,6 @@ from mcgs.solver import (
     TableOracle,
     TerminalSolver,
     is_real,
-    is_solved,
     make_endgame_oracle,
     prune_edge,
     solved_move,
@@ -29,8 +28,6 @@ def test_status_helpers():
     assert status_for_outcome(Outcome.WIN) == SolverStatus.WIN
     assert status_for_outcome(Outcome.LOSS) == SolverStatus.LOSS
     assert status_for_outcome(Outcome.DRAW) == SolverStatus.DRAW
-    assert not is_solved(SolverStatus.UNKNOWN)
-    assert all(is_solved(s) for s in SolverStatus if s != SolverStatus.UNKNOWN)
     assert is_real(SolverStatus.WIN) and is_real(SolverStatus.DRAW)
     assert not is_real(SolverStatus.TB_WIN) and not is_real(SolverStatus.UNKNOWN)
 
