@@ -77,10 +77,6 @@ class MatchResult:
     elo_high: float
     seed: int
 
-    @property
-    def total(self) -> int:
-        return len(self.games)
-
     def to_dict(self) -> dict:
         def _num(x: float):
             return x if math.isfinite(x) else repr(x)
@@ -121,15 +117,13 @@ def wilson_bounds(score: float, games: int, z: float = WILSON_Z) -> tuple[float,
     return max(0.0, (center - spread) / denom), min(1.0, (center + spread) / denom)
 
 
-def generate_openings(env, plies: int, count: int, rng: random.Random,
-                      cache: dict | None = None) -> list[tuple[int, ...]]:
+def generate_openings(env, plies: int, count: int, rng: random.Random) -> list[tuple[int, ...]]:
     """Distinct random opening lines, preferring game-value-balanced ones.
 
     An opening is balanced when the position it reaches is a draw under
     optimal play. Games without draws (Nim) keep the full sample instead.
     """
-    if cache is None:
-        cache = {}
+    cache: dict = {}  # shared by the openings' solves
     seen: set[tuple[int, ...]] = set()
     openings: list[tuple[int, ...]] = []
     attempts = 0

@@ -44,7 +44,6 @@ _VALUE_FLAGS = [
     ("--dirichlet-alpha", "dirichlet_alpha", float),
     ("--seed", "seed", int),
     ("--capacity", "capacity", int),
-    ("--stall-rounds", "stall_rounds_limit", int),
     ("--endgame-oracle", "endgame_oracle", str),
 ]
 
@@ -76,9 +75,8 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _config_from_args(args) -> SearchConfig:
-    data = SearchConfig().to_dict()
-    if getattr(args, "config", None):
-        data.update(_read_kv(args.config))
+    # Only the settings given; from_dict fills in the defaults.
+    data = _read_kv(args.config) if getattr(args, "config", None) else {}
     for _, dest, _ in _VALUE_FLAGS:
         value = getattr(args, dest, None)
         if value is not None:
@@ -117,8 +115,8 @@ def _read_kv(path: str) -> dict:
 
 def _parse_match_file(path: str) -> MatchConfig:
     data = _read_kv(path)
-    engine_a = SearchConfig().to_dict()
-    engine_b = SearchConfig().to_dict()
+    engine_a: dict = {}
+    engine_b: dict = {}
     top = {}
     for key, value in data.items():
         if key.startswith("engineA."):

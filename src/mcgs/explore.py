@@ -42,11 +42,7 @@ def best_path(root: Node) -> tuple[list[Node], list[int]]:
     nodes = [root]
     actions: list[int] = []
     node = root
-    while True:
-        if node.is_terminal or not node.expanded:
-            break
-        if is_real(node.status):
-            break
+    while node.expanded and not is_real(node.status):
         en = node.en
         qs = node.q
         best = -1
@@ -80,9 +76,7 @@ def execute_branch(engine, node: Node, kind: str):
     The returned trajectory's pairs start at the branch node, so the ensuing
     backpropagation never touches ancestors of the branch point.
     """
-    if node.is_terminal or not node.expanded:
-        return None
-    if is_real(node.status):
+    if not node.expanded or is_real(node.status):
         return None
     if kind == EPS_GREEDY:
         idx = _first_unexplored(node)

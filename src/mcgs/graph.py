@@ -33,7 +33,7 @@ class StoreFullError(RuntimeError):
 
 class Node:
     __slots__ = (
-        "key", "state", "v", "n", "expanded", "is_terminal",
+        "key", "state", "v", "n", "expanded",
         "actions", "p", "q", "en", "evl", "child",
         "status", "end_in_ply", "parents",
     )
@@ -44,7 +44,6 @@ class Node:
         self.v = 0.0
         self.n = 0
         self.expanded = False
-        self.is_terminal = False
         self.actions: list[int] = []
         self.p: list[float] = []      # priors, one entry per edge
         self.q: list[float] = []      # edge Q (SMA); -inf marks a pruned edge

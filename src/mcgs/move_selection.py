@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .graph import NEG_INF, Node
-from .solver import SolverStatus, solved_move
+from .solver import solved_move
 
 
 @dataclass
@@ -94,20 +94,14 @@ def _prior_policy(node: Node) -> list[float]:
     return [p / total for p in live]
 
 
-def select_move(node: Node, config, rng, solver_on: bool) -> MovePolicy:
-    if node.is_terminal:
-        raise ValueError("select_move on a terminal node")
-    if solver_on and node.status != SolverStatus.UNKNOWN:
-        try:
-            action = solved_move(node)
-        except LookupError:
-            # Status arrived via an oracle probe without a proving child;
-            # fall back to the statistics-driven choice.
-            pass
-        else:
-            policy = [0.0] * len(node.actions)
-            policy[node.actions.index(action)] = 1.0
-            return MovePolicy(action, policy, solver_override=True)
+def select_move(node: Node, config, rng) -> MovePolicy:
+    if not node.expanded:
+        raise ValueError("select_move on an unexpanded node")
+    action = solved_move(node)
+    if action is not None:
+        policy = [0.0] * len(node.actions)
+        policy[node.actions.index(action)] = 1.0
+        return MovePolicy(action, policy, solver_override=True)
 
     if not _visit_order(node):
         policy = _prior_policy(node)
@@ -132,18 +126,12 @@ def select_move(node: Node, config, rng, solver_on: bool) -> MovePolicy:
     return MovePolicy(node.actions[idx], policy, boosted=boosted)
 
 
-def principal_variation(node: Node, solver_on: bool, limit: int = 64) -> list[int]:
+def principal_variation(node: Node, limit: int = 64) -> list[int]:
     """Most-visited line from the root, switching to proven lines when known."""
     out: list[int] = []
-    while len(out) < limit:
-        if node.is_terminal or not node.expanded:
-            break
-        idx = -1
-        if solver_on and node.status != SolverStatus.UNKNOWN:
-            try:
-                idx = node.actions.index(solved_move(node))
-            except LookupError:
-                idx = -1
+    while len(out) < limit and node.expanded:
+        action = solved_move(node)
+        idx = -1 if action is None else node.actions.index(action)
         if idx < 0:
             en = node.en
             qs = node.q

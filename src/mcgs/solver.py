@@ -1,11 +1,13 @@
 """Terminal solver: propagate proven WIN/LOSS/DRAW through the search DAG.
 
-A node's status is a function of its children (the MCTS-Solver rules of
-Winands, Bjornsson & Saito, CG 2008), re-derived by one method whenever a
-child changes and carried up the parents' back-references until nothing
-changes. A node becomes WIN the moment one child is proven LOSS; it becomes
-LOSS or DRAW only once all children are known. END_IN_PLY tracks the proven
-line length: wins take the shortest proven mate, losses the longest
+A node's status is the one record of what is proven. The engine stamps every
+terminal node with its outcome when it creates the node, solver or not. The
+solver derives every other status from the node's children (the MCTS-Solver
+rules of Winands, Bjornsson & Saito, CG 2008), re-derived by one method
+whenever a child changes and carried up the parents' back-references until
+nothing changes. A node becomes WIN the moment one child is proven LOSS; it
+becomes LOSS or DRAW only once all children are known. END_IN_PLY tracks the
+proven line length: wins take the shortest proven mate, losses the longest
 resistance. Because the first proven mate is not always the shortest one,
 END_IN_PLY of WIN nodes may refine downward as further LOSS children are
 proven; statuses move monotonically from UNKNOWN to solved and never back.
@@ -21,8 +23,8 @@ actual terminal) and a TB status may upgrade to the matching real status.
 from __future__ import annotations
 
 import enum
+import weakref
 from collections import deque
-from functools import cached_property
 
 from .envs import Nim, Outcome
 from .oracle import nim_xor_outcome, solved_table
@@ -95,6 +97,12 @@ class NimXorOracle:
         return _TB_FOR_OUTCOME[nim_xor_outcome(state.piles)]
 
 
+# env -> its exhaustive solve, shared by every table oracle built on that env
+# (a match builds fresh engines per game on one env). The solve depends on the
+# env alone, so sharing it changes no result; weak keys free it with the env.
+_SOLVED_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 class TableOracle:
     """Synthetic tablebase: the exhaustive solve restricted to ply >= min_ply."""
 
@@ -102,15 +110,13 @@ class TableOracle:
         self.env = env
         self.min_ply = min_ply
 
-    @cached_property
-    def table(self) -> dict:
-        """The game's exhaustive solve, run on the first probe."""
-        return solved_table(self.env)
-
     def probe(self, state) -> SolverStatus | None:
         if state.ply < self.min_ply:
             return None
-        entry = self.table.get(self.env.state_key(state))
+        table = _SOLVED_TABLES.get(self.env)
+        if table is None:  # the first probe on this env solves the game
+            table = _SOLVED_TABLES[self.env] = solved_table(self.env)
+        entry = table.get(self.env.state_key(state))
         if entry is None:
             return None
         return _TB_FOR_OUTCOME[entry.outcome]
@@ -144,20 +150,19 @@ def make_endgame_oracle(spec: str | None, env):
 class TerminalSolver:
     """Solved statuses over a graph store's nodes, derived from children.
 
-    The engine reports terminal, link and expansion events. Each one feeds
-    `propagate`, whose `_recompute` is the only code that reads a node's
-    children: it derives status and END_IN_PLY, prunes edges into loss-like
-    children, and reports a change so the parents are re-derived in turn.
+    Terminal nodes arrive stamped by the engine. The engine reports link and
+    expansion events; each one feeds `propagate`, whose `_recompute` is the
+    only code that reads a node's children: it derives status and
+    END_IN_PLY, prunes edges into loss-like children, and reports a change
+    so the parents are re-derived in turn.
     """
 
     def __init__(self, endgame_oracle=None) -> None:
         self.endgame_oracle = endgame_oracle
         self.nodes_solved = 0
 
-    def mark_terminal(self, node, outcome: Outcome) -> None:
-        """Stamp a freshly created terminal node with its proven status."""
-        node.status = _REAL_FOR_OUTCOME[outcome]
-        node.end_in_ply = 0
+    def mark_terminal(self, node) -> None:
+        """Count a freshly created terminal node, which the engine stamped."""
         self.nodes_solved += 1
 
     def note_link(self, parent, child) -> None:
@@ -192,7 +197,7 @@ class TerminalSolver:
 
         Returns whether the node's status or END_IN_PLY changed.
         """
-        if node.is_terminal or not node.expanded:
+        if not node.expanded:  # a terminal, or a leaf not yet evaluated
             return False
         min_loss = min_tb_loss = None
         min_draw = min_tb_draw = None
@@ -264,17 +269,17 @@ def prune_edge(node, idx: int) -> None:
     node.p[idx] = 0.0
 
 
-def solved_move(node) -> int:
-    """Best proven action at a solved node.
+def solved_move(node) -> int | None:
+    """Best proven action at a solved node, or None.
 
     WIN picks the fastest proven mate (LOSS child with minimal END_IN_PLY),
     LOSS the longest resistance (maximal END_IN_PLY child), DRAW the drawing
-    child with the most visits. Raises ValueError on UNKNOWN nodes and
-    LookupError when no child carries the proof (probe-only solves).
+    child with the most visits. None means nothing is proven here: the node
+    is UNKNOWN, or no child carries the proof (an oracle probe's status).
     """
     status = node.status
     if status == SolverStatus.UNKNOWN:
-        raise ValueError("solved_move called on an unsolved node")
+        return None
     outcome = _OUTCOME_CLASS[status]
     allow_tb = not is_real(status)
     best_idx = -1
@@ -305,6 +310,4 @@ def solved_move(node) -> int:
             if st in (SolverStatus.DRAW, SolverStatus.TB_DRAW) and node.en[i] > best_visits:
                 best_visits = node.en[i]
                 best_idx = i
-    if best_idx < 0:
-        raise LookupError("solved node has no child carrying the proof")
-    return node.actions[best_idx]
+    return node.actions[best_idx] if best_idx >= 0 else None

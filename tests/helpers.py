@@ -68,11 +68,11 @@ def check_invariants(engine) -> None:
     nodes = list(engine.store.nodes.values())
     for node in nodes:
         outcome = env.terminal_value(node.state)
-        assert node.is_terminal == (outcome is not None), node
-        if outcome is not None:
+        terminal = not node.expanded and is_real(node.status)
+        assert terminal == (outcome is not None), node
+        if outcome is not None:  # stamped with the solver off too
             assert node.v == outcome.score, node
-            if solver_on:
-                assert node.status == status_for_outcome(outcome), node
+            assert node.status == status_for_outcome(outcome), node
         assert vmin <= node.v <= vmax, node
         for i, child in enumerate(node.child):
             assert node.evl[i] == 0, f"virtual loss left in flight on {node}"
@@ -95,6 +95,6 @@ def check_invariants(engine) -> None:
             if is_real(node.status):
                 # A partial proof may be longer than the optimal line, never shorter.
                 assert node.end_in_ply >= entry.distance, (node, entry)
-                assert (node.end_in_ply == 0) == node.is_terminal, node
+                assert (node.end_in_ply == 0) == (not node.expanded), node
     for node in nodes:
         assert len(node.parents) == incoming.get(id(node), 0), node

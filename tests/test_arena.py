@@ -20,7 +20,7 @@ from mcgs.arena import (
 )
 from mcgs.envs import Outcome, make_env
 from mcgs.evaluators import Evaluation
-from mcgs.oracle import negamax_solve
+from mcgs.oracle import negamax_solve, solved_table
 from mcgs.search import SearchConfig
 
 from helpers import FixedEvaluator
@@ -146,17 +146,30 @@ def test_play_game_scores_the_forced_miniature():
 def test_match_scoring_and_counts_add_up():
     config = _match_config("nim:1,1", budget=16, opening_count=2, opening_plies=0)
     result = play_match(config)
-    assert result.total == 4
+    assert len(result.games) == 4
     assert (result.wins, result.draws, result.losses) == (2, 0, 2)
     assert result.score_rate == 0.5
     assert result.elo == 0.0
     assert result.rate_low < 0.5 < result.rate_high
 
 
+def test_a_match_solves_the_oracle_table_once(monkeypatch):
+    # Every game builds fresh engines on the match's one env; they share
+    # that env's solved table instead of solving it per game.
+    calls = []
+    monkeypatch.setattr("mcgs.solver.solved_table",
+                        lambda *args: calls.append(args) or solved_table(*args))
+    config = _match_config("nim:3,4,5", budget=32, opening_count=10,
+                           a={"endgame_oracle": "table"})
+    result = play_match(config)
+    assert len(result.games) == 20
+    assert len(calls) == 1
+
+
 def test_identical_engines_score_exactly_half(ttt):
     config = _match_config("tictactoe", budget=64, opening_count=3, seed=7)
     result = play_match(config)
-    assert result.total == 6
+    assert len(result.games) == 6
     # seeds attach to the mover role, so each opening's color pair is the
     # same game twice with the labels exchanged
     assert result.score_rate == 0.5

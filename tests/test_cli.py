@@ -315,7 +315,12 @@ def test_scaling_emits_csv(tmp_path):
                  "--openings", "2", "--plies", "0", "--evaluator", "uniform",
                  "--seed", "1", "--out", str(out)])
     assert code == 0
-    rows = list(csv.DictReader(out.read_text().splitlines()))
+    lines = out.read_text().splitlines()
+    assert lines[0] == ("budget,evaluations,simulations,early_stops,terminal_trajectories,"
+                        "score_vs_reference,node_count,edge_count,prior_entry_count,"
+                        "trajectory_buffer_size,tree_equivalent_node_count,"
+                        "transposition_join_count")
+    rows = list(csv.DictReader(lines))
     assert [int(r["budget"]) for r in rows] == [8, 16]
     for row in rows:
         assert int(row["simulations"]) >= 1

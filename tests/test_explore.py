@@ -18,7 +18,7 @@ from mcgs.graph import NEG_INF, GraphStore
 from mcgs.search import SearchConfig, SearchEngine
 from mcgs.solver import SolverStatus
 
-from helpers import attach_child, expanded_node
+from helpers import attach_child, expanded_node, fresh_key
 
 
 def test_branch_depth_examples():
@@ -120,8 +120,8 @@ def test_execute_branch_discards_settled_branch_nodes(ttt):
     store = engine.store
 
     unexpanded, _ = store.lookup_or_insert(engine.env.state_key(ttt.initial_state()))
-    terminal = expanded_node(store, actions=[0])
-    terminal.is_terminal = True
+    terminal, _ = store.lookup_or_insert(fresh_key(9))
+    terminal.status = SolverStatus.LOSS
     proven = expanded_node(store, actions=[0])
     proven.status = SolverStatus.DRAW
 

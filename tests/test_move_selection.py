@@ -18,7 +18,7 @@ from mcgs.move_selection import (
 from mcgs.search import SearchConfig
 from mcgs.solver import SolverStatus
 
-from helpers import attach_child, expanded_node
+from helpers import attach_child, expanded_node, fresh_key
 
 
 class _Rng:
@@ -120,11 +120,11 @@ def test_q_boost_switch_threshold_is_exact():
     store = GraphStore()
     cfg = SearchConfig(tau=0.0, q_boost=True, q_weight=2.0)
     node = _node(store, en=[10, 5], q=[0.0, 0.5])
-    move = select_move(node, cfg, _Rng(0.0), solver_on=False)
+    move = select_move(node, cfg, _Rng(0.0))
     assert move.action == 0  # 2 * 0.5 == 1: still the favorite
 
     node = _node(store, en=[10, 5], q=[0.0, math.nextafter(0.5, 1.0)])
-    move = select_move(node, cfg, _Rng(0.0), solver_on=False)
+    move = select_move(node, cfg, _Rng(0.0))
     assert move.action == 1
     assert move.boosted
 
@@ -156,10 +156,10 @@ def test_prior_policy_renormalizes_over_live_edges():
 
 def test_select_move_rejects_terminal_nodes():
     store = GraphStore()
-    node = _node(store, en=[1])
-    node.is_terminal = True
+    node, _ = store.lookup_or_insert(fresh_key(9))
+    node.status = SolverStatus.LOSS
     with pytest.raises(ValueError):
-        select_move(node, SearchConfig(), _Rng(0.0), solver_on=True)
+        select_move(node, SearchConfig(), _Rng(0.0))
 
 
 def test_select_move_solver_override():
@@ -168,13 +168,14 @@ def test_select_move_solver_override():
     attach_child(store, node, 0, status=SolverStatus.LOSS, eip=0)
     node.status = SolverStatus.WIN
     node.end_in_ply = 1
-    move = select_move(node, SearchConfig(), _Rng(0.0), solver_on=True)
+    move = select_move(node, SearchConfig(), _Rng(0.0))
     assert move.solver_override
     assert move.action == 3  # proven mate outranks the visit count
     assert move.policy == [1.0, 0.0]
 
-    # with the solver treated as off, visits decide instead
-    move = select_move(node, SearchConfig(), _Rng(0.0), solver_on=False)
+    # with the solver off the node has no status, and visits decide
+    node.status = SolverStatus.UNKNOWN
+    move = select_move(node, SearchConfig(), _Rng(0.0))
     assert not move.solver_override
     assert move.action == 7
 
@@ -183,7 +184,7 @@ def test_select_move_probe_only_status_falls_back_to_statistics():
     store = GraphStore()
     node = _node(store, en=[4, 40])
     node.status = SolverStatus.TB_WIN  # oracle said so; no proving child
-    move = select_move(node, SearchConfig(), _Rng(0.0), solver_on=True)
+    move = select_move(node, SearchConfig(), _Rng(0.0))
     assert not move.solver_override
     assert move.action == 1
 
@@ -191,7 +192,7 @@ def test_select_move_probe_only_status_falls_back_to_statistics():
 def test_select_move_prior_path_when_nothing_was_visited():
     store = GraphStore()
     node = _node(store, en=[0, 0, 0], priors=[0.2, 0.5, 0.3])
-    move = select_move(node, SearchConfig(tau=0.0), _Rng(0.0), solver_on=False)
+    move = select_move(node, SearchConfig(tau=0.0), _Rng(0.0))
     assert move.action == 1
     assert move.policy == pytest.approx([0.2, 0.5, 0.3])
     assert not move.boosted
@@ -201,9 +202,9 @@ def test_select_move_samples_the_cumulative_distribution():
     store = GraphStore()
     cfg = SearchConfig(tau=1.0, q_boost=False)
     node = _node(store, en=[60, 40])
-    assert select_move(node, cfg, _Rng(0.59), solver_on=False).action == 0
-    assert select_move(node, cfg, _Rng(0.61), solver_on=False).action == 1
-    assert select_move(node, cfg, _Rng(0.999999), solver_on=False).action == 1
+    assert select_move(node, cfg, _Rng(0.59)).action == 0
+    assert select_move(node, cfg, _Rng(0.61)).action == 1
+    assert select_move(node, cfg, _Rng(0.999999)).action == 1
 
 
 def test_move_policy_defaults():
@@ -220,8 +221,8 @@ def test_principal_variation_follows_visits():
     store.attach_edges(a, [5, 6], [0.5, 0.5], q_init=-1.0)
     a.en = [1, 4]
     b = attach_child(store, a, 1, ply=2)  # unexpanded: the line ends here
-    assert principal_variation(root, solver_on=False) == [0, 6]
-    assert principal_variation(root, solver_on=False, limit=1) == [0]
+    assert principal_variation(root) == [0, 6]
+    assert principal_variation(root, limit=1) == [0]
 
 
 def test_principal_variation_prefers_the_proven_line():
@@ -232,5 +233,6 @@ def test_principal_variation_prefers_the_proven_line():
     mate = attach_child(store, root, 1, status=SolverStatus.LOSS, eip=0, ply=1)
     root.status = SolverStatus.WIN
     root.end_in_ply = 1
-    assert principal_variation(root, solver_on=True) == [1]
-    assert principal_variation(root, solver_on=False)[0] == 0
+    assert principal_variation(root) == [1]
+    root.status = SolverStatus.UNKNOWN  # the solver off
+    assert principal_variation(root)[0] == 0

@@ -1,5 +1,6 @@
 """Engine internals and end-to-end searches on the desk-scale games."""
 
+import dataclasses
 import math
 
 import pytest
@@ -106,7 +107,7 @@ def test_default_configuration_values():
 
 def test_config_roundtrip_through_dict():
     cfg = SearchConfig(budget="evaluations", budget_amount=512, seed=9, tau=0.5)
-    assert SearchConfig.from_dict(cfg.to_dict()) == cfg
+    assert SearchConfig.from_dict(dataclasses.asdict(cfg)) == cfg
 
 
 def test_config_coerces_strings():
@@ -334,7 +335,7 @@ def test_expansion_links_and_prunes_terminal_children(ttt):
     engine._expand(root, UniformEvaluator(ttt).evaluate(state))
     idx = root.actions.index(2)
     assert root.child[idx] is not None
-    assert root.child[idx].is_terminal
+    assert root.child[idx].status == SolverStatus.LOSS  # the terminal, stamped
     assert root.status.name == "WIN"
     assert root.end_in_ply == 1
     assert root.q[idx] == NEG_INF  # the mating edge is a proven loss child
@@ -499,12 +500,14 @@ def test_backprop_counts_visits_on_pruned_edges_without_unpruning(ttt):
 # ----- end-to-end searches ------------------------------------------------------
 
 
-def test_search_at_a_terminal_root_returns_immediately(ttt):
+@pytest.mark.parametrize("overrides", [{}, PLAIN], ids=["solver", "plain"])
+def test_search_at_a_terminal_root_returns_immediately(ttt, overrides):
+    # The root's DRAW is the stamp its node got at creation, solver or not.
     state = ttt.initial_state()
     for move in (4, 0, 1, 7, 6, 2, 3, 5, 8):
         state = ttt.apply(state, move)
     assert ttt.terminal_value(state) is not None
-    engine = _engine(ttt)
+    engine = _engine(ttt, **overrides)
     engine.reset(state)
     result = engine.search()
     assert result.stop_reason == "terminal_root"
@@ -667,10 +670,10 @@ def test_store_full_stops_gracefully(ttt):
 
 
 def test_store_full_stops_an_evaluation_budget_search(ttt):
-    # One-leaf rounds and a one-round stall limit: the round that fills the
-    # store evaluates nothing, so the stall exit is what ends the search.
+    # One-leaf rounds: the round that fills the store evaluates nothing, and
+    # the next round's stop check reports the full store, not a stall.
     config = SearchConfig(budget="evaluations", budget_amount=500, capacity=5,
-                          mini_batch_size=1, stall_rounds_limit=1)
+                          mini_batch_size=1)
     result = run_search(ttt, UniformEvaluator(ttt), ttt.initial_state(), config)
     assert result.stop_reason == "store_full"
 
@@ -831,7 +834,8 @@ def test_search_on_a_resolved_graph_applies_no_moves():
     engine.reset(env.initial_state())
     engine.search()
     unresolved = [node for node in engine.store.nodes.values()
-                  if not node.is_terminal and (not node.expanded or None in node.child)]
+                  if node.status == SolverStatus.UNKNOWN
+                  and (not node.expanded or None in node.child)]
     assert unresolved == []
     env.applied.clear()
     result = engine.search()
