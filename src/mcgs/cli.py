@@ -152,13 +152,17 @@ def _check_engine_key(full: str, key: str) -> str:
     return key
 
 
-def _emit(payload, out: str | None, pretty: bool) -> None:
-    text = json.dumps(payload, indent=2 if pretty else None)
+def _write(text: str, out: str | None) -> None:
+    """Write text to the file `out`, or to stdout when no file is named."""
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
+        with open(out, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
     else:
-        sys.stdout.write(text + "\n")
+        sys.stdout.write(text)
+
+
+def _emit(payload, out: str | None, pretty: bool) -> None:
+    _write(json.dumps(payload, indent=2 if pretty else None) + "\n", out)
 
 
 def _cmd_search(args) -> int:
@@ -167,6 +171,8 @@ def _cmd_search(args) -> int:
     state = env.initial_state()
     if args.moves:
         for token in args.moves.split(","):
+            if env.terminal_value(state) is not None:
+                raise ValueError(f"move {token}: the game is already over")
             state = env.apply(state, int(token))
     evaluator = make_evaluator(args.evaluator, env)
     result = run_search(env, evaluator, state, config)
@@ -182,8 +188,7 @@ def _cmd_match(args) -> int:
     result = play_match(config)
     _emit(result.to_dict(), args.out, args.pretty)
     if args.log:
-        with open(args.log, "w", encoding="utf-8") as fh:
-            fh.write(move_log(result, config.game))
+        _write(move_log(result, config.game), args.log)
     return 0
 
 
@@ -198,11 +203,7 @@ def _cmd_scaling(args) -> int:
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
     writer.writeheader()
     writer.writerows(rows)
-    if args.out:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(buf.getvalue())
-    else:
-        sys.stdout.write(buf.getvalue())
+    _write(buf.getvalue(), args.out)
     return 0
 
 

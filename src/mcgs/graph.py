@@ -52,7 +52,7 @@ class Node:
         self.child: list = []         # child Node or None while unresolved
         self.status = SolverStatus.UNKNOWN
         self.end_in_ply = 0
-        self.parents: list[tuple["Node", int]] = []
+        self.parents: list["Node"] = []  # one entry per incoming edge
 
     def __repr__(self) -> str:
         return (
@@ -117,7 +117,7 @@ class GraphStore:
     def link(self, parent: Node, idx: int, child: Node, was_existing: bool) -> None:
         """Resolve an edge to its child node and record the back-reference."""
         parent.child[idx] = child
-        child.parents.append((parent, idx))
+        child.parents.append(parent)
         if was_existing:
             self.join_count += 1
 

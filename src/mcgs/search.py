@@ -87,8 +87,6 @@ class SearchConfig:
     c_puct_init: float = 2.5
     c_puct_base: float = 19652.0
     q_init: float = -1.0
-    value_min: float = -1.0
-    value_max: float = 1.0
     # graph corrections
     q_epsilon: float = 0.01
     # exploration
@@ -142,10 +140,8 @@ class SearchConfig:
             raise ValueError("dirichlet_epsilon must lie in [0, 1]")
         if self.virtual_loss < 0:
             raise ValueError("virtual_loss must be >= 0")
-        if self.value_min >= self.value_max:
-            raise ValueError("value_min must be < value_max")
-        if not self.value_min <= self.q_init <= self.value_max:
-            raise ValueError("q_init must lie in the value range")
+        if not -1.0 <= self.q_init <= 1.0:
+            raise ValueError("q_init must lie in the value range [-1, 1]")
         if self.capacity < 1:
             raise ValueError("capacity must be >= 1")
 
@@ -192,8 +188,8 @@ def correction_value(q_edge: float, v_star: float, visits: int,
 
     With N prior samples averaging q_edge, the SMA over N+1 samples equals
     v_star when the new sample is v_star + N * (v_star - q_edge). The result
-    is clipped to the value range, after which the average only moves toward
-    v_star as far as the clip allows.
+    is clipped to [vmin, vmax], by default the outcome range [-1, 1], after
+    which the average only moves toward v_star as far as the clip allows.
     """
     value = v_star + visits * (v_star - q_edge)
     if value > vmax:
@@ -275,6 +271,8 @@ class SearchEngine:
             if child.expanded:
                 self._mix_root_noise(child)
         else:  # an unexpanded root, or an illegal action for the env to reject
+            if is_real(root.status):  # only a terminal root is unexpanded and proven
+                raise ValueError(f"cannot play {action}: the game is already over")
             self.reset(self.env.apply(root.state, action))
 
     # ----- public search ---------------------------------------------------
@@ -415,8 +413,6 @@ class SearchEngine:
         cfg = self.config
         transpositions = cfg.transpositions
         q_eps = cfg.q_epsilon
-        vmin = cfg.value_min
-        vmax = cfg.value_max
         try:
             while True:
                 if forced_idx is not None:
@@ -460,7 +456,7 @@ class SearchEngine:
                                 value = STATUS_VALUE[status]
                                 update_node_value(child, value)
                                 return Trajectory(pairs, TERMINAL, value=value)
-                            value = correction_value(q_edge, v_star, edge_n, vmin, vmax)
+                            value = correction_value(q_edge, v_star, edge_n)
                             return Trajectory(pairs, EARLY_STOP, value=-value)
                 if not child.expanded:
                     return Trajectory(pairs, EVAL, leaf=child)
@@ -575,15 +571,14 @@ class SearchEngine:
 
     def _check_evaluation(self, evaluation, k: int) -> None:
         """Reject evaluator output the search cannot use, naming the evaluator."""
-        cfg = self.config
         priors = evaluation.priors
         value = evaluation.value
         if len(priors) != k:
             problem = f"{len(priors)} priors for {k} legal actions"
         elif not 0.0 < sum(priors) < inf or min(priors) < 0.0:
             problem = f"priors that are negative, non-finite or of no mass: {priors}"
-        elif not cfg.value_min <= value <= cfg.value_max:
-            problem = f"value {value} outside [{cfg.value_min}, {cfg.value_max}]"
+        elif not -1.0 <= value <= 1.0:
+            problem = f"value {value} outside [-1, 1]"
         else:
             return
         name = getattr(self.evaluator, "name", type(self.evaluator).__name__)
@@ -619,16 +614,13 @@ class SearchEngine:
         Above a node with several parents the pushed value is re-derived from
         that node's own (fresher) statistics.
         """
-        cfg = self.config
-        vmin = cfg.value_min
-        vmax = cfg.value_max
         qtarget_set = False
         qtarget = 0.0
         for node, i in reversed(pairs):
             if qtarget_set:
                 q_edge = node.q[i]
                 if q_edge != NEG_INF:
-                    value = correction_value(q_edge, qtarget, node.en[i], vmin, vmax)
+                    value = correction_value(q_edge, qtarget, node.en[i])
                 else:
                     value = qtarget  # node averages never leave the value range
             else:

@@ -42,28 +42,12 @@ class SolverStatus(enum.IntEnum):
     TB_DRAW = 6
 
 
-_REAL_FOR_OUTCOME = {
-    Outcome.WIN: SolverStatus.WIN,
-    Outcome.LOSS: SolverStatus.LOSS,
-    Outcome.DRAW: SolverStatus.DRAW,
-}
+def is_real(status) -> bool:
+    return SolverStatus.UNKNOWN < status < SolverStatus.TB_WIN
 
-_TB_FOR_OUTCOME = {
-    Outcome.WIN: SolverStatus.TB_WIN,
-    Outcome.LOSS: SolverStatus.TB_LOSS,
-    Outcome.DRAW: SolverStatus.TB_DRAW,
-}
 
-# Scalar value of a settled node, from its own perspective.
-STATUS_VALUE = {
-    SolverStatus.WIN: 1.0,
-    SolverStatus.LOSS: -1.0,
-    SolverStatus.DRAW: 0.0,
-    SolverStatus.TB_WIN: 1.0,
-    SolverStatus.TB_LOSS: -1.0,
-    SolverStatus.TB_DRAW: 0.0,
-}
-
+# The one status table: the outcome each solved status proves, from the
+# node's own perspective. Every other status mapping is derived from it.
 _OUTCOME_CLASS = {
     SolverStatus.WIN: Outcome.WIN,
     SolverStatus.LOSS: Outcome.LOSS,
@@ -73,14 +57,16 @@ _OUTCOME_CLASS = {
     SolverStatus.TB_DRAW: Outcome.DRAW,
 }
 
+# Scalar value of a settled node, on the outcome scale [-1, 1].
+STATUS_VALUE = {s: o.score for s, o in _OUTCOME_CLASS.items()}
+
+_REAL_FOR_OUTCOME = {o: s for s, o in _OUTCOME_CLASS.items() if is_real(s)}
+_TB_FOR_OUTCOME = {o: s for s, o in _OUTCOME_CLASS.items() if not is_real(s)}
+
 
 def status_for_outcome(outcome: Outcome) -> SolverStatus:
     """Real solved status matching a terminal outcome."""
     return _REAL_FOR_OUTCOME[outcome]
-
-
-def is_real(status) -> bool:
-    return SolverStatus.UNKNOWN < status < SolverStatus.TB_WIN
 
 
 class SolverContradictionError(RuntimeError):
@@ -180,7 +166,7 @@ class TerminalSolver:
         node.status = status
         node.end_in_ply = 0
         self.nodes_solved += 1
-        for parent, _ in node.parents:
+        for parent in node.parents:
             self.propagate(parent)
 
     def propagate(self, seed) -> None:
@@ -189,8 +175,7 @@ class TerminalSolver:
         while queue:
             node = queue.popleft()
             if self._recompute(node):
-                for parent, _ in node.parents:
-                    queue.append(parent)
+                queue.extend(node.parents)
 
     def _recompute(self, node) -> bool:
         """Re-derive one node's status from its children; prune loss-like ones.

@@ -62,7 +62,7 @@ def check_invariants(engine) -> None:
     """
     env = engine.env
     solver_on = engine.solver is not None
-    vmin, vmax = engine.config.value_min, engine.config.value_max
+    vmin, vmax = -1.0, 1.0
     negamax_cache = _NEGAMAX_CACHES.setdefault(env.game_id, {})
     incoming: dict[int, int] = {}
     nodes = list(engine.store.nodes.values())

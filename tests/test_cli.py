@@ -119,11 +119,16 @@ def test_malformed_config_line_exits_1(tmp_path, capsys):
     assert "bad.cfg:1" in err
 
 
-def test_unknown_config_key_exits_1(tmp_path, capsys):
+@pytest.mark.parametrize("key,value", [
+    ("simulations", "100"),
+    ("value_min", "-2"),  # the value range is fixed to the outcome range
+    ("value_max", "2"),
+])
+def test_unknown_config_key_exits_1(tmp_path, capsys, key, value):
     path = tmp_path / "bad.cfg"
-    path.write_text("simulations = 100\n")
+    path.write_text(f"{key} = {value}\n")
     assert main(["search", "--config", str(path)]) == 1
-    assert "simulations" in capsys.readouterr().err
+    assert key in capsys.readouterr().err
 
 
 def test_missing_config_file_exits_1(tmp_path, capsys):
@@ -202,8 +207,12 @@ def test_search_moves_shift_the_root(capsys):
     assert 4 not in payload["actions"]
 
 
-def test_search_bad_move_token_exits_1(capsys):
-    assert main(["search", "--moves", "banana"]) == 1
+@pytest.mark.parametrize("argv", [
+    ["--moves", "banana"],
+    ["--game", "tictactoe", "--moves", "0,3,1,4,2,5"],  # 5 follows X's three in a row
+], ids=["banana", "past_the_end"])
+def test_search_bad_move_token_exits_1(capsys, argv):
+    assert main(["search", *argv]) == 1
     assert capsys.readouterr().err.startswith("error:")
 
 

@@ -121,7 +121,7 @@ def test_link_counts_joins_and_in_degree():
     store.link(p1, 0, child, was_existing=False)
     store.link(p2, 0, child, was_existing=True)
     assert len(child.parents) == 2
-    assert [(p, i) for p, i in child.parents] == [(p1, 0), (p2, 0)]
+    assert child.parents == [p1, p2]
     assert store.join_count == 1
     report = store.memory_report()
     assert report["node_count"] == 3

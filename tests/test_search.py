@@ -98,7 +98,6 @@ def test_default_configuration_values():
     assert cfg.mini_batch_size == 16
     assert cfg.virtual_loss == 1.0
     assert cfg.q_init == -1.0
-    assert (cfg.value_min, cfg.value_max) == (-1.0, 1.0)
     assert cfg.budget == "simulations"
     assert cfg.budget_amount == 800
     assert cfg.transpositions and cfg.terminal_solver and cfg.eps_greedy
@@ -141,7 +140,6 @@ def test_config_rejects_unknown_keys_and_bad_bools():
     ("epsilon_checks", -0.2),
     ("dirichlet_epsilon", 2.0),
     ("virtual_loss", -1.0),
-    ("value_min", 1.0),
     ("q_init", -3.0),
     ("capacity", 0),
     ("c_puct_base", 0.0),
@@ -189,17 +187,6 @@ def test_evaluator_output_is_checked_for_an_already_expanded_leaf(ttt):
     traj = Trajectory([(root, 0)], leaf=child)
     with pytest.raises(ValueError, match="value nan"):
         engine._finish_eval(traj, Evaluation(float("nan"), [1 / 8] * 8))
-
-
-class _ValueEvaluator(UniformEvaluator):
-    def evaluate(self, state):
-        return Evaluation(1.5, super().evaluate(state).priors)
-
-
-def test_value_range_of_the_config_bounds_the_evaluator(ttt):
-    config = SearchConfig(budget_amount=32, value_min=-2.0, value_max=2.0, q_init=-2.0)
-    result = run_search(ttt, _ValueEvaluator(ttt), ttt.initial_state(), config)
-    assert result.simulations == 32
 
 
 # ----- selection --------------------------------------------------------------
@@ -633,6 +620,8 @@ def test_advance_through_a_mate_reaches_a_terminal_root(ttt):
     assert final.stop_reason == "terminal_root"
     assert final.root_status == "LOSS"  # the side to move has been mated
     assert final.value == -1.0
+    with pytest.raises(ValueError, match="already over"):
+        engine.advance(8)  # an empty square, but the game has ended
 
 
 def test_advance_keeps_solved_statuses_and_pruning(ttt):
