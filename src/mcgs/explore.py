@@ -70,10 +70,11 @@ def make_plan(engine, root: Node) -> Node:
     return nodes[sample_branch_depth(engine.rng.random(), max_depth=len(actions))]
 
 
-def execute_branch(engine, node: Node, kind: str):
-    """Run one `kind` simulation from the branch node, or None to discard it.
+def execute_branch(engine, node: Node, kind: str) -> int | None:
+    """The edge a `kind` simulation takes from the branch node, or None.
 
-    The returned trajectory's pairs start at the branch node, so the ensuing
+    None discards the plan, and the simulation descends from the root. Given
+    an edge, the engine descends from the branch node along it, so the
     backpropagation never touches ancestors of the branch point.
     """
     if not node.expanded or is_real(node.status):
@@ -84,9 +85,7 @@ def execute_branch(engine, node: Node, kind: str):
         idx = _first_forcing(engine, node)
     if idx is None:
         idx = _uniform_fallback(engine, node)
-        if idx is None:  # every edge pruned
-            return None
-    return engine._descend(node, [], forced_idx=idx)
+    return idx  # None when every edge is pruned
 
 
 def _first_unexplored(node: Node) -> int | None:

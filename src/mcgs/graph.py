@@ -84,8 +84,12 @@ class GraphStore:
         self.trajectory_buffer_peak = 0
         self._serial = 0
 
-    def lookup_or_insert(self, key: StateKey, state=None) -> tuple[Node, bool]:
-        """Return (node, was_existing); insert a fresh node holding state on miss."""
+    def lookup_or_insert(self, key: StateKey, state=None,
+                         over_capacity: bool = False) -> tuple[Node, bool]:
+        """Return (node, was_existing); insert a fresh node holding state on miss.
+
+        A full store raises StoreFullError on a miss, unless over_capacity.
+        """
         if self.transpositions:
             node = self.nodes.get(key)
             if node is not None:
@@ -93,7 +97,7 @@ class GraphStore:
         else:
             self._serial += 1
             key = StateKey(self._serial, key.ply)
-        if len(self.nodes) >= self.capacity:
+        if len(self.nodes) >= self.capacity and not over_capacity:
             raise StoreFullError(f"graph store capacity {self.capacity} exhausted")
         node = Node(key, state)
         self.nodes[key] = node

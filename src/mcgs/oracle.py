@@ -11,7 +11,6 @@ the mover wins under normal play exactly when the pile XOR is non-zero.
 
 from __future__ import annotations
 
-from collections import deque
 from typing import NamedTuple
 
 from .envs import Outcome, StateKey
@@ -90,26 +89,6 @@ def solved_table(env, node_limit: int | None = None) -> dict[StateKey, SolvedEnt
     # The memoized solve already visited exactly the reachable set: every
     # non-terminal expansion recursed into all children.
     return cache
-
-
-def reachable_states(env, node_limit: int | None = None) -> dict[StateKey, object]:
-    """Enumerate all states reachable in legal play, keyed by transposition key."""
-    initial = env.initial_state()
-    seen: dict[StateKey, object] = {env.state_key(initial): initial}
-    queue = deque([initial])
-    while queue:
-        state = queue.popleft()
-        if env.terminal_value(state) is not None:
-            continue
-        for action in env.legal_actions(state):
-            child = env.apply(state, action)
-            key = env.state_key(child)
-            if key not in seen:
-                if node_limit is not None and len(seen) >= node_limit:
-                    raise OracleLimitError(f"enumeration limit {node_limit} exceeded")
-                seen[key] = child
-                queue.append(child)
-    return seen
 
 
 def nim_xor_outcome(piles) -> Outcome:

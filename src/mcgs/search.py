@@ -15,10 +15,11 @@ mechanisms reconcile them:
   the value handed further up is re-anchored to that node's negated value
   (qTarget) instead of the raw leaf sample.
 
-Trajectory collection is synchronously batched: a round gathers up to
-mini_batch_size leaves under virtual loss, then its one flush evaluates them
-and backpropagates them in submission order. Terminal, proven, and
-early-stop trajectories never occupy an evaluator slot; an evaluations
+A simulation is backed up where it ends. One that ends on a terminal or
+proven node, or in an early stop, is backed up on the spot and never
+occupies an evaluator slot. One that ends on a new leaf waits under virtual
+loss: a round gathers up to mini_batch_size such leaves, then its one flush
+evaluates them and backpropagates them in submission order. An evaluations
 budget counts only real evaluator work.
 """
 
@@ -46,32 +47,11 @@ BUDGET_KINDS = ("simulations", "evaluations", "milliseconds")
 # The SearchConfig toggles of the paper's enhancements; all off is tree-PUCT.
 ENHANCEMENTS = ("transpositions", "terminal_solver", "eps_greedy", "check_enhance", "q_boost")
 
-# Trajectory kinds. "terminal" covers real terminals and solver-proven nodes;
-# both backpropagate immediately and are free of evaluator cost.
-EVAL = "eval"
-TERMINAL = "terminal"
-EARLY_STOP = "early_stop"
-
 # A round backs up at most this many evaluator-free trajectories per batch slot.
 TERMINAL_CAP_FACTOR = 4
 
 # An evaluations-budget search stops after this many evaluator-free rounds.
 STALL_ROUNDS = 16
-
-
-@dataclass
-class Trajectory:
-    """One simulation: (node, edge index) pairs from the root downward.
-
-    For kind "eval" the leaf is an unexpanded node awaiting its evaluation;
-    for the other kinds value already holds the backup value. Every value is
-    from the side to move at the node the last pair's edge reaches.
-    """
-
-    pairs: list[tuple[Node, int]]
-    kind: str = EVAL
-    value: float = 0.0
-    leaf: Node | None = None
 
 
 @dataclass
@@ -252,7 +232,7 @@ class SearchEngine:
 
     def reset(self, state) -> None:
         """Place the root at a state, reusing the node if the store knows it."""
-        node, _ = self._node_for(state)
+        node, _ = self._node_for(state, root=True)
         self._root = node
         if node.expanded:
             self._mix_root_noise(node)
@@ -266,12 +246,13 @@ class SearchEngine:
             idx = root.actions.index(action)
             child = root.child[idx]
             if child is None:
-                child = self._resolve_child(root, idx, self.env.apply(root.state, action))
+                child = self._resolve_child(root, idx, self.env.apply(root.state, action),
+                                            root=True)
             self._root = child
             if child.expanded:
                 self._mix_root_noise(child)
         else:  # an unexpanded root, or an illegal action for the env to reject
-            if is_real(root.status):  # only a terminal root is unexpanded and proven
+            if not root.expanded and is_real(root.status):  # a terminal root
                 raise ValueError(f"cannot play {action}: the game is already over")
             self.reset(self.env.apply(root.state, action))
 
@@ -342,77 +323,81 @@ class SearchEngine:
             terminals_this_round = 0
             while (terminals_this_round < terminal_cap
                    and self._stop_reason(root, queue, t0) is None):
-                traj = self._simulate(root)
-                if traj is None:  # store filled up mid-simulation
+                try:
+                    descent = self._simulate(root)
+                except StoreFullError:
+                    self._store_full = True
                     break
-                if traj.kind == EVAL:
-                    queue.submit(traj.leaf.state, traj)
+                if descent is None:  # backed up already
+                    terminals_this_round += 1
+                else:
+                    queue.submit(descent[1].state, descent)
                     if len(queue) == batch:
                         break
-                else:
-                    self._backpropagate(traj.pairs, traj.value)
-                    self._sims += 1
-                    terminals_this_round += 1
-                    if traj.kind == EARLY_STOP:
-                        self._early += 1
-                    else:
-                        self._terminals += 1
 
             flushed = queue.flush()
             if len(flushed) > store.trajectory_buffer_peak:
                 store.trajectory_buffer_peak = len(flushed)
-            for traj, evaluation in flushed:
-                self._finish_eval(traj, evaluation)
+            for descent, evaluation in flushed:
+                self._finish_eval(descent, evaluation)
             if count_stalls:
                 stall_rounds = 0 if flushed else stall_rounds + 1
 
-    def _finish_eval(self, traj: Trajectory, evaluation) -> None:
-        leaf = traj.leaf
+    def _finish_eval(self, descent: tuple[list, Node], evaluation) -> None:
+        pairs, leaf = descent
         if not leaf.expanded:
             self._expand(leaf, evaluation)
         else:
-            # A sibling trajectory of this batch expanded the leaf already:
+            # A sibling simulation of this batch expanded the leaf already:
             # count the extra visit, keep N(s,a) <= N(child).
             self._check_evaluation(evaluation, len(leaf.actions))
             update_node_value(leaf, evaluation.value)
-        self._backpropagate(traj.pairs, evaluation.value)
+        self._backpropagate(pairs, evaluation.value)
         self._sims += 1
 
     # ----- simulation ------------------------------------------------------
 
-    def _simulate(self, root: Node) -> Trajectory | None:
+    def _simulate(self, root: Node) -> tuple[list, Node] | None:
+        """One simulation from the root, or from an exploration branch node.
+
+        Returns what `_descend` returns: None once the simulation is backed
+        up, or (pairs, leaf) for a leaf that awaits the evaluator.
+        """
         cfg = self.config
         rng = self.rng
-        kind = None
+        node = root
+        idx = None
         if cfg.eps_greedy or cfg.check_enhance:
             u_greedy = rng.random() if cfg.eps_greedy else 1.0
             u_checks = rng.random() if cfg.check_enhance else 1.0
+            kind = None
             if u_greedy <= cfg.epsilon_greedy:
                 kind = explore.EPS_GREEDY
             elif u_checks <= cfg.epsilon_checks:
                 kind = explore.FORCING
-        try:
             if kind is not None:
                 branch = explore.make_plan(self, root)
-                traj = explore.execute_branch(self, branch, kind)
-                if traj is not None:
-                    return traj
-            return self._descend(root, [])
-        except StoreFullError:
-            self._store_full = True
-            return None
+                idx = explore.execute_branch(self, branch, kind)
+                if idx is not None:
+                    node = branch
+        return self._descend(node, idx)
 
-    def _descend(self, node: Node, pairs: list, forced_idx: int | None = None) -> Trajectory:
-        """Walk the graph from `node` until the simulation terminates.
+    def _descend(self, node: Node, forced_idx: int | None = None) -> tuple[list, Node] | None:
+        """Walk the graph from `node` until the simulation ends.
 
-        Appends (node, edge index) pairs and applies virtual loss as it goes.
-        Nodes carry their states, so the env applies a move only to resolve
-        an edge whose child is still unknown. On StoreFullError the virtual
-        loss applied so far is rolled back before re-raising.
+        The first edge is forced_idx when one is given (an exploration
+        branch). Collects (node, edge index) pairs and applies virtual loss
+        as it goes. Nodes carry their states, so the env applies a move only
+        to resolve an edge whose child is still unknown. A simulation that
+        ends on a terminal or proven node, or in an early stop, is backed up
+        and counted here, and None is returned. One that reaches a new leaf
+        returns (pairs, leaf) for the evaluator. On StoreFullError the
+        virtual loss applied so far is rolled back before re-raising.
         """
         cfg = self.config
         transpositions = cfg.transpositions
         q_eps = cfg.q_epsilon
+        pairs = []
         try:
             while True:
                 if forced_idx is not None:
@@ -422,26 +407,19 @@ class SearchEngine:
                     i = self._select_index(node)
                     if i < 0:
                         # Every edge settled: back up the node's proven value.
-                        value = STATUS_VALUE[node.status]
-                        update_node_value(node, value)
-                        return Trajectory(pairs, TERMINAL, value=value)
+                        return self._settle(pairs, node)
                 node.evl[i] += 1
                 pairs.append((node, i))
                 child = node.child[i]
                 if child is None:
                     child = self._resolve_child(
                         node, i, self.env.apply(node.state, node.actions[i]))
-                # Trajectory endpoints count as a visit of the reached node
-                # too, keeping N(s,a) <= N(child) for terminal and proven
-                # children. The value is a constant there, so v never moves.
                 # is_real(status), spelled inline: terminals take this exit
                 # too, and the call made a terminal-heavy plain nim:3,4,5
                 # search about 7% slower.
                 status = child.status
                 if 0 < status < 4:
-                    value = STATUS_VALUE[status]
-                    update_node_value(child, value)
-                    return Trajectory(pairs, TERMINAL, value=value)
+                    return self._settle(pairs, child)
                 if transpositions:
                     edge_n = node.en[i]
                     if child.n > edge_n:
@@ -453,18 +431,31 @@ class SearchEngine:
                                 # The edge was pruned as it resolved, onto an
                                 # oracle-proven loss: -inf has no correction
                                 # sample, so back up the settled value.
-                                value = STATUS_VALUE[status]
-                                update_node_value(child, value)
-                                return Trajectory(pairs, TERMINAL, value=value)
+                                return self._settle(pairs, child)
                             value = correction_value(q_edge, v_star, edge_n)
-                            return Trajectory(pairs, EARLY_STOP, value=-value)
+                            self._backpropagate(pairs, -value)
+                            self._sims += 1
+                            self._early += 1
+                            return None
                 if not child.expanded:
-                    return Trajectory(pairs, EVAL, leaf=child)
+                    return pairs, child
                 node = child
         except StoreFullError:
             for pnode, pi in pairs:
                 pnode.evl[pi] -= 1
             raise
+
+    def _settle(self, pairs: list, node: Node) -> None:
+        """Back up a simulation that ends on a terminal or proven node.
+
+        The endpoint counts as a visit of the reached node too, keeping
+        N(s,a) <= N(child); its value is a constant there, so v never moves.
+        """
+        value = STATUS_VALUE[node.status]
+        update_node_value(node, value)
+        self._backpropagate(pairs, value)
+        self._sims += 1
+        self._terminals += 1
 
     def _select_index(self, node: Node) -> int:
         """PUCT argmax over live edges, reading Q through virtual loss.
@@ -517,13 +508,15 @@ class SearchEngine:
 
     # ----- node lifecycle ----------------------------------------------------
 
-    def _node_for(self, state) -> tuple[Node, bool]:
+    def _node_for(self, state, root: bool = False) -> tuple[Node, bool]:
         """Find or create the node of a state; a new terminal node is stamped.
 
         A terminal's status is its outcome, solver or not: it is the base
         case of every proof, and the only status a node gets without one.
+        A root is placed even in a full store, one node past capacity per
+        placement; the search that follows stops with store_full.
         """
-        node, existed = self.store.lookup_or_insert(self.env.state_key(state), state)
+        node, existed = self.store.lookup_or_insert(self.env.state_key(state), state, root)
         if not existed:
             outcome = self.env.terminal_value(state)
             if outcome is not None:
@@ -533,9 +526,9 @@ class SearchEngine:
                     self.solver.mark_terminal(node)
         return node, existed
 
-    def _resolve_child(self, node: Node, idx: int, state) -> Node:
+    def _resolve_child(self, node: Node, idx: int, state, root: bool = False) -> Node:
         """First traversal of an edge: find or create the child node."""
-        child, existed = self._node_for(state)
+        child, existed = self._node_for(state, root)
         self.store.link(node, idx, child, existed)
         if self.solver is not None:
             self.solver.note_link(node, child)

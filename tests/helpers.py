@@ -1,4 +1,8 @@
-"""Builders for synthetic graph fixtures, and the engine invariant check."""
+"""Builders for synthetic graph fixtures, the engine invariant check, and a
+reachable-state enumeration that shares no code with the oracle's solve.
+"""
+
+from collections import deque
 
 from mcgs.envs import StateKey
 from mcgs.graph import NEG_INF, GraphStore
@@ -98,3 +102,25 @@ def check_invariants(engine) -> None:
                 assert (node.end_in_ply == 0) == (not node.expanded), node
     for node in nodes:
         assert len(node.parents) == incoming.get(id(node), 0), node
+
+
+def reachable_states(env) -> dict[StateKey, object]:
+    """Enumerate all states reachable in legal play, keyed by transposition key.
+
+    A breadth-first walk that shares no code with `solved_table`, so the two
+    can be checked against each other.
+    """
+    initial = env.initial_state()
+    seen: dict[StateKey, object] = {env.state_key(initial): initial}
+    queue = deque([initial])
+    while queue:
+        state = queue.popleft()
+        if env.terminal_value(state) is not None:
+            continue
+        for action in env.legal_actions(state):
+            child = env.apply(state, action)
+            key = env.state_key(child)
+            if key not in seen:
+                seen[key] = child
+                queue.append(child)
+    return seen

@@ -18,11 +18,10 @@ from mcgs.evaluators import make_evaluator
 from mcgs.explore import sample_branch_depth
 from mcgs.graph import GraphStore
 from mcgs.move_selection import _argmax_policy, q_boost
-from mcgs.oracle import reachable_states
 from mcgs.search import SearchConfig, SearchEngine, correction_value
 from mcgs.solver import SolverStatus, is_real, solved_move
 
-from helpers import expanded_node
+from helpers import expanded_node, reachable_states
 from reference_puct import TreePUCT
 
 

@@ -186,12 +186,16 @@ def test_branch_trajectories_never_touch_ancestors(ttt):
     branch = make_plan(engine, root)
     root_n = root.n
     root_en = list(root.en)
-    traj = explore.execute_branch(engine, branch, EPS_GREEDY)
-    assert traj is not None
-    assert traj.pairs[0][0] is branch
-    assert all(node is not root for node, _ in traj.pairs)
-    if traj.kind != "eval":
-        engine._backpropagate(traj.pairs, traj.value)
+    idx = explore.execute_branch(engine, branch, EPS_GREEDY)
+    assert idx is not None
+    backprop = engine._backpropagate
+    backed_up = []
+    engine._backpropagate = lambda pairs, value: (backed_up.append(pairs),
+                                                  backprop(pairs, value))
+    descent = engine._descend(branch, idx)
+    pairs = backed_up[0] if descent is None else descent[0]
+    assert pairs[0] == (branch, idx)
+    assert all(node is not root for node, _ in pairs)
     assert root.n == root_n
     assert root.en == root_en
 

@@ -22,6 +22,8 @@ def _setups(draw):
     oracle = "none"
     if solver and game.startswith("nim:"):
         oracle = draw(st.sampled_from(["none", "nim-xor"]))
+    evaluator = draw(st.sampled_from(["uniform", "heuristic", "deceptive"]))
+    searches = draw(st.integers(1, 3))
     config = SearchConfig(
         seed=draw(st.integers(0, 10_000)),
         budget_amount=draw(st.integers(1, 200)),
@@ -33,9 +35,8 @@ def _setups(draw):
         epsilon_greedy=draw(_probability),
         epsilon_checks=draw(_probability),
         endgame_oracle=oracle,
+        capacity=draw(st.sampled_from([2_000_000, 40])),
     )
-    evaluator = draw(st.sampled_from(["uniform", "heuristic", "deceptive"]))
-    searches = draw(st.integers(1, 3))
     return game, evaluator, config, searches
 
 
@@ -49,6 +50,8 @@ def test_bookkeeping_invariants_hold_after_every_search(setup):
     for _ in range(searches):
         result = engine.search()
         check_invariants(engine)
+        assert result.simulations == (result.evaluations + result.terminal_trajectories
+                                      + result.early_stop_trajectories)
         if result.selected_action is None:  # the root is terminal
             break
         engine.advance(result.selected_action)

@@ -7,9 +7,10 @@ from mcgs.oracle import (
     OracleLimitError,
     negamax_solve,
     nim_xor_outcome,
-    reachable_states,
     solved_table,
 )
+
+from helpers import reachable_states
 
 RANK = {Outcome.WIN: 2, Outcome.DRAW: 1, Outcome.LOSS: 0}
 
@@ -127,11 +128,6 @@ def test_leftright_deeper_than_the_recursion_limit(length):
 def test_solve_node_limit_raises(ttt):
     with pytest.raises(OracleLimitError):
         negamax_solve(ttt, ttt.initial_state(), node_limit=100)
-
-
-def test_enumeration_node_limit_raises(ttt):
-    with pytest.raises(OracleLimitError):
-        reachable_states(ttt, node_limit=100)
 
 
 def test_solved_table_respects_node_limit():

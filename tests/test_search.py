@@ -15,7 +15,6 @@ from mcgs.search import (
     ENHANCEMENTS,
     SearchConfig,
     SearchEngine,
-    Trajectory,
     correction_value,
     cpuct,
     run_search,
@@ -184,9 +183,8 @@ def test_evaluator_output_is_checked_for_an_already_expanded_leaf(ttt):
     child = engine._resolve_child(root, 0, ttt.apply(root.state, root.actions[0]))
     engine._expand(child, Evaluation(0.0, [1 / 8] * 8))
     root.evl[0] = 1
-    traj = Trajectory([(root, 0)], leaf=child)
     with pytest.raises(ValueError, match="value nan"):
-        engine._finish_eval(traj, Evaluation(float("nan"), [1 / 8] * 8))
+        engine._finish_eval(([(root, 0)], child), Evaluation(float("nan"), [1 / 8] * 8))
 
 
 # ----- selection --------------------------------------------------------------
@@ -349,44 +347,51 @@ def _early_stop_setup(q_edge, edge_n, child_n, child_v, **overrides):
 
 
 def _early_stop_probe(q_edge, edge_n, child_n, child_v, **overrides):
+    """Descend the stale edge: (descent, early stops, values handed to backprop)."""
     engine, root, idx = _early_stop_setup(q_edge, edge_n, child_n, child_v, **overrides)
-    return engine._descend(root, [], forced_idx=idx)
+    backups = []
+    engine._backpropagate = lambda pairs, value: backups.append(value)
+    descent = engine._descend(root, forced_idx=idx)
+    return descent, engine._early, backups
 
 
 def test_early_stop_fires_on_a_stale_edge():
-    traj = _early_stop_probe(q_edge=0.2, edge_n=2, child_n=6, child_v=-0.5)
-    assert traj.kind == "early_stop"
+    descent, early, backups = _early_stop_probe(q_edge=0.2, edge_n=2, child_n=6, child_v=-0.5)
+    assert descent is None and early == 1
     # v* = 0.5 from the parent's perspective; 0.5 + 2 * 0.3 = 1.1 clips to 1,
-    # and the trajectory carries it from the child's side
-    assert traj.value == -1.0
+    # and the backup carries it from the child's side
+    assert backups == [-1.0]
 
 
 def test_early_stop_clips_the_worked_example_to_minus_one():
-    traj = _early_stop_probe(q_edge=0.8, edge_n=5, child_n=6, child_v=-0.2)
-    assert traj.kind == "early_stop"
-    assert traj.value == 1.0
+    descent, early, backups = _early_stop_probe(q_edge=0.8, edge_n=5, child_n=6, child_v=-0.2)
+    assert descent is None and early == 1
+    assert backups == [1.0]
 
 
 def test_early_stop_value_inside_range_is_the_exact_landing_sample():
-    traj = _early_stop_probe(q_edge=0.2, edge_n=1, child_n=6, child_v=-0.3)
-    assert traj.kind == "early_stop"
-    assert traj.value == pytest.approx(-(0.3 + 1 * (0.3 - 0.2)))
+    descent, early, backups = _early_stop_probe(q_edge=0.2, edge_n=1, child_n=6, child_v=-0.3)
+    assert descent is None and early == 1
+    assert backups == [pytest.approx(-(0.3 + 1 * (0.3 - 0.2)))]
+
+
+def _reaches_a_leaf(probe):
+    descent, early, backups = probe
+    return descent is not None and early == 0 and backups == []
 
 
 def test_no_early_stop_inside_the_agreement_band():
-    traj = _early_stop_probe(q_edge=0.495, edge_n=2, child_n=6, child_v=-0.5)
-    assert traj.kind == "eval"  # |v* - q| <= q_epsilon: keep walking
+    # |v* - q| <= q_epsilon: keep walking
+    assert _reaches_a_leaf(_early_stop_probe(q_edge=0.495, edge_n=2, child_n=6, child_v=-0.5))
 
 
 def test_no_early_stop_without_extra_child_visits():
-    traj = _early_stop_probe(q_edge=0.2, edge_n=6, child_n=6, child_v=-0.5)
-    assert traj.kind == "eval"
+    assert _reaches_a_leaf(_early_stop_probe(q_edge=0.2, edge_n=6, child_n=6, child_v=-0.5))
 
 
 def test_no_early_stop_with_transpositions_off():
-    traj = _early_stop_probe(q_edge=0.2, edge_n=2, child_n=6, child_v=-0.5,
-                             transpositions=False)
-    assert traj.kind == "eval"
+    assert _reaches_a_leaf(_early_stop_probe(q_edge=0.2, edge_n=2, child_n=6, child_v=-0.5,
+                                             transpositions=False))
 
 
 def test_resolving_onto_an_oracle_proven_loss_ends_on_its_settled_value():
@@ -420,12 +425,15 @@ def test_backprop_flips_the_leaf_value_once(ttt):
 def test_backprop_lands_an_early_stop_edge_on_the_child_value():
     # dyadic values: the unclipped landing sample 0.75 is exact in binary
     engine, root, idx = _early_stop_setup(q_edge=0.25, edge_n=1, child_n=6, child_v=-0.5)
-    traj = engine._descend(root, [], forced_idx=idx)
-    assert traj.kind == "early_stop"
-    assert traj.pairs == [(root, idx)]
+    backprop = engine._backpropagate
+    backed_up = []
+    engine._backpropagate = lambda pairs, value: (backed_up.append(list(pairs)),
+                                                  backprop(pairs, value))
     child = root.child[idx]
     child_v = child.v
-    engine._backpropagate(traj.pairs, traj.value)
+    assert engine._descend(root, forced_idx=idx) is None
+    assert engine._early == 1
+    assert backed_up == [[(root, idx)]]
     assert root.q[idx] == -child_v
     assert root.en[idx] == 2
     assert root.evl[idx] == 0
@@ -648,6 +656,31 @@ def test_advance_rejects_an_illegal_action_with_the_env_error(ttt):
     engine.search()
     with pytest.raises(ValueError, match="illegal tictactoe action 4"):
         engine.advance(4)
+
+    # A proven root is still live: the game goes on, so the env rejects the move.
+    state = ttt.initial_state()
+    for move in (0, 3, 1):
+        state = ttt.apply(state, move)
+    engine = _engine(ttt, budget_amount=5000)
+    engine.reset(state)
+    assert engine.search().root_status == "LOSS"
+    for action in (0, 42):
+        with pytest.raises(ValueError, match=f"illegal tictactoe action {action}"):
+            engine.advance(action)
+
+
+def test_advance_into_a_full_store_places_the_root_and_stops_the_search(ttt):
+    engine = _engine(ttt, budget_amount=500, capacity=5)
+    engine.reset(ttt.initial_state())
+    assert engine.search().stop_reason == "store_full"
+    root = engine._root
+    action = next(a for j, a in enumerate(root.actions) if root.child[j] is None)
+    engine.advance(action)  # a child the store has no room for
+    assert len(engine.store.nodes) == 6  # the root alone is placed past capacity
+    assert root.child[root.actions.index(action)] is engine._root
+    result = engine.search()
+    assert result.stop_reason == "store_full"
+    assert result.selected_action in ttt.legal_actions(engine._root.state)
 
 
 def test_store_full_stops_gracefully(ttt):
