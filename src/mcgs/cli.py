@@ -189,6 +189,12 @@ def _cmd_match(args) -> int:
     _emit(result.to_dict(), args.out, args.pretty)
     if args.log:
         _write(move_log(result, config.game), args.log)
+    # The records keep the forfeits; an engine failure still fails the command.
+    forfeits = [g for g in result.games if g.forfeited_by is not None]
+    if forfeits:
+        print(f"error: {len(forfeits)} of {len(result.games)} games forfeited; "
+              f"first: {forfeits[0].error}", file=sys.stderr)
+        return 1
     return 0
 
 

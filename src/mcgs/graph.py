@@ -3,6 +3,11 @@
 Edges are stored as parallel per-node lists (action, prior, Q, visit count,
 virtual loss, child reference) rather than edge objects; at branching factors
 of a dozen this keeps the selection loop allocation-free and cache-friendly.
+Each node also keeps edge_total, the running sum(en) + sum(evl) that PUCT's
+exploration term reads, so selection never sums the edges. Only the search's
+descent changes it: +1 where it adds virtual loss, -1 where a StoreFullError
+rolls that loss back. Backpropagation moves one unit from evl to en and
+leaves the total alone.
 
 Statistics are simple moving averages on both nodes and edges. Q-values start
 at q_init (a first-play-urgency pessimism, not a sample): the first real
@@ -34,7 +39,7 @@ class StoreFullError(RuntimeError):
 class Node:
     __slots__ = (
         "key", "state", "v", "n", "expanded",
-        "actions", "p", "q", "en", "evl", "child",
+        "actions", "p", "q", "en", "evl", "child", "edge_total",
         "status", "end_in_ply", "parents",
     )
 
@@ -50,6 +55,7 @@ class Node:
         self.en: list[int] = []       # edge visit counts
         self.evl: list[int] = []      # edge virtual-loss (in-flight) counts
         self.child: list = []         # child Node or None while unresolved
+        self.edge_total = 0           # sum(en) + sum(evl), kept by the descent
         self.status = SolverStatus.UNKNOWN
         self.end_in_ply = 0
         self.parents: list["Node"] = []  # one entry per incoming edge

@@ -222,6 +222,8 @@ class SearchEngine:
         oracle = make_endgame_oracle(config.endgame_oracle, env)
         self.solver = TerminalSolver(oracle) if config.terminal_solver else None
         self._root: Node | None = None
+        # _u_scale[t] is the PUCT exploration scale at edge total t, grown on demand
+        self._u_scale: list[float] = []
         # per-search counters
         self._sims = 0
         self._terminals = 0
@@ -306,9 +308,14 @@ class SearchEngine:
         return "budget" if spent >= cfg.budget_amount else None
 
     def _run(self, root: Node, queue: EvalQueue, t0: float) -> str:
+        cfg = self.config
         batch = queue.mini_batch_size
         terminal_cap = TERMINAL_CAP_FACTOR * batch
-        count_stalls = self.config.budget == "evaluations"
+        budget = cfg.budget
+        amount = cfg.budget_amount
+        count_stalls = budget == "evaluations"
+        timed = budget == "milliseconds"
+        watch_root = cfg.stop_when_solved
         stall_rounds = 0
         store = self.store
 
@@ -320,9 +327,16 @@ class SearchEngine:
             if stall_rounds >= STALL_ROUNDS:
                 return "stalled"
 
+            # The round ends on the simulation after which _stop_reason would
+            # first stop it, without calling it per simulation (the check
+            # above covers the first). A simulation adds one to _sims or to
+            # len(queue), so either count budget is a count fixed here; the
+            # store fills mid-round only by a StoreFullError, which breaks.
+            sims_left = amount - self._sims if budget == "simulations" else inf
+            queue_cap = (min(batch, amount - queue.total_evaluated)
+                         if budget == "evaluations" else batch)
             terminals_this_round = 0
-            while (terminals_this_round < terminal_cap
-                   and self._stop_reason(root, queue, t0) is None):
+            while True:
                 try:
                     descent = self._simulate(root)
                 except StoreFullError:
@@ -330,10 +344,20 @@ class SearchEngine:
                     break
                 if descent is None:  # backed up already
                     terminals_this_round += 1
+                    if terminals_this_round == terminal_cap:
+                        break
                 else:
                     queue.submit(descent[1].state, descent)
-                    if len(queue) == batch:
+                    if len(queue) == queue_cap:
                         break
+                sims_left -= 1
+                if sims_left <= 0:
+                    break
+                # is_real(root.status), spelled inline as in _descend
+                if watch_root and 0 < root.status < 4:
+                    break
+                if timed and (time.perf_counter() - t0) * 1000.0 >= amount:
+                    break
 
             flushed = queue.flush()
             if len(flushed) > store.trajectory_buffer_peak:
@@ -409,6 +433,7 @@ class SearchEngine:
                         # Every edge settled: back up the node's proven value.
                         return self._settle(pairs, node)
                 node.evl[i] += 1
+                node.edge_total += 1
                 pairs.append((node, i))
                 child = node.child[i]
                 if child is None:
@@ -443,6 +468,7 @@ class SearchEngine:
         except StoreFullError:
             for pnode, pi in pairs:
                 pnode.evl[pi] -= 1
+                pnode.edge_total -= 1
             raise
 
     def _settle(self, pairs: list, node: Node) -> None:
@@ -466,6 +492,10 @@ class SearchEngine:
         carry their status but stay candidates, as in tree-PUCT. -1 is
         returned only when every edge is settled, and then the solver has
         proven the node itself, so the caller can read the node's own status.
+
+        The exploration scale cpuct(N) * sqrt(N) is read from a table indexed
+        by the node's running edge total N = sum(en) + sum(evl), so a call
+        neither sums the edges nor takes a log or a root.
         """
         en = node.en
         evl = node.evl
@@ -475,10 +505,13 @@ class SearchEngine:
         cfg = self.config
         vl_weight = cfg.virtual_loss
         solver_on = self.solver is not None
-        total = 0
-        for j in range(len(en)):
-            total += en[j] + evl[j]
-        u_scale = cpuct(total, cfg.c_puct_base, cfg.c_puct_init) * sqrt(total)
+        total = node.edge_total
+        table = self._u_scale
+        if total >= len(table):
+            base = cfg.c_puct_base
+            init = cfg.c_puct_init
+            table.extend(cpuct(t, base, init) * sqrt(t) for t in range(len(table), total + 1))
+        u_scale = table[total]
         best = -1
         best_score = NEG_INF
         actions = node.actions

@@ -78,6 +78,7 @@ def check_invariants(engine) -> None:
             assert node.v == outcome.score, node
             assert node.status == status_for_outcome(outcome), node
         assert vmin <= node.v <= vmax, node
+        assert node.edge_total == sum(node.en) + sum(node.evl), node
         for i, child in enumerate(node.child):
             assert node.evl[i] == 0, f"virtual loss left in flight on {node}"
             pruned = node.q[i] == NEG_INF

@@ -287,6 +287,27 @@ def test_match_log_file(tmp_path, capsys):
     assert lines[0].startswith('[game 1 "nim:1,1" first:A')
 
 
+class _CrashingEvaluator:
+    name = "crash"
+
+    def evaluate(self, state):
+        raise RuntimeError("evaluator crashed")
+
+
+def test_match_with_a_forfeit_writes_its_record_and_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr("mcgs.arena.make_evaluator", lambda name, env: _CrashingEvaluator())
+    cfg = tmp_path / "match.cfg"
+    write_match_config(cfg)
+    log = tmp_path / "games.log"
+    assert main(["match", "--config", str(cfg), "--log", str(log)]) == 1
+    captured = capsys.readouterr()
+    payload = json.loads(captured.out)
+    assert [g["forfeited_by"] for g in payload["records"]] == ["A", "B"]
+    assert len(log.read_text().splitlines()) == 4
+    assert captured.err == ("error: 2 of 2 games forfeited; "
+                            "first: RuntimeError: evaluator crashed\n")
+
+
 def test_match_unknown_engine_key_exits_1(tmp_path, capsys):
     cfg = tmp_path / "match.cfg"
     write_match_config(cfg, extra="engineA.simulations = 3\n")

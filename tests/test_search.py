@@ -8,8 +8,9 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from mcgs.envs import make_env
-from mcgs.evaluators import Evaluation, UniformEvaluator
-from mcgs.graph import NEG_INF, GraphStore
+from mcgs import search
+from mcgs.evaluators import Evaluation, UniformEvaluator, make_evaluator
+from mcgs.graph import NEG_INF, GraphStore, StoreFullError
 from mcgs.oracle import solved_table
 from mcgs.search import (
     ENHANCEMENTS,
@@ -219,6 +220,7 @@ def test_selection_matches_an_independent_puct_evaluation(ttt):
             node.q[j] = rng.uniform(-1, 1)
             node.en[j] = rng.randrange(0, 40)
             node.evl[j] = rng.randrange(0, 3)
+        node.edge_total = sum(node.en) + sum(node.evl)
         picked = engine._select_index(node)
         scores = _reference_scores(node, engine.config)
         assert scores[picked] == max(scores)
@@ -229,7 +231,25 @@ def test_selection_favors_the_unvisited_edge_at_low_totals(ttt):
     node = expanded_node(engine.store, actions=[0, 1], priors=[0.5, 0.5])
     node.q[0] = 0.4
     node.en[0] = 10
+    node.edge_total = 10
     assert engine._select_index(node) == 1
+
+
+def test_selection_grows_the_scale_table_past_its_length_in_one_call(ttt):
+    engine = _engine(ttt, terminal_solver=False)
+    cfg = engine.config
+    node = expanded_node(engine.store, actions=[0, 1, 2], priors=[0.2, 0.5, 0.3])
+    node.q = [0.1, -0.3, 0.05]
+    node.en = [3000, 1200, 799]
+    node.evl = [0, 1, 0]
+    node.edge_total = 5000
+    assert len(engine._u_scale) < 5000
+    picked = engine._select_index(node)
+    scores = _reference_scores(node, cfg)
+    assert scores[picked] == max(scores)
+    assert len(engine._u_scale) == 5001
+    for t, scale in enumerate(engine._u_scale):
+        assert scale == cpuct(t, cfg.c_puct_base, cfg.c_puct_init) * math.sqrt(t)
 
 
 def test_selection_breaks_exact_ties_toward_the_lower_action(ttt):
@@ -574,6 +594,75 @@ def test_stop_when_solved_off_spends_the_full_budget(ttt):
     assert result.simulations == 300
     assert result.root_status == "WIN"
     assert result.selected_action == 2
+
+
+class _StopCheckedEverySimulation(SearchEngine):
+    """The batching loop as it reads plainly: _stop_reason before every
+    simulation. The engine's loop turns the count budgets into per-round
+    counts; both must stop on the same simulation."""
+
+    def _run(self, root, queue, t0):
+        batch = queue.mini_batch_size
+        stall_rounds = 0
+        while True:
+            reason = self._stop_reason(root, queue, t0)
+            if reason is not None:
+                return reason
+            if stall_rounds >= search.STALL_ROUNDS:
+                return "stalled"
+            terminals_this_round = 0
+            while (terminals_this_round < search.TERMINAL_CAP_FACTOR * batch
+                   and self._stop_reason(root, queue, t0) is None):
+                try:
+                    descent = self._simulate(root)
+                except StoreFullError:
+                    self._store_full = True
+                    break
+                if descent is None:
+                    terminals_this_round += 1
+                else:
+                    queue.submit(descent[1].state, descent)
+                    if len(queue) == batch:
+                        break
+            flushed = queue.flush()
+            store = self.store
+            store.trajectory_buffer_peak = max(store.trajectory_buffer_peak, len(flushed))
+            for descent, evaluation in flushed:
+                self._finish_eval(descent, evaluation)
+            if self.config.budget == "evaluations":
+                stall_rounds = 0 if flushed else stall_rounds + 1
+
+
+@pytest.mark.parametrize("game, evaluator, overrides, reason", [
+    ("tictactoe", "uniform", dict(budget_amount=300, mini_batch_size=4), "budget"),
+    ("nim:3,4,5", "deceptive", dict(budget="evaluations", budget_amount=128), "budget"),
+    ("nim:3,4,5", "deceptive", dict(budget="evaluations", budget_amount=64, **PLAIN), "budget"),
+    ("nim:1,2,3", "deceptive", dict(budget="evaluations", budget_amount=1_000, **PLAIN),
+     "stalled"),
+    ("nim:2,3,4", "heuristic", dict(budget_amount=100_000, mini_batch_size=8), "solved"),
+    ("nim:2,3,4", "heuristic", dict(budget="evaluations", budget_amount=100_000), "solved"),
+    ("tictactoe", "heuristic", dict(budget_amount=2_000, capacity=60), "store_full"),
+], ids=["simulations", "evaluations", "evaluations_plain", "stalled", "solved",
+        "solved_evals", "store_full"])
+def test_every_stop_fires_on_the_same_simulation_as_a_check_per_simulation(
+        game, evaluator, overrides, reason):
+    env = make_env(game)
+    reasons = set()
+    engines = [cls(env, make_evaluator(evaluator, env), SearchConfig(seed=3, **overrides))
+               for cls in (SearchEngine, _StopCheckedEverySimulation)]
+    for engine in engines:
+        engine.reset(env.initial_state())
+    for _ in range(4):
+        results = [engine.search().to_dict() for engine in engines]
+        for result in results:
+            result.pop("wall_ms")
+        assert results[0] == results[1]
+        reasons.add(results[0]["stop_reason"])
+        if results[0]["selected_action"] is None:
+            break
+        for engine in engines:
+            engine.advance(results[0]["selected_action"])
+    assert reason in reasons
 
 
 def test_chain_game_walks_right():

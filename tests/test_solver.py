@@ -245,6 +245,7 @@ def test_selection_never_picks_a_pruned_edge(ttt):
             node.en[i] = rng.randrange(0, 50)
             node.evl[i] = rng.randrange(0, 3)
         node.n = sum(node.en) + 1
+        node.edge_total = sum(node.en) + sum(node.evl)
         assert engine._select_index(node) != pruned
 
 
