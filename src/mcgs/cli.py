@@ -9,7 +9,8 @@ address the two engines with engineA. / engineB. prefixes:
     engineA.budget_amount = 256
     engineB.transpositions = false
 
-Exit status is 0 on success and 1 on configuration or input errors.
+Exit status is 0 on success, 1 on bad settings or input (an error line on
+stderr) and 2 on a malformed command line (argparse's usage error).
 """
 
 from __future__ import annotations
@@ -134,12 +135,11 @@ def _parse_match_file(path: str) -> MatchConfig:
             config.evaluator_a = value
         elif key == "evaluatorB":
             config.evaluator_b = value
-        elif key == "opening_plies":
-            config.opening_plies = int(value)
-        elif key == "opening_count":
-            config.opening_count = int(value)
-        elif key == "seed":
-            config.seed = int(value)
+        elif key in ("opening_plies", "opening_count", "seed"):
+            try:
+                setattr(config, key, int(value))
+            except ValueError as exc:
+                raise ValueError(f"match config key {key!r}: {exc}") from None
         else:
             raise ValueError(f"unknown match config key {key!r}")
     config.validate()

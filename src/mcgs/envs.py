@@ -279,9 +279,12 @@ def make_env(spec: str):
     name = name.strip().lower()
     if name == "tictactoe":
         return TicTacToe()
-    if name == "nim":
-        piles = tuple(int(p) for p in arg.split(",")) if arg else (3, 4, 5)
-        return Nim(piles)
-    if name == "leftright":
-        return LeftRight(int(arg) if arg else 16)
+    try:
+        if name == "nim":
+            piles = tuple(int(p) for p in arg.split(",")) if arg else (3, 4, 5)
+            return Nim(piles)
+        if name == "leftright":
+            return LeftRight(int(arg) if arg else 16)
+    except ValueError as exc:
+        raise ValueError(f"game id {spec!r}: {exc}") from None
     raise ValueError(f"unknown game id {spec!r}")

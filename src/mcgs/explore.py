@@ -73,45 +73,22 @@ def make_plan(engine, root: Node) -> Node:
 def execute_branch(engine, node: Node, kind: str) -> int | None:
     """The edge a `kind` simulation takes from the branch node, or None.
 
-    None discards the plan, and the simulation descends from the root. Given
-    an edge, the engine descends from the branch node along it, so the
+    Of the unpruned edges, in stored (falling prior) order: for FORCING the
+    first untried forcing one, else the first untried one, else a uniform
+    draw. None discards the plan, and the simulation descends from the root.
+    Given an edge, the engine descends from the branch node along it, so the
     backpropagation never touches ancestors of the branch point.
     """
     if not node.expanded or is_real(node.status):
         return None
-    if kind == EPS_GREEDY:
-        idx = _first_unexplored(node)
-    else:
-        idx = _first_forcing(engine, node)
-    if idx is None:
-        idx = _uniform_fallback(engine, node)
-    return idx  # None when every edge is pruned
-
-
-def _first_unexplored(node: Node) -> int | None:
-    # Stored edge order is descending prior, so a linear scan expands in
-    # exactly the order the evaluator ranked the moves.
-    en = node.en
-    qs = node.q
-    for j in range(len(en)):
-        if en[j] == 0 and qs[j] != NEG_INF:
-            return j
+    live = [j for j, q in enumerate(node.q) if q != NEG_INF]
+    untried = [j for j in live if node.en[j] == 0]
+    if kind == FORCING:
+        for j in untried:
+            if engine.env.is_forcing(node.state, node.actions[j]):
+                return j
+    if untried:
+        return untried[0]
+    if live:
+        return live[engine.rng.randrange(len(live))]
     return None
-
-
-def _first_forcing(engine, node: Node) -> int | None:
-    en = node.en
-    qs = node.q
-    actions = node.actions
-    env = engine.env
-    for j in range(len(en)):
-        if en[j] == 0 and qs[j] != NEG_INF and env.is_forcing(node.state, actions[j]):
-            return j
-    return _first_unexplored(node)
-
-
-def _uniform_fallback(engine, node: Node) -> int | None:
-    candidates = [j for j in range(len(node.en)) if node.q[j] != NEG_INF]
-    if not candidates:
-        return None
-    return candidates[engine.rng.randrange(len(candidates))]

@@ -137,7 +137,6 @@ class GraphStore:
         return {
             "node_count": node_count,
             "edge_count": self.edge_count,
-            "prior_entry_count": self.edge_count,  # one prior per edge
             "trajectory_buffer_size": self.trajectory_buffer_peak,
             "tree_equivalent_node_count": node_count + self.join_count,
             "transposition_join_count": self.join_count,

@@ -133,7 +133,10 @@ class SearchConfig:
             spec = known.get(key)
             if spec is None:
                 raise ValueError(f"unknown config key {key!r}")
-            kwargs[key] = _coerce(value, spec.type)
+            try:
+                kwargs[key] = _coerce(value, spec.type)
+            except ValueError as exc:
+                raise ValueError(f"config key {key!r}: {exc}") from None
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -224,8 +227,7 @@ class SearchEngine:
         self._root: Node | None = None
         # _u_scale[t] is the PUCT exploration scale at edge total t, grown on demand
         self._u_scale: list[float] = []
-        # per-search counters
-        self._sims = 0
+        # per-search counters; simulations = evaluations + _terminals + _early
         self._terminals = 0
         self._early = 0
         self._store_full = False
@@ -267,7 +269,6 @@ class SearchEngine:
         t0 = time.perf_counter()
         root = self._root
 
-        self._sims = 0
         self._terminals = 0
         self._early = 0
         self._store_full = False
@@ -281,33 +282,16 @@ class SearchEngine:
             queue.total_evaluated += 1
             self._expand(root, evaluation)
             self._mix_root_noise(root)
-            self._sims += 1
 
         stop_reason = self._run(root, queue, t0)
         return self._result(root, t0, stop_reason, evaluations=queue.total_evaluated)
 
     # ----- batched simulation loop ------------------------------------------
 
-    def _stop_reason(self, root: Node, queue: EvalQueue, t0: float) -> str | None:
-        """Why the search must stop now, or None to keep simulating.
-
-        Budgets count the trajectories still pending in the queue as spent.
-        """
-        cfg = self.config
-        if self._store_full:
-            return "store_full"
-        if cfg.stop_when_solved and is_real(root.status):
-            return "solved"
-        budget = cfg.budget
-        if budget == "simulations":
-            spent = self._sims + len(queue)
-        elif budget == "evaluations":
-            spent = queue.total_evaluated + len(queue)
-        else:
-            spent = (time.perf_counter() - t0) * 1000.0
-        return "budget" if spent >= cfg.budget_amount else None
-
     def _run(self, root: Node, queue: EvalQueue, t0: float) -> str:
+        """Simulate in rounds; at each round's top, stop on the first rule that
+        holds: store_full, solved, budget, stalled (STALL_ROUNDS rounds in a
+        row without an evaluation, under an evaluations budget)."""
         cfg = self.config
         batch = queue.mini_batch_size
         terminal_cap = TERMINAL_CAP_FACTOR * batch
@@ -320,21 +304,24 @@ class SearchEngine:
         store = self.store
 
         while True:
-            # The queue is empty here: every round ends with a flush.
-            reason = self._stop_reason(root, queue, t0)
-            if reason is not None:
-                return reason
+            # The queue is empty here, as every round ends with a flush, so the
+            # count budgets become what this round may spend: sims_left
+            # simulations, queue_cap leaves. The round breaks on the one that
+            # spends the last, as a check before every simulation would.
+            sims_left = (amount - queue.total_evaluated - self._terminals - self._early
+                         if budget == "simulations" else inf)
+            queue_cap = (min(batch, amount - queue.total_evaluated)
+                         if budget == "evaluations" else batch)
+            if self._store_full:
+                return "store_full"
+            if watch_root and is_real(root.status):
+                return "solved"
+            if (sims_left <= 0 or queue_cap <= 0
+                    or (timed and (time.perf_counter() - t0) * 1000.0 >= amount)):
+                return "budget"
             if stall_rounds >= STALL_ROUNDS:
                 return "stalled"
 
-            # The round ends on the simulation after which _stop_reason would
-            # first stop it, without calling it per simulation (the check
-            # above covers the first). A simulation adds one to _sims or to
-            # len(queue), so either count budget is a count fixed here; the
-            # store fills mid-round only by a StoreFullError, which breaks.
-            sims_left = amount - self._sims if budget == "simulations" else inf
-            queue_cap = (min(batch, amount - queue.total_evaluated)
-                         if budget == "evaluations" else batch)
             terminals_this_round = 0
             while True:
                 try:
@@ -377,7 +364,6 @@ class SearchEngine:
             self._check_evaluation(evaluation, len(leaf.actions))
             update_node_value(leaf, evaluation.value)
         self._backpropagate(pairs, evaluation.value)
-        self._sims += 1
 
     # ----- simulation ------------------------------------------------------
 
@@ -459,7 +445,6 @@ class SearchEngine:
                                 return self._settle(pairs, child)
                             value = correction_value(q_edge, v_star, edge_n)
                             self._backpropagate(pairs, -value)
-                            self._sims += 1
                             self._early += 1
                             return None
                 if not child.expanded:
@@ -480,7 +465,6 @@ class SearchEngine:
         value = STATUS_VALUE[node.status]
         update_node_value(node, value)
         self._backpropagate(pairs, value)
-        self._sims += 1
         self._terminals += 1
 
     def _select_index(self, node: Node) -> int:
@@ -701,7 +685,7 @@ class SearchEngine:
             value=root.v,
             root_status=root.status.name,
             root_end_in_ply=root.end_in_ply,
-            simulations=self._sims,
+            simulations=evaluations + self._terminals + self._early,
             evaluations=evaluations,
             terminal_trajectories=self._terminals,
             early_stop_trajectories=self._early,

@@ -143,6 +143,21 @@ def test_invalid_config_value_exits_1(tmp_path, capsys):
     assert "tau" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command, text, argv, named", [
+    ("search", "mini_batch_size = abc\n", [], "mini_batch_size"),
+    ("search", "transpositions = maybe\n", [], "transpositions"),
+    ("match", "game = nim:1,1\nopening_count = x\n", [], "opening_count"),
+    ("search", "", ["--game", "nim:3,x"], "nim:3,x"),
+], ids=["int_key", "bool_key", "match_key", "game_id"])
+def test_unparsable_setting_exits_1_naming_it(tmp_path, capsys, command, text, argv, named):
+    path = tmp_path / "bad.cfg"
+    path.write_text(text)
+    assert main([command, "--config", str(path), *argv]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert named in err
+
+
 def test_zero_c_puct_base_exits_1(capsys):
     assert main(["search", "--c-puct-base", "0", "--budget-sims", "8"]) == 1
     err = capsys.readouterr().err
@@ -347,7 +362,7 @@ def test_scaling_emits_csv(tmp_path):
     assert code == 0
     lines = out.read_text().splitlines()
     assert lines[0] == ("budget,evaluations,simulations,early_stops,terminal_trajectories,"
-                        "score_vs_reference,node_count,edge_count,prior_entry_count,"
+                        "score_vs_reference,node_count,edge_count,"
                         "trajectory_buffer_size,tree_equivalent_node_count,"
                         "transposition_join_count")
     rows = list(csv.DictReader(lines))

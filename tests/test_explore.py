@@ -9,6 +9,7 @@ from mcgs.envs import make_env
 from mcgs.evaluators import UniformEvaluator
 from mcgs.explore import (
     EPS_GREEDY,
+    FORCING,
     best_path,
     execute_branch,
     make_plan,
@@ -129,15 +130,13 @@ def test_execute_branch_discards_settled_branch_nodes(ttt):
         assert execute_branch(engine, node, EPS_GREEDY) is None
 
 
-def test_first_unexplored_respects_prior_order_and_pruning():
-    store = GraphStore()
-    node = expanded_node(store, actions=[4, 2, 7], priors=[0.5, 0.3, 0.2])
+def test_first_unexplored_respects_prior_order_and_pruning(ttt):
+    engine = SearchEngine(ttt, UniformEvaluator(ttt), SearchConfig())
+    node = expanded_node(engine.store, actions=[4, 2, 7], priors=[0.5, 0.3, 0.2])
     node.en = [3, 0, 0]
-    assert explore._first_unexplored(node) == 1
+    assert execute_branch(engine, node, EPS_GREEDY) == 1
     node.q[1] = NEG_INF
-    assert explore._first_unexplored(node) == 2
-    node.en = [1, 1, 1]
-    assert explore._first_unexplored(node) is None
+    assert execute_branch(engine, node, EPS_GREEDY) == 2
 
 
 def test_first_forcing_prefers_checks_then_falls_back(ttt):
@@ -149,14 +148,14 @@ def test_first_forcing_prefers_checks_then_falls_back(ttt):
     node = engine._root
     engine._expand(node, UniformEvaluator(ttt).evaluate(state))
 
-    idx = explore._first_forcing(engine, node)
+    idx = execute_branch(engine, node, FORCING)
     assert ttt.is_forcing(state, node.actions[idx])
 
-    # exhaust the forcing moves; the helper then falls back
+    # exhaust the forcing moves; the picker then falls back
     for j, action in enumerate(node.actions):
         if ttt.is_forcing(state, action):
             node.en[j] = 1
-    idx = explore._first_forcing(engine, node)
+    idx = execute_branch(engine, node, FORCING)
     assert idx is not None
     assert not ttt.is_forcing(state, node.actions[idx])
 
@@ -165,13 +164,14 @@ def test_fallback_is_uniform_over_unpruned_edges(ttt):
     engine = SearchEngine(ttt, UniformEvaluator(ttt), SearchConfig())
     store = engine.store
     node = expanded_node(store, actions=[0, 1, 2])
-    node.en = [1, 1, 1]  # nothing unexplored
+    node.en = [1, 1, 1]  # every edge tried
     node.q[0] = NEG_INF
     engine.rng = _FixedRng(0.0, pick=1)
-    assert explore._uniform_fallback(engine, node) == 2  # candidates are [1, 2]
+    for kind in (EPS_GREEDY, FORCING):
+        assert execute_branch(engine, node, kind) == 2  # candidates are [1, 2]
 
     node.q[1] = node.q[2] = NEG_INF
-    assert explore._uniform_fallback(engine, node) is None
+    assert execute_branch(engine, node, EPS_GREEDY) is None
 
 
 def test_branch_trajectories_never_touch_ancestors(ttt):

@@ -124,9 +124,10 @@ def test_link_counts_joins_and_in_degree():
     assert child.parents == [p1, p2]
     assert store.join_count == 1
     report = store.memory_report()
+    assert list(report) == ["node_count", "edge_count", "trajectory_buffer_size",
+                            "tree_equivalent_node_count", "transposition_join_count"]
     assert report["node_count"] == 3
     assert report["edge_count"] == 2
-    assert report["prior_entry_count"] == 2
     assert report["tree_equivalent_node_count"] == 4
     assert report["transposition_join_count"] == 1
 

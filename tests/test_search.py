@@ -1,7 +1,9 @@
 """Engine internals and end-to-end searches on the desk-scale games."""
 
 import dataclasses
+import itertools
 import math
+import time
 
 import pytest
 from hypothesis import given
@@ -565,6 +567,18 @@ def test_millisecond_budget_stops_on_the_clock(ttt):
     assert result.wall_ms >= 40.0
 
 
+def test_millisecond_budget_breaks_the_round_on_the_clock(ttt, monkeypatch):
+    # Every clock read moves 1 ms on, so the 5 ms budget runs out well inside
+    # the first round of 64 leaves: only the check within the round stops it.
+    ticks = itertools.count()
+    monkeypatch.setattr(search.time, "perf_counter", lambda: next(ticks) / 1000.0)
+    config = SearchConfig(budget="milliseconds", budget_amount=5, mini_batch_size=64,
+                          terminal_solver=False, eps_greedy=False, check_enhance=False)
+    result = run_search(ttt, UniformEvaluator(ttt), ttt.initial_state(), config)
+    assert result.stop_reason == "budget"
+    assert result.simulations < 65
+
+
 def test_solver_stops_the_search_on_a_mate_in_one(ttt):
     state = ttt.initial_state()
     for move in (0, 4, 1, 5):
@@ -597,9 +611,25 @@ def test_stop_when_solved_off_spends_the_full_budget(ttt):
 
 
 class _StopCheckedEverySimulation(SearchEngine):
-    """The batching loop as it reads plainly: _stop_reason before every
-    simulation. The engine's loop turns the count budgets into per-round
-    counts; both must stop on the same simulation."""
+    """The batching loop as it reads plainly: the stop rule checked before
+    every simulation, with the leaves still in the queue counted as spent.
+    The engine's loop turns the count budgets into per-round counts; both
+    must stop on the same simulation."""
+
+    def _stop_reason(self, root, queue, t0):
+        config = self.config
+        if self._store_full:
+            return "store_full"
+        if config.stop_when_solved and root.status in (SolverStatus.WIN, SolverStatus.LOSS,
+                                                     SolverStatus.DRAW):
+            return "solved"
+        if config.budget == "simulations":
+            spent = queue.total_evaluated + self._terminals + self._early + len(queue)
+        elif config.budget == "evaluations":
+            spent = queue.total_evaluated + len(queue)
+        else:
+            spent = (time.perf_counter() - t0) * 1000.0
+        return "budget" if spent >= config.budget_amount else None
 
     def _run(self, root, queue, t0):
         batch = queue.mini_batch_size
