@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import dataclasses
 import io
 import json
 import sys
@@ -115,19 +114,15 @@ def _read_kv(path: str) -> dict:
 
 
 def _parse_match_file(path: str) -> MatchConfig:
-    data = _read_kv(path)
-    engine_a: dict = {}
-    engine_b: dict = {}
+    engines: dict[str, dict] = {"engineA.": {}, "engineB.": {}}
     top = {}
-    for key, value in data.items():
-        if key.startswith("engineA."):
-            engine_a[_check_engine_key(key, key[8:])] = value
-        elif key.startswith("engineB."):
-            engine_b[_check_engine_key(key, key[8:])] = value
+    for key, value in _read_kv(path).items():
+        if key[:8] in engines:
+            engines[key[:8]][key[8:]] = value
         else:
             top[key] = value
-    config = MatchConfig(engine_a=SearchConfig.from_dict(engine_a),
-                         engine_b=SearchConfig.from_dict(engine_b))
+    config = MatchConfig(engine_a=SearchConfig.from_dict(engines["engineA."], "engineA."),
+                         engine_b=SearchConfig.from_dict(engines["engineB."], "engineB."))
     for key, value in top.items():
         if key == "game":
             config.game = value
@@ -146,10 +141,15 @@ def _parse_match_file(path: str) -> MatchConfig:
     return config
 
 
-def _check_engine_key(full: str, key: str) -> str:
-    if key not in {f.name for f in dataclasses.fields(SearchConfig)}:
-        raise ValueError(f"unknown engine config key {full!r}")
-    return key
+def _int_list(flag: str, text: str) -> list[int]:
+    """The integers of a comma-separated flag value; a bad token names both."""
+    values = []
+    for token in text.split(","):
+        try:
+            values.append(int(token))
+        except ValueError:
+            raise ValueError(f"{flag}: {token!r} is not an integer") from None
+    return values
 
 
 def _write(text: str, out: str | None) -> None:
@@ -170,10 +170,10 @@ def _cmd_search(args) -> int:
     config = _config_from_args(args)
     state = env.initial_state()
     if args.moves:
-        for token in args.moves.split(","):
+        for action in _int_list("--moves", args.moves):
             if env.terminal_value(state) is not None:
-                raise ValueError(f"move {token}: the game is already over")
-            state = env.apply(state, int(token))
+                raise ValueError(f"move {action}: the game is already over")
+            state = env.apply(state, action)
     evaluator = make_evaluator(args.evaluator, env)
     result = run_search(env, evaluator, state, config)
     payload = result.to_dict()
@@ -200,7 +200,7 @@ def _cmd_match(args) -> int:
 
 def _cmd_scaling(args) -> int:
     config = _config_from_args(args)
-    budgets = [int(b) for b in args.budgets.split(",")]
+    budgets = _int_list("--budgets", args.budgets)
     rows = scaling_report(args.game, config, budgets,
                           opening_count=args.openings,
                           opening_plies=args.plies,

@@ -9,6 +9,14 @@ descent changes it: +1 where it adds virtual loss, -1 where a StoreFullError
 rolls that loss back. Backpropagation moves one unit from evl to en and
 leaves the total alone.
 
+Each node also keeps tried, a frontier with the invariant that every edge at
+or after it has en = evl = 0. The descent raises it to i + 1 where it adds
+virtual loss on edge i (a StoreFullError rollback may leave it raised), and
+a root's Dirichlet mix sets it to the edge count. Past the frontier the live
+edges are untried, each with Q = q_init, in the falling prior order of
+expansion, so selection can stop scanning there once an edge scores below
+the best.
+
 Statistics are simple moving averages on both nodes and edges. Q-values start
 at q_init (a first-play-urgency pessimism, not a sample): the first real
 update replaces the initial value entirely because the SMA divides by the
@@ -39,7 +47,7 @@ class StoreFullError(RuntimeError):
 class Node:
     __slots__ = (
         "key", "state", "v", "n", "expanded",
-        "actions", "p", "q", "en", "evl", "child", "edge_total",
+        "actions", "p", "q", "en", "evl", "child", "edge_total", "tried",
         "status", "end_in_ply", "parents",
     )
 
@@ -56,6 +64,7 @@ class Node:
         self.evl: list[int] = []      # edge virtual-loss (in-flight) counts
         self.child: list = []         # child Node or None while unresolved
         self.edge_total = 0           # sum(en) + sum(evl), kept by the descent
+        self.tried = 0                # edges at or after it have en = evl = 0
         self.status = SolverStatus.UNKNOWN
         self.end_in_ply = 0
         self.parents: list["Node"] = []  # one entry per incoming edge

@@ -21,6 +21,11 @@ occupies an evaluator slot. One that ends on a new leaf waits under virtual
 loss: a round gathers up to mini_batch_size such leaves, then its one flush
 evaluates them and backpropagates them in submission order. An evaluations
 budget counts only real evaluator work.
+
+Module state: _U_SCALES holds one exploration-scale table per
+(c_puct_base, c_puct_init), shared by every engine with those two floats.
+An entry is a pure function of its index, so sharing changes no result; it
+spares the many short-lived engines of a match from rebuilding the table.
 """
 
 from __future__ import annotations
@@ -52,6 +57,9 @@ TERMINAL_CAP_FACTOR = 4
 
 # An evaluations-budget search stops after this many evaluator-free rounds.
 STALL_ROUNDS = 16
+
+# (c_puct_base, c_puct_init) -> table t -> cpuct(t) * sqrt(t), grown on demand
+_U_SCALES: dict[tuple[float, float], list[float]] = {}
 
 
 @dataclass
@@ -126,17 +134,18 @@ class SearchConfig:
             raise ValueError("capacity must be >= 1")
 
     @classmethod
-    def from_dict(cls, data: dict) -> "SearchConfig":
+    def from_dict(cls, data: dict, prefix: str = "") -> "SearchConfig":
+        """Build and validate a config; errors name a key with prefix before it."""
         known = {f.name: f for f in fields(cls)}
         kwargs = {}
         for key, value in data.items():
             spec = known.get(key)
             if spec is None:
-                raise ValueError(f"unknown config key {key!r}")
+                raise ValueError(f"unknown config key {prefix + key!r}")
             try:
                 kwargs[key] = _coerce(value, spec.type)
             except ValueError as exc:
-                raise ValueError(f"config key {key!r}: {exc}") from None
+                raise ValueError(f"config key {prefix + key!r}: {exc}") from None
         cfg = cls(**kwargs)
         cfg.validate()
         return cfg
@@ -225,8 +234,11 @@ class SearchEngine:
         oracle = make_endgame_oracle(config.endgame_oracle, env)
         self.solver = TerminalSolver(oracle) if config.terminal_solver else None
         self._root: Node | None = None
-        # _u_scale[t] is the PUCT exploration scale at edge total t, grown on demand
-        self._u_scale: list[float] = []
+        # _u_scale[t] is the PUCT exploration scale at edge total t, shared by
+        # every engine with the same _puct constants; it grows from those
+        # alone, so a config edited later cannot corrupt another engine's table
+        self._puct = (config.c_puct_base, config.c_puct_init)
+        self._u_scale = _U_SCALES.setdefault(self._puct, [])
         # per-search counters; simulations = evaluations + _terminals + _early
         self._terminals = 0
         self._early = 0
@@ -420,6 +432,8 @@ class SearchEngine:
                         return self._settle(pairs, node)
                 node.evl[i] += 1
                 node.edge_total += 1
+                if i >= node.tried:
+                    node.tried = i + 1
                 pairs.append((node, i))
                 child = node.child[i]
                 if child is None:
@@ -480,22 +494,29 @@ class SearchEngine:
         The exploration scale cpuct(N) * sqrt(N) is read from a table indexed
         by the node's running edge total N = sum(en) + sum(evl), so a call
         neither sums the edges nor takes a log or a root.
+
+        From the node's tried frontier on, a live edge scores q_init + u * p
+        and the priors fall, so the scores never rise there: the scan stops
+        at the first such edge that scores below the best. An exact tie is
+        still scanned for the action-id rule, as is every edge at total 0,
+        where the scale is 0 and all edges tie. A negative scale (a negative
+        c_puct_init) reverses the order, so then every edge is scanned.
         """
         en = node.en
         evl = node.evl
         qs = node.q
         ps = node.p
         children = node.child
-        cfg = self.config
-        vl_weight = cfg.virtual_loss
+        vl_weight = self.config.virtual_loss
         solver_on = self.solver is not None
         total = node.edge_total
         table = self._u_scale
         if total >= len(table):
-            base = cfg.c_puct_base
-            init = cfg.c_puct_init
-            table.extend(cpuct(t, base, init) * sqrt(t) for t in range(len(table), total + 1))
+            base, init = self._puct
+            table.extend(cpuct(t, base, init) * sqrt(t)
+                         for t in range(len(table), max(total + 1, 2 * len(table), 1024)))
         u_scale = table[total]
+        tried = node.tried if u_scale >= 0.0 else len(en)
         best = -1
         best_score = NEG_INF
         actions = node.actions
@@ -521,6 +542,8 @@ class SearchEngine:
                                       and best >= 0 and actions[j] < actions[best]):
                 best_score = score
                 best = j
+            elif j >= tried and score < best_score:
+                break
         return best
 
     # ----- node lifecycle ----------------------------------------------------
@@ -613,6 +636,7 @@ class SearchEngine:
         live = sum(root.p[i] for i in keep) or 1.0
         for i, g in zip(keep, noise):
             root.p[i] = (1.0 - eps) * root.p[i] + eps * live * (g / total)
+        root.tried = len(root.p)  # the mix breaks the prior order
 
     # ----- backpropagation ---------------------------------------------------
 

@@ -148,7 +148,13 @@ def test_invalid_config_value_exits_1(tmp_path, capsys):
     ("search", "transpositions = maybe\n", [], "transpositions"),
     ("match", "game = nim:1,1\nopening_count = x\n", [], "opening_count"),
     ("search", "", ["--game", "nim:3,x"], "nim:3,x"),
-], ids=["int_key", "bool_key", "match_key", "game_id"])
+    ("match", "game = nim:1,1\nengineA.mini_batch_size = x\n", [],
+     "config key 'engineA.mini_batch_size': "),
+    ("match", "game = nim:1,1\nengineB.q_boost = maybe\n", [], "config key 'engineB.q_boost': "),
+    ("scaling", "", ["--budgets", "8,x"], "error: --budgets: 'x' is not an integer"),
+    ("search", "", ["--moves", "4,banana"], "error: --moves: 'banana' is not an integer"),
+], ids=["int_key", "bool_key", "match_key", "game_id", "engine_a_key", "engine_b_key",
+        "budgets", "moves"])
 def test_unparsable_setting_exits_1_naming_it(tmp_path, capsys, command, text, argv, named):
     path = tmp_path / "bad.cfg"
     path.write_text(text)

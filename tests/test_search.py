@@ -22,9 +22,9 @@ from mcgs.search import (
     cpuct,
     run_search,
 )
-from mcgs.solver import SolverStatus
+from mcgs.solver import SolverStatus, is_real, prune_edge
 
-from helpers import FixedEvaluator, attach_child, expanded_node
+from helpers import FixedEvaluator, attach_child, check_invariants, expanded_node
 
 INF = float("inf")
 PLAIN = dict.fromkeys(ENHANCEMENTS, False)
@@ -223,6 +223,7 @@ def test_selection_matches_an_independent_puct_evaluation(ttt):
             node.en[j] = rng.randrange(0, 40)
             node.evl[j] = rng.randrange(0, 3)
         node.edge_total = sum(node.en) + sum(node.evl)
+        node.tried = k
         picked = engine._select_index(node)
         scores = _reference_scores(node, engine.config)
         assert scores[picked] == max(scores)
@@ -234,10 +235,12 @@ def test_selection_favors_the_unvisited_edge_at_low_totals(ttt):
     node.q[0] = 0.4
     node.en[0] = 10
     node.edge_total = 10
+    node.tried = len(node.en)
     assert engine._select_index(node) == 1
 
 
-def test_selection_grows_the_scale_table_past_its_length_in_one_call(ttt):
+def test_selection_grows_the_scale_table_past_its_length_in_one_call(ttt, monkeypatch):
+    monkeypatch.setattr(search, "_U_SCALES", {})
     engine = _engine(ttt, terminal_solver=False)
     cfg = engine.config
     node = expanded_node(engine.store, actions=[0, 1, 2], priors=[0.2, 0.5, 0.3])
@@ -245,13 +248,31 @@ def test_selection_grows_the_scale_table_past_its_length_in_one_call(ttt):
     node.en = [3000, 1200, 799]
     node.evl = [0, 1, 0]
     node.edge_total = 5000
-    assert len(engine._u_scale) < 5000
+    node.tried = len(node.en)
+    assert engine._u_scale == []
     picked = engine._select_index(node)
     scores = _reference_scores(node, cfg)
     assert scores[picked] == max(scores)
-    assert len(engine._u_scale) == 5001
+    assert len(engine._u_scale) > 5000
     for t, scale in enumerate(engine._u_scale):
         assert scale == cpuct(t, cfg.c_puct_base, cfg.c_puct_init) * math.sqrt(t)
+
+
+def test_engines_with_the_same_puct_constants_share_one_scale_table(ttt, monkeypatch):
+    monkeypatch.setattr(search, "_U_SCALES", {})
+    first = _engine(ttt)
+    assert _engine(ttt)._u_scale is first._u_scale
+    assert _engine(ttt, c_puct_init=3.0)._u_scale is not first._u_scale
+    assert _engine(ttt, c_puct_base=100.0)._u_scale is not first._u_scale
+    # The shared table grows from the constants it was made for, so a config
+    # edited afterwards cannot put foreign entries into it.
+    first.config.c_puct_init = 9.0
+    node = expanded_node(first.store, actions=[0, 1])
+    node.en[0] = node.edge_total = 3000
+    node.tried = 1
+    first._select_index(node)
+    assert len(first._u_scale) > 3000
+    assert all(scale == cpuct(t) * math.sqrt(t) for t, scale in enumerate(first._u_scale))
 
 
 def test_selection_breaks_exact_ties_toward_the_lower_action(ttt):
@@ -273,6 +294,7 @@ def test_virtual_loss_diverts_parallel_simulations(ttt):
     node = expanded_node(engine.store, actions=[0, 1], priors=[0.5, 0.5])
     node.q = [0.6, 0.6]
     node.en = [5, 5]
+    node.tried = len(node.en)
     assert node.actions[engine._select_index(node)] == 0  # tie -> lower action
     node.evl[0] = 3  # three simulations already in flight
     assert node.actions[engine._select_index(node)] == 1
@@ -284,6 +306,7 @@ def _solved_edge_probe(engine, status):
     node = expanded_node(engine.store, actions=[0, 1], priors=[0.9, 0.1])
     node.q = [1.0, -0.9]
     node.en = [10, 10]
+    node.tried = len(node.en)
     attach_child(engine.store, node, 0, status=status)
     attach_child(engine.store, node, 1)
     return node
@@ -312,6 +335,107 @@ def test_selection_returns_minus_one_when_every_edge_is_settled(ttt):
     attach_child(engine.store, node, 1, status=SolverStatus.DRAW)
     node.q[2] = NEG_INF  # pruned, child never resolved
     assert engine._select_index(node) == -1
+
+
+def _full_scan_pick(node, cfg, solver_on):
+    """The PUCT pick from a scan of every edge: the best score, then the
+    lowest action id; pruned edges and, with the solver on, edges into
+    proven children are no candidates."""
+    scores = _reference_scores(node, cfg)
+    best = -1
+    for j, score in enumerate(scores):
+        child = node.child[j]
+        if score == -INF or (solver_on and child is not None and is_real(child.status)):
+            continue
+        if (best < 0 or score > scores[best]
+                or (score == scores[best] and node.actions[j] < node.actions[best])):
+            best = j
+    return best
+
+
+_FUZZ_PRIORS = (0.4, 0.25, 0.25, math.nextafter(0.25, 0.0), 0.1, 1e-3, 0.0)
+_FUZZ_STATUSES = (SolverStatus.WIN, SolverStatus.LOSS, SolverStatus.DRAW,
+                  SolverStatus.TB_WIN, SolverStatus.TB_DRAW)
+
+
+@pytest.mark.parametrize("overrides", [
+    {},
+    {"terminal_solver": False, "q_init": 0.0, "virtual_loss": 3.0},
+    {"c_puct_init": -3.0},
+    {"c_puct_init": -1.0, "c_puct_base": 5.0, "terminal_solver": False},
+    {"c_puct_init": 0.0, "c_puct_base": 1.0, "q_init": 0.5},
+], ids=["default", "solver-off", "negative", "sign-change", "zero-init"])
+def test_the_tried_frontier_picks_what_a_full_scan_picks(ttt, overrides):
+    import random
+
+    engine = _engine(ttt, **overrides)
+    cfg = engine.config
+    solver_on = engine.solver is not None
+    rng = random.Random(41)
+    frontier_cases = 0
+    for _ in range(4000):
+        k = rng.randrange(1, 10)
+        priors = sorted((rng.choice(_FUZZ_PRIORS) if rng.random() < 0.6 else rng.random()
+                         for _ in range(k)), reverse=True)
+        node = expanded_node(engine.store, actions=rng.sample(range(3 * k), k),
+                             priors=priors, q_init=cfg.q_init)
+        node.tried = rng.randrange(k + 1)
+        for j in range(node.tried):
+            node.en[j] = rng.choice((0, rng.randrange(1, 30)))
+            node.evl[j] = rng.randrange(0, 3)
+            if node.en[j]:
+                node.q[j] = rng.uniform(-1, 1)
+        for j in range(k):
+            if rng.random() < 0.15:
+                prune_edge(node, j)
+            elif rng.random() < 0.15:
+                attach_child(engine.store, node, j, status=rng.choice(_FUZZ_STATUSES))
+        node.edge_total = sum(node.en) + sum(node.evl)
+        frontier_cases += node.tried < k - 1
+        expected = _full_scan_pick(node, cfg, solver_on)
+        assert engine._select_index(node) == expected
+        node.tried = k
+        assert engine._select_index(node) == expected
+    assert frontier_cases > 1000
+
+
+class _FullScanChecked(SearchEngine):
+    """Re-runs every selection with the frontier at the edge count, which
+    scans every edge; the two picks must agree."""
+
+    frontier_calls = 0
+
+    def _select_index(self, node):
+        picked = super()._select_index(node)
+        tried = node.tried
+        if tried < len(node.en):
+            self.frontier_calls += 1
+            node.tried = len(node.en)
+            full = super()._select_index(node)
+            node.tried = tried
+            assert picked == full, (node, tried)
+        return picked
+
+
+@pytest.mark.parametrize("batch", [1, 5, 16])
+@pytest.mark.parametrize("overrides", [
+    {"dirichlet_epsilon": 0.25},
+    {"terminal_solver": False},
+    dict(PLAIN, dirichlet_epsilon=0.25),
+], ids=["all-on-dirichlet", "solver-off", "plain-dirichlet"])
+@pytest.mark.parametrize("game", ["tictactoe", "nim:2,3,4", "leftright:8"])
+def test_every_search_pick_equals_a_full_scan(game, overrides, batch):
+    env = make_env(game)
+    config = SearchConfig(budget_amount=150, mini_batch_size=batch, seed=batch, **overrides)
+    engine = _FullScanChecked(env, make_evaluator("heuristic", env), config)
+    engine.reset(env.initial_state())
+    for _ in range(6):
+        result = engine.search()
+        check_invariants(engine)
+        if result.selected_action is None:
+            break
+        engine.advance(result.selected_action)
+    assert engine.frontier_calls > 0
 
 
 # ----- expansion --------------------------------------------------------------
@@ -365,6 +489,7 @@ def _early_stop_setup(q_edge, edge_n, child_n, child_v, **overrides):
     child.v = child_v
     root.q[idx] = q_edge
     root.en[idx] = edge_n
+    root.tried = len(root.en)
     return engine, root, idx
 
 
