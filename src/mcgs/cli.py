@@ -77,11 +77,8 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
 def _config_from_args(args) -> SearchConfig:
     # Only the settings given; from_dict fills in the defaults.
     data = _read_kv(args.config) if getattr(args, "config", None) else {}
-    for _, dest, _ in _VALUE_FLAGS:
-        value = getattr(args, dest, None)
-        if value is not None:
-            data[dest] = value
-    for _, dest in _TOGGLE_FLAGS:
+    for flag in _VALUE_FLAGS + _TOGGLE_FLAGS:
+        dest = flag[1]
         value = getattr(args, dest, None)
         if value is not None:
             data[dest] = value

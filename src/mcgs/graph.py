@@ -17,6 +17,10 @@ edges are untried, each with Q = q_init, in the falling prior order of
 expansion, so selection can stop scanning there once an edge scores below
 the best.
 
+Each node also keeps live, the ascending indices of the edges selection may
+pick: every edge at expansion, then only the solver's _recompute writes it,
+dropping pruned edges and edges into children proven WIN, LOSS or DRAW.
+
 Statistics are simple moving averages on both nodes and edges. Q-values start
 at q_init (a first-play-urgency pessimism, not a sample): the first real
 update replaces the initial value entirely because the SMA divides by the
@@ -47,7 +51,7 @@ class StoreFullError(RuntimeError):
 class Node:
     __slots__ = (
         "key", "state", "v", "n", "expanded",
-        "actions", "p", "q", "en", "evl", "child", "edge_total", "tried",
+        "actions", "p", "q", "en", "evl", "child", "edge_total", "tried", "live",
         "status", "end_in_ply", "parents",
     )
 
@@ -65,6 +69,7 @@ class Node:
         self.child: list = []         # child Node or None while unresolved
         self.edge_total = 0           # sum(en) + sum(evl), kept by the descent
         self.tried = 0                # edges at or after it have en = evl = 0
+        self.live = ()                # edges selection may pick, kept by the solver
         self.status = SolverStatus.UNKNOWN
         self.end_in_ply = 0
         self.parents: list["Node"] = []  # one entry per incoming edge
@@ -130,6 +135,7 @@ class GraphStore:
         node.en = [0] * k
         node.evl = [0] * k
         node.child = [None] * k
+        node.live = range(k)
         node.expanded = True
         self.edge_count += k
 

@@ -103,12 +103,11 @@ def select_move(node: Node, config, rng) -> MovePolicy:
         policy[node.actions.index(action)] = 1.0
         return MovePolicy(action, policy, solver_override=True)
 
+    boosted = False
     if not _visit_order(node):
         policy = _prior_policy(node)
-        boosted = False
     else:
         policy = visit_policy(node, config.tau)
-        boosted = False
         if config.q_boost:
             policy, boosted = q_boost(node, policy, config.q_weight)
 

@@ -135,7 +135,7 @@ class SearchConfig:
 
     @classmethod
     def from_dict(cls, data: dict, prefix: str = "") -> "SearchConfig":
-        """Build and validate a config; errors name a key with prefix before it."""
+        """Build and validate a config; every error carries prefix before its key."""
         known = {f.name: f for f in fields(cls)}
         kwargs = {}
         for key, value in data.items():
@@ -147,7 +147,10 @@ class SearchConfig:
             except ValueError as exc:
                 raise ValueError(f"config key {prefix + key!r}: {exc}") from None
         cfg = cls(**kwargs)
-        cfg.validate()
+        try:
+            cfg.validate()
+        except ValueError as exc:
+            raise ValueError(prefix + str(exc)) from None
         return cfg
 
 
@@ -482,14 +485,11 @@ class SearchEngine:
         self._terminals += 1
 
     def _select_index(self, node: Node) -> int:
-        """PUCT argmax over live edges, reading Q through virtual loss.
+        """PUCT argmax over the node's live edges, reading Q through virtual loss.
 
-        Pruned edges are never candidates. With the solver on, edges into
-        proven children are skipped too: their value is exact, so another
-        simulation there is search in vain. With it off, terminal children
-        carry their status but stay candidates, as in tree-PUCT. -1 is
-        returned only when every edge is settled, and then the solver has
-        proven the node itself, so the caller can read the node's own status.
+        The solver drops pruned edges and edges into proven children from
+        node.live; with it off nothing drops, as in tree-PUCT. -1 means no
+        edge is live, so the solver has proven the node itself.
 
         The exploration scale cpuct(N) * sqrt(N) is read from a table indexed
         by the node's running edge total N = sum(en) + sum(evl), so a call
@@ -506,9 +506,7 @@ class SearchEngine:
         evl = node.evl
         qs = node.q
         ps = node.p
-        children = node.child
         vl_weight = self.config.virtual_loss
-        solver_on = self.solver is not None
         total = node.edge_total
         table = self._u_scale
         if total >= len(table):
@@ -520,16 +518,8 @@ class SearchEngine:
         best = -1
         best_score = NEG_INF
         actions = node.actions
-        for j in range(len(en)):
+        for j in node.live:
             q = qs[j]
-            if q == NEG_INF:
-                continue
-            if solver_on:
-                # is_real(child.status), spelled inline: calling it per edge
-                # made the select-heavy nim:5,6,7,8 proof about 25% slower.
-                child = children[j]
-                if child is not None and 0 < child.status < 4:
-                    continue
             n = en[j]
             v = evl[j]
             if v:

@@ -12,7 +12,8 @@ resistance. Because the first proven mate is not always the shortest one,
 END_IN_PLY of WIN nodes may refine downward as further LOSS children are
 proven; statuses move monotonically from UNKNOWN to solved and never back.
 The same derivation prunes every edge into a proven-LOSS child (Q = -inf,
-prior = 0) so simulations stop re-entering refuted lines.
+prior = 0) so simulations stop re-entering refuted lines; it also keeps
+node.live, so selection skips settled edges without a status test.
 
 TB_* statuses come from an endgame oracle probe and behave like their real
 counterparts for propagation and pruning, except that search keeps flowing
@@ -139,8 +140,8 @@ class TerminalSolver:
     Terminal nodes arrive stamped by the engine. The engine reports link and
     expansion events; each one feeds `propagate`, whose `_recompute` is the
     only code that reads a node's children: it derives status and
-    END_IN_PLY, prunes edges into loss-like children, and reports a change
-    so the parents are re-derived in turn.
+    END_IN_PLY, prunes edges into loss-like children, keeps the live edge
+    list, and reports a change so the parents are re-derived in turn.
     """
 
     def __init__(self, endgame_oracle=None) -> None:
@@ -180,6 +181,9 @@ class TerminalSolver:
     def _recompute(self, node) -> bool:
         """Re-derive one node's status from its children; prune loss-like ones.
 
+        The same pass keeps node.live: pruned edges and edges into real-proven
+        children, whose values are exact, drop out; TB_WIN and TB_DRAW ones stay.
+
         Returns whether the node's status or END_IN_PLY changed.
         """
         if not node.expanded:  # a terminal, or a leaf not yet evaluated
@@ -189,15 +193,15 @@ class TerminalSolver:
         max_any = 0
         all_known = True
         all_real_wins = True
+        live = []
         for j, child in enumerate(node.child):
-            if child is None:
+            if child is None or child.status == SolverStatus.UNKNOWN:
                 all_known = False
+                live.append(j)
                 continue
             st = child.status
             eip = child.end_in_ply
-            if st == SolverStatus.UNKNOWN:
-                all_known = False
-            elif st == SolverStatus.LOSS:
+            if st == SolverStatus.LOSS:
                 prune_edge(node, j)
                 if min_loss is None or eip < min_loss:
                     min_loss = eip
@@ -213,8 +217,12 @@ class TerminalSolver:
                     min_tb_draw = eip
             if st != SolverStatus.WIN:
                 all_real_wins = False
+                if st == SolverStatus.TB_WIN or st == SolverStatus.TB_DRAW:
+                    live.append(j)
             if eip > max_any:
                 max_any = eip
+        if len(live) != len(node.live):
+            node.live = tuple(live)
 
         if min_loss is not None:
             new_status, new_eip = SolverStatus.WIN, min_loss + 1

@@ -91,6 +91,12 @@ def check_invariants(engine) -> None:
                 frontier_priors.append(node.p[i])
         assert all(a >= b for a, b in zip(frontier_priors, frontier_priors[1:])), \
             f"live priors rise past the frontier of {node}"
+        # live: the edges selection may pick, derived here from q and the
+        # child statuses rather than kept, in ascending order.
+        settled = [solver_on and child is not None and is_real(child.status)
+                   for child in node.child]
+        expected_live = [i for i, q in enumerate(node.q) if q != NEG_INF and not settled[i]]
+        assert list(node.live) == expected_live, f"live {list(node.live)} of {node}"
         for i, child in enumerate(node.child):
             assert node.evl[i] == 0, f"virtual loss left in flight on {node}"
             pruned = node.q[i] == NEG_INF
@@ -103,9 +109,9 @@ def check_invariants(engine) -> None:
             loss_like = solver_on and child.status in (SolverStatus.LOSS, SolverStatus.TB_LOSS)
             assert pruned == loss_like, f"edge {i} of {node}: pruned={pruned}, child {child}"
         if solver_on:
-            before = (node.status, node.end_in_ply, list(node.q), list(node.p))
+            before = (node.status, node.end_in_ply, list(node.q), list(node.p), node.live)
             assert not engine.solver._recompute(node), f"{node} is not quiescent"
-            assert (node.status, node.end_in_ply, node.q, node.p) == before, node
+            assert (node.status, node.end_in_ply, node.q, node.p, node.live) == before, node
         if node.status != SolverStatus.UNKNOWN:
             entry = negamax_solve(env, node.state, cache=negamax_cache)
             assert STATUS_VALUE[node.status] == entry.outcome.score, (node, entry)

@@ -153,8 +153,11 @@ def test_invalid_config_value_exits_1(tmp_path, capsys):
     ("match", "game = nim:1,1\nengineB.q_boost = maybe\n", [], "config key 'engineB.q_boost': "),
     ("scaling", "", ["--budgets", "8,x"], "error: --budgets: 'x' is not an integer"),
     ("search", "", ["--moves", "4,banana"], "error: --moves: 'banana' is not an integer"),
+    ("match", "game = nim:1,1\nengineB.budget_amount = 0\n", [],
+     "error: engineB.budget_amount must be >= 1"),
+    ("search", "budget_amount = 0\n", [], "error: budget_amount must be >= 1"),
 ], ids=["int_key", "bool_key", "match_key", "game_id", "engine_a_key", "engine_b_key",
-        "budgets", "moves"])
+        "budgets", "moves", "engine_b_range", "range"])
 def test_unparsable_setting_exits_1_naming_it(tmp_path, capsys, command, text, argv, named):
     path = tmp_path / "bad.cfg"
     path.write_text(text)

@@ -21,7 +21,7 @@ def _setups(draw):
     solver = draw(st.booleans())
     oracle = "none"
     if solver and game.startswith("nim:"):
-        oracle = draw(st.sampled_from(["none", "nim-xor"]))
+        oracle = draw(st.sampled_from(["none", "nim-xor", "table"]))
     evaluator = draw(st.sampled_from(["uniform", "heuristic", "deceptive"]))
     searches = draw(st.integers(1, 3))
     config = SearchConfig(

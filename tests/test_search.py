@@ -22,7 +22,7 @@ from mcgs.search import (
     cpuct,
     run_search,
 )
-from mcgs.solver import SolverStatus, is_real, prune_edge
+from mcgs.solver import SolverStatus, is_real
 
 from helpers import FixedEvaluator, attach_child, check_invariants, expanded_node
 
@@ -302,23 +302,25 @@ def test_virtual_loss_diverts_parallel_simulations(ttt):
 
 def _solved_edge_probe(engine, status):
     """Edge 0 looks best by far but leads to a child with `status`; edge 1
-    leads to an unsolved child with a poor record."""
+    leads to an unsolved child with a poor record. The solver then re-derives
+    the node, as it does when a real search links a solved child."""
     node = expanded_node(engine.store, actions=[0, 1], priors=[0.9, 0.1])
     node.q = [1.0, -0.9]
     node.en = [10, 10]
     node.tried = len(node.en)
     attach_child(engine.store, node, 0, status=status)
     attach_child(engine.store, node, 1)
+    engine.solver.propagate(node)
     return node
 
 
 @pytest.mark.parametrize("status", [SolverStatus.WIN, SolverStatus.LOSS,
                                     SolverStatus.DRAW], ids=lambda s: s.name)
 def test_selection_skips_edges_into_real_solved_children(ttt, status):
-    # The LOSS child is deliberately left unpruned: the status test alone
-    # must keep selection off the edge.
     engine = _engine(ttt)
-    assert engine._select_index(_solved_edge_probe(engine, status)) == 1
+    node = _solved_edge_probe(engine, status)
+    assert list(node.live) == [1]
+    assert engine._select_index(node) == 1
 
 
 @pytest.mark.parametrize("status", [SolverStatus.TB_WIN, SolverStatus.TB_DRAW],
@@ -333,7 +335,10 @@ def test_selection_returns_minus_one_when_every_edge_is_settled(ttt):
     node = expanded_node(engine.store, actions=[0, 1, 2])
     attach_child(engine.store, node, 0, status=SolverStatus.WIN)
     attach_child(engine.store, node, 1, status=SolverStatus.DRAW)
-    node.q[2] = NEG_INF  # pruned, child never resolved
+    attach_child(engine.store, node, 2, status=SolverStatus.LOSS)  # pruned
+    engine.solver.propagate(node)
+    assert node.q[2] == NEG_INF
+    assert node.live == ()
     assert engine._select_index(node) == -1
 
 
@@ -354,8 +359,9 @@ def _full_scan_pick(node, cfg, solver_on):
 
 
 _FUZZ_PRIORS = (0.4, 0.25, 0.25, math.nextafter(0.25, 0.0), 0.1, 1e-3, 0.0)
+# Real statuses first: with the solver off a child gets one only as a terminal.
 _FUZZ_STATUSES = (SolverStatus.WIN, SolverStatus.LOSS, SolverStatus.DRAW,
-                  SolverStatus.TB_WIN, SolverStatus.TB_DRAW)
+                  SolverStatus.TB_WIN, SolverStatus.TB_LOSS, SolverStatus.TB_DRAW)
 
 
 @pytest.mark.parametrize("overrides", [
@@ -372,6 +378,7 @@ def test_the_tried_frontier_picks_what_a_full_scan_picks(ttt, overrides):
     cfg = engine.config
     solver_on = engine.solver is not None
     rng = random.Random(41)
+    statuses = _FUZZ_STATUSES if solver_on else _FUZZ_STATUSES[:3]
     frontier_cases = 0
     for _ in range(4000):
         k = rng.randrange(1, 10)
@@ -386,10 +393,10 @@ def test_the_tried_frontier_picks_what_a_full_scan_picks(ttt, overrides):
             if node.en[j]:
                 node.q[j] = rng.uniform(-1, 1)
         for j in range(k):
-            if rng.random() < 0.15:
-                prune_edge(node, j)
-            elif rng.random() < 0.15:
-                attach_child(engine.store, node, j, status=rng.choice(_FUZZ_STATUSES))
+            if rng.random() < 0.3:
+                attach_child(engine.store, node, j, status=rng.choice(statuses))
+        if solver_on:  # prunes the loss-like children and drops settled edges
+            engine.solver.propagate(node)
         node.edge_total = sum(node.en) + sum(node.evl)
         frontier_cases += node.tried < k - 1
         expected = _full_scan_pick(node, cfg, solver_on)
@@ -400,13 +407,15 @@ def test_the_tried_frontier_picks_what_a_full_scan_picks(ttt, overrides):
 
 
 class _FullScanChecked(SearchEngine):
-    """Re-runs every selection with the frontier at the edge count, which
-    scans every edge; the two picks must agree."""
+    """Checks every pick against `_full_scan_pick`, which reads q and the
+    child statuses instead of the live list, and re-runs every selection
+    with the frontier at the edge count, which scans every live edge."""
 
     frontier_calls = 0
 
     def _select_index(self, node):
         picked = super()._select_index(node)
+        assert picked == _full_scan_pick(node, self.config, self.solver is not None), node
         tried = node.tried
         if tried < len(node.en):
             self.frontier_calls += 1
@@ -425,10 +434,39 @@ class _FullScanChecked(SearchEngine):
 ], ids=["all-on-dirichlet", "solver-off", "plain-dirichlet"])
 @pytest.mark.parametrize("game", ["tictactoe", "nim:2,3,4", "leftright:8"])
 def test_every_search_pick_equals_a_full_scan(game, overrides, batch):
+    _check_every_pick(_full_scan_engine(game, SearchConfig(
+        budget_amount=150, mini_batch_size=batch, seed=batch, **overrides)))
+
+
+@pytest.mark.parametrize("batch", [1, 5, 16])
+@pytest.mark.parametrize("oracle", ["nim-xor", "table"])
+def test_every_search_pick_with_an_endgame_oracle_equals_a_full_scan(oracle, batch):
+    # The oracle gives TB statuses, whose edges stay live, and the proofs
+    # that follow upgrade them to real ones, whose edges drop out.
+    engine = _full_scan_engine("nim:2,3,4", SearchConfig(
+        budget_amount=150, mini_batch_size=batch, seed=batch, endgame_oracle=oracle))
+    upgraded = []
+    recompute = engine.solver._recompute
+
+    def recompute_noting_upgrades(node):
+        was_tb = node.status >= SolverStatus.TB_WIN
+        changed = recompute(node)
+        if was_tb and is_real(node.status):
+            upgraded.append(node)
+        return changed
+
+    engine.solver._recompute = recompute_noting_upgrades
+    _check_every_pick(engine)
+    assert upgraded
+
+
+def _full_scan_engine(game, config):
     env = make_env(game)
-    config = SearchConfig(budget_amount=150, mini_batch_size=batch, seed=batch, **overrides)
-    engine = _FullScanChecked(env, make_evaluator("heuristic", env), config)
-    engine.reset(env.initial_state())
+    return _FullScanChecked(env, make_evaluator("heuristic", env), config)
+
+
+def _check_every_pick(engine):
+    engine.reset(engine.env.initial_state())
     for _ in range(6):
         result = engine.search()
         check_invariants(engine)

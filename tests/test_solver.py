@@ -16,7 +16,6 @@ from mcgs.solver import (
     TerminalSolver,
     is_real,
     make_endgame_oracle,
-    prune_edge,
     solved_move,
     status_for_outcome,
 )
@@ -236,7 +235,8 @@ def test_selection_never_picks_a_pruned_edge(ttt):
     for _ in range(10_000):
         node = expanded_node(store, actions=[0, 1, 2])
         pruned = rng.randrange(3)
-        prune_edge(node, pruned)
+        attach_child(store, node, pruned, status=SolverStatus.LOSS)
+        engine.solver.propagate(node)  # prunes the edge into the LOSS child
         for i in range(3):
             if i == pruned:
                 continue
@@ -253,8 +253,10 @@ def test_selection_never_picks_a_pruned_edge(ttt):
 def test_selection_signals_when_everything_is_pruned(ttt):
     engine = SearchEngine(ttt, UniformEvaluator(ttt), SearchConfig())
     node = expanded_node(engine.store, actions=[0, 1])
-    prune_edge(node, 0)
-    prune_edge(node, 1)
+    attach_child(engine.store, node, 0, status=SolverStatus.TB_LOSS)
+    attach_child(engine.store, node, 1, status=SolverStatus.LOSS)
+    engine.solver.propagate(node)
+    assert node.q == [NEG_INF, NEG_INF]
     assert engine._select_index(node) < 0
 
 
