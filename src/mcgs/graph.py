@@ -4,18 +4,16 @@ Edges are stored as parallel per-node lists (action, prior, Q, visit count,
 virtual loss, child reference) rather than edge objects; at branching factors
 of a dozen this keeps the selection loop allocation-free and cache-friendly.
 Each node also keeps edge_total, the running sum(en) + sum(evl) that PUCT's
-exploration term reads, so selection never sums the edges. Only the search's
-descent changes it: +1 where it adds virtual loss, -1 where a StoreFullError
-rolls that loss back. Backpropagation moves one unit from evl to en and
-leaves the total alone.
+exploration term reads, so selection never sums the edges. The search writes
+it with each count: backpropagation adds a visit, and a leaf that waits for
+the evaluator adds and then lifts one virtual loss on its path.
 
 Each node also keeps tried, a frontier with the invariant that every edge at
-or after it has en = evl = 0. The descent raises it to i + 1 where it adds
-virtual loss on edge i (a StoreFullError rollback may leave it raised), and
-a root's Dirichlet mix sets it to the edge count. Past the frontier the live
-edges are untried, each with Q = q_init, in the falling prior order of
-expansion, so selection can stop scanning there once an edge scores below
-the best.
+or after it has en = evl = 0. The descent raises it to i + 1 where it takes
+edge i, and a root's Dirichlet mix sets it to the edge count. Past the
+frontier the live edges are untried, each with Q = q_init, in the falling
+prior order of expansion, so selection can stop scanning there once an edge
+scores below the best.
 
 Each node also keeps live, the ascending indices of the edges selection may
 pick: every edge at expansion, then only the solver's _recompute writes it,
@@ -67,7 +65,7 @@ class Node:
         self.en: list[int] = []       # edge visit counts
         self.evl: list[int] = []      # edge virtual-loss (in-flight) counts
         self.child: list = []         # child Node or None while unresolved
-        self.edge_total = 0           # sum(en) + sum(evl), kept by the descent
+        self.edge_total = 0           # sum(en) + sum(evl), kept by the search
         self.tried = 0                # edges at or after it have en = evl = 0
         self.live = ()                # edges selection may pick, kept by the solver
         self.status = SolverStatus.UNKNOWN

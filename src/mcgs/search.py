@@ -122,10 +122,9 @@ class SearchConfig:
             raise ValueError("node_tau must be > 0")
         if self.tau < 0:
             raise ValueError("tau must be >= 0")
-        if not 0.0 <= self.epsilon_greedy <= 1.0 or not 0.0 <= self.epsilon_checks <= 1.0:
-            raise ValueError("branch probabilities must lie in [0, 1]")
-        if not 0.0 <= self.dirichlet_epsilon <= 1.0:
-            raise ValueError("dirichlet_epsilon must lie in [0, 1]")
+        for key in ("epsilon_greedy", "epsilon_checks", "dirichlet_epsilon"):
+            if not 0.0 <= getattr(self, key) <= 1.0:
+                raise ValueError(f"{key} must lie in [0, 1]")
         if self.virtual_loss < 0:
             raise ValueError("virtual_loss must be >= 0")
         if not -1.0 <= self.q_init <= 1.0:
@@ -317,6 +316,8 @@ class SearchEngine:
         watch_root = cfg.stop_when_solved
         stall_rounds = 0
         store = self.store
+        # with both exploration features off, _simulate only forwards the call
+        simulate = self._simulate if cfg.eps_greedy or cfg.check_enhance else self._descend
 
         while True:
             # The queue is empty here, as every round ends with a flush, so the
@@ -340,7 +341,7 @@ class SearchEngine:
             terminals_this_round = 0
             while True:
                 try:
-                    descent = self._simulate(root)
+                    descent = simulate(root)
                 except StoreFullError:
                     self._store_full = True
                     break
@@ -371,6 +372,9 @@ class SearchEngine:
 
     def _finish_eval(self, descent: tuple[list, Node], evaluation) -> None:
         pairs, leaf = descent
+        for node, i in pairs:  # the leaf no longer waits: lift its virtual loss
+            node.evl[i] -= 1
+            node.edge_total -= 1
         if not leaf.expanded:
             self._expand(leaf, evaluation)
         else:
@@ -390,88 +394,77 @@ class SearchEngine:
         """
         cfg = self.config
         rng = self.rng
-        node = root
-        idx = None
-        if cfg.eps_greedy or cfg.check_enhance:
-            u_greedy = rng.random() if cfg.eps_greedy else 1.0
-            u_checks = rng.random() if cfg.check_enhance else 1.0
-            kind = None
-            if u_greedy <= cfg.epsilon_greedy:
-                kind = explore.EPS_GREEDY
-            elif u_checks <= cfg.epsilon_checks:
-                kind = explore.FORCING
-            if kind is not None:
-                branch = explore.make_plan(self, root)
-                idx = explore.execute_branch(self, branch, kind)
-                if idx is not None:
-                    node = branch
-        return self._descend(node, idx)
+        # A feature that is off draws nothing and, at inf, never branches.
+        u_greedy = rng.random() if cfg.eps_greedy else inf
+        u_checks = rng.random() if cfg.check_enhance else inf
+        if u_greedy <= cfg.epsilon_greedy:
+            kind = explore.EPS_GREEDY
+        elif u_checks <= cfg.epsilon_checks:
+            kind = explore.FORCING
+        else:
+            return self._descend(root)
+        branch = explore.make_plan(self, root)
+        idx = explore.execute_branch(self, branch, kind)
+        return self._descend(root) if idx is None else self._descend(branch, idx)
 
     def _descend(self, node: Node, forced_idx: int | None = None) -> tuple[list, Node] | None:
         """Walk the graph from `node` until the simulation ends.
 
         The first edge is forced_idx when one is given (an exploration
-        branch). Collects (node, edge index) pairs and applies virtual loss
-        as it goes. Nodes carry their states, so the env applies a move only
+        branch). Collects (node, edge index) pairs, raising each tried
+        frontier. Nodes carry their states, so the env applies a move only
         to resolve an edge whose child is still unknown. A simulation that
         ends on a terminal or proven node, or in an early stop, is backed up
         and counted here, and None is returned. One that reaches a new leaf
-        returns (pairs, leaf) for the evaluator. On StoreFullError the
-        virtual loss applied so far is rolled back before re-raising.
+        returns (pairs, leaf) for the evaluator, with one virtual loss on
+        each pair: only a waiting leaf needs it, as no descent revisits a
+        node. A StoreFullError leaves every count as it was.
         """
         cfg = self.config
         transpositions = cfg.transpositions
         q_eps = cfg.q_epsilon
         pairs = []
-        try:
-            while True:
-                if forced_idx is not None:
-                    i = forced_idx
-                    forced_idx = None
-                else:
-                    i = self._select_index(node)
-                    if i < 0:
-                        # Every edge settled: back up the node's proven value.
-                        return self._settle(pairs, node)
-                node.evl[i] += 1
-                node.edge_total += 1
-                if i >= node.tried:
-                    node.tried = i + 1
-                pairs.append((node, i))
-                child = node.child[i]
-                if child is None:
-                    child = self._resolve_child(
-                        node, i, self.env.apply(node.state, node.actions[i]))
-                # is_real(status), spelled inline: terminals take this exit
-                # too, and the call made a terminal-heavy plain nim:3,4,5
-                # search about 7% slower.
-                status = child.status
-                if 0 < status < 4:
-                    return self._settle(pairs, child)
-                if transpositions:
-                    edge_n = node.en[i]
-                    if child.n > edge_n:
-                        v_star = -child.v
-                        q_edge = node.q[i]
-                        delta = v_star - q_edge
-                        if delta > q_eps or delta < -q_eps:
-                            if q_edge == NEG_INF:
-                                # The edge was pruned as it resolved, onto an
-                                # oracle-proven loss: -inf has no correction
-                                # sample, so back up the settled value.
-                                return self._settle(pairs, child)
-                            value = correction_value(q_edge, v_star, edge_n)
-                            self._backpropagate(pairs, -value)
-                            self._early += 1
-                            return None
-                if not child.expanded:
-                    return pairs, child
-                node = child
-        except StoreFullError:
-            for pnode, pi in pairs:
-                pnode.evl[pi] -= 1
-                pnode.edge_total -= 1
-            raise
+        i = self._select_index(node) if forced_idx is None else forced_idx
+        while True:
+            if i < 0:
+                # Every edge settled: back up the node's proven value.
+                return self._settle(pairs, node)
+            if i >= node.tried:
+                node.tried = i + 1
+            pairs.append((node, i))
+            child = node.child[i]
+            if child is None:
+                child = self._resolve_child(
+                    node, i, self.env.apply(node.state, node.actions[i]))
+            # is_real(status), spelled inline: terminals take this exit too,
+            # and the call made a terminal-heavy plain nim:3,4,5 search about
+            # 7% slower.
+            status = child.status
+            if 0 < status < 4:
+                return self._settle(pairs, child)
+            if transpositions:
+                edge_n = node.en[i]
+                if child.n > edge_n:
+                    v_star = -child.v
+                    q_edge = node.q[i]
+                    delta = v_star - q_edge
+                    if delta > q_eps or delta < -q_eps:
+                        if q_edge == NEG_INF:
+                            # The edge was pruned as it resolved, onto an
+                            # oracle-proven loss: -inf has no correction
+                            # sample, so back up the settled value.
+                            return self._settle(pairs, child)
+                        value = correction_value(q_edge, v_star, edge_n)
+                        self._backpropagate(pairs, -value)
+                        self._early += 1
+                        return None
+            if not child.expanded:
+                for pnode, pi in pairs:
+                    pnode.evl[pi] += 1
+                    pnode.edge_total += 1
+                return pairs, child
+            node = child
+            i = self._select_index(node)
 
     def _settle(self, pairs: list, node: Node) -> None:
         """Back up a simulation that ends on a terminal or proven node.
@@ -509,15 +502,16 @@ class SearchEngine:
         vl_weight = self.config.virtual_loss
         total = node.edge_total
         table = self._u_scale
-        if total >= len(table):
+        try:
+            u_scale = table[total]
+        except IndexError:
             base, init = self._puct
             table.extend(cpuct(t, base, init) * sqrt(t)
                          for t in range(len(table), max(total + 1, 2 * len(table), 1024)))
-        u_scale = table[total]
+            u_scale = table[total]
         tried = node.tried if u_scale >= 0.0 else len(en)
         best = -1
         best_score = NEG_INF
-        actions = node.actions
         for j in node.live:
             q = qs[j]
             n = en[j]
@@ -528,12 +522,14 @@ class SearchEngine:
             else:
                 m = n
             score = q + u_scale * ps[j] / (1.0 + m)
-            if score > best_score or (score == best_score
-                                      and best >= 0 and actions[j] < actions[best]):
+            if score < best_score:
+                if j >= tried:
+                    break
+            elif score > best_score:
                 best_score = score
                 best = j
-            elif j >= tried and score < best_score:
-                break
+            elif best >= 0 and node.actions[j] < node.actions[best]:  # an exact tie
+                best = j
         return best
 
     # ----- node lifecycle ----------------------------------------------------
@@ -636,7 +632,8 @@ class SearchEngine:
         value is from the side to move at the node the last pair's edge
         reaches, so the walk negates it into each node's perspective in turn.
         Above a node with several parents the pushed value is re-derived from
-        that node's own (fresher) statistics.
+        that node's own (fresher) statistics. Each pair counts one visit (en
+        and edge_total); virtual loss is left to the caller.
         """
         qtarget_set = False
         qtarget = 0.0
@@ -654,7 +651,7 @@ class SearchEngine:
             q_edge = node.q[i]
             if q_edge != NEG_INF:
                 node.q[i] = q_edge + (value - q_edge) / n1
-            node.evl[i] -= 1
+            node.edge_total += 1
             m1 = node.n + 1
             node.n = m1
             node.v += (value - node.v) / m1

@@ -63,6 +63,7 @@ STATUS_VALUE = {s: o.score for s, o in _OUTCOME_CLASS.items()}
 
 _REAL_FOR_OUTCOME = {o: s for s, o in _OUTCOME_CLASS.items() if is_real(s)}
 _TB_FOR_OUTCOME = {o: s for s, o in _OUTCOME_CLASS.items() if not is_real(s)}
+_SELECTABLE = frozenset((SolverStatus.UNKNOWN, SolverStatus.TB_WIN, SolverStatus.TB_DRAW))
 
 
 def status_for_outcome(outcome: Outcome) -> SolverStatus:
@@ -193,11 +194,11 @@ class TerminalSolver:
         max_any = 0
         all_known = True
         all_real_wins = True
-        live = []
+        kept = 0  # live edges: unresolved or into a _SELECTABLE child
         for j, child in enumerate(node.child):
             if child is None or child.status == SolverStatus.UNKNOWN:
                 all_known = False
-                live.append(j)
+                kept += 1
                 continue
             st = child.status
             eip = child.end_in_ply
@@ -218,11 +219,12 @@ class TerminalSolver:
             if st != SolverStatus.WIN:
                 all_real_wins = False
                 if st == SolverStatus.TB_WIN or st == SolverStatus.TB_DRAW:
-                    live.append(j)
+                    kept += 1
             if eip > max_any:
                 max_any = eip
-        if len(live) != len(node.live):
-            node.live = tuple(live)
+        if kept != len(node.live):
+            node.live = tuple(j for j, child in enumerate(node.child)
+                              if child is None or child.status in _SELECTABLE)
 
         if min_loss is not None:
             new_status, new_eip = SolverStatus.WIN, min_loss + 1

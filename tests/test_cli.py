@@ -155,9 +155,11 @@ def test_invalid_config_value_exits_1(tmp_path, capsys):
     ("search", "", ["--moves", "4,banana"], "error: --moves: 'banana' is not an integer"),
     ("match", "game = nim:1,1\nengineB.budget_amount = 0\n", [],
      "error: engineB.budget_amount must be >= 1"),
+    ("match", "game = nim:1,1\nengineA.epsilon_greedy = 2\n", [],
+     "error: engineA.epsilon_greedy must lie in [0, 1]"),
     ("search", "budget_amount = 0\n", [], "error: budget_amount must be >= 1"),
 ], ids=["int_key", "bool_key", "match_key", "game_id", "engine_a_key", "engine_b_key",
-        "budgets", "moves", "engine_b_range", "range"])
+        "budgets", "moves", "engine_b_range", "engine_a_probability", "range"])
 def test_unparsable_setting_exits_1_naming_it(tmp_path, capsys, command, text, argv, named):
     path = tmp_path / "bad.cfg"
     path.write_text(text)

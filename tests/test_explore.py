@@ -228,3 +228,21 @@ def test_branching_disabled_means_no_plans(ttt, monkeypatch):
     engine.reset(ttt.initial_state())
     engine.search()
     assert calls == []
+
+
+
+@pytest.mark.parametrize("feature, probability", [("eps_greedy", "epsilon_greedy"),
+                                                  ("check_enhance", "epsilon_checks")])
+def test_a_feature_that_is_off_never_branches_even_at_probability_1(
+        ttt, monkeypatch, feature, probability):
+    # The feature is off with its probability at 1; the other is on at 0.
+    kinds = []
+    real = explore.execute_branch
+    monkeypatch.setattr("mcgs.explore.execute_branch",
+                        lambda engine, node, kind: kinds.append(kind) or real(engine, node, kind))
+    settings = dict(eps_greedy=True, check_enhance=True, epsilon_greedy=0.0, epsilon_checks=0.0)
+    settings.update({feature: False, probability: 1.0})
+    engine = SearchEngine(ttt, UniformEvaluator(ttt), SearchConfig(budget_amount=200, **settings))
+    engine.reset(ttt.initial_state())
+    engine.search()
+    assert kinds == []

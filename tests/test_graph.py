@@ -32,9 +32,11 @@ def _edge_update(node, sample):
 
     The leaf value is given from the child's perspective, so the edge sees
     its negation: passing -sample makes the edge's new sample exactly sample.
+    The visit counts in the edge total; virtual loss is not backprop's to lift.
     """
-    node.evl[0] += 1
+    total = node.edge_total
     _ENGINE._backpropagate([(node, 0)], -sample)
+    assert node.edge_total == total + 1
     assert node.evl[0] == 0
 
 

@@ -599,11 +599,11 @@ def test_backprop_flips_the_leaf_value_once(ttt):
     engine = _engine(ttt)
     store = GraphStore()
     root = expanded_node(store, actions=[0])
-    root.evl[0] = 1
     engine._backpropagate([(root, 0)], 0.6)
     assert root.en[0] == 1
+    assert root.edge_total == 1
     assert root.q[0] == pytest.approx(-0.6)
-    assert root.evl[0] == 0
+    assert root.evl[0] == 0  # untouched: backprop lifts no virtual loss
     assert (root.n, root.v) == (1, pytest.approx(-0.6))
 
 
@@ -637,7 +637,6 @@ def test_backprop_reanchors_above_a_join(ttt):
 
     mid.n, mid.v = 3, -0.1
     root.q[0], root.en[0] = 0.3, 4
-    root.evl[0] = mid.evl[0] = 1
 
     engine._backpropagate([(root, 0), (mid, 0)], 0.5)
     # mid's value moved to -0.2, so the edge above re-anchors on +0.2 and the
@@ -658,7 +657,6 @@ def test_backprop_correction_saturates_at_the_value_floor(ttt):
 
     mid.n, mid.v = 0, 0.0
     root.q[0], root.en[0] = 0.9, 5
-    root.evl[0] = mid.evl[0] = 1
 
     engine._backpropagate([(root, 0), (mid, 0)], -0.5)
     assert mid.v == pytest.approx(0.5)
@@ -671,10 +669,157 @@ def test_backprop_counts_visits_on_pruned_edges_without_unpruning(ttt):
     store = GraphStore()
     root = expanded_node(store, actions=[0])
     root.q[0] = NEG_INF
-    root.evl[0] = 1
     engine._backpropagate([(root, 0)], 0.4)
     assert root.en[0] == 1
     assert root.q[0] == NEG_INF
+
+
+# ----- virtual loss -------------------------------------------------------------
+
+
+def _counts(engine):
+    """Every expanded node's edge visits, virtual losses and edge total."""
+    return {node.key: (list(node.en), list(node.evl), node.edge_total)
+            for node in engine.store.nodes.values() if node.expanded}
+
+
+def _assert_counted(engine, before, pairs, en_step, evl_step):
+    """Each pair's edge moved by en_step and evl_step, its node's total by
+    their sum, and every other count is as it was. A node expanded since
+    `before` has only zero counts."""
+    expected = {key: (list(en), list(evl), total) for key, (en, evl, total) in before.items()}
+    for node, i in pairs:
+        en, evl, total = expected[node.key]
+        en[i] += en_step
+        evl[i] += evl_step
+        expected[node.key] = (en, evl, total + en_step + evl_step)
+    after = _counts(engine)
+    for key in after.keys() - expected.keys():
+        en, evl, total = after.pop(key)
+        assert not any(en) and not any(evl) and total == 0
+    assert after == expected
+
+
+def _record_backups(engine):
+    """The list of path pairs that each later _backpropagate call receives."""
+    backprop = engine._backpropagate
+    seen = []
+    engine._backpropagate = lambda pairs, value: (seen.append(list(pairs)),
+                                                  backprop(pairs, value))
+    return seen
+
+
+def test_a_descent_ending_on_a_terminal_lays_no_virtual_loss(ttt):
+    # X to move with 5 and 8 empty: 8 leaves O only 5, a full-board draw, so
+    # the descent forced into 8 ends on a terminal two edges down.
+    state = ttt.initial_state()
+    for move in (4, 0, 1, 7, 6, 2, 3):
+        state = ttt.apply(state, move)
+    engine = _engine(ttt, budget_amount=20, **PLAIN)
+    engine.reset(state)
+    engine.search()
+    root = engine._root
+    idx = root.actions.index(8)
+    assert root.child[idx].expanded
+    before = _counts(engine)
+    terminals = engine._terminals
+    backed_up = _record_backups(engine)
+    assert engine._descend(root, forced_idx=idx) is None
+    assert engine._terminals == terminals + 1
+    [pairs] = backed_up
+    assert [node for node, _ in pairs] == [root, root.child[idx]]
+    _assert_counted(engine, before, pairs, en_step=1, evl_step=0)
+    check_invariants(engine)
+
+
+def _stops_early(engine, node, i):
+    """Whether a descent along edge i of node stops early there."""
+    child = node.child[i]
+    return (child is not None and child.status == SolverStatus.UNKNOWN
+            and child.n > node.en[i]
+            and abs(-child.v - node.q[i]) > engine.config.q_epsilon)
+
+
+def test_a_descent_ending_in_an_early_stop_lays_no_virtual_loss():
+    env = make_env("nim:2,3,4")
+    engine = SearchEngine(env, make_evaluator("deceptive", env), SearchConfig(
+        budget_amount=200, seed=1, eps_greedy=False, check_enhance=False))
+    engine.reset(env.initial_state())
+    engine.search()
+    root = engine._root
+    # a root edge into a node whose own pick stops early: a two-edge descent
+    idx = next(j for j, child in enumerate(root.child)
+               if child is not None and child.live and not _stops_early(engine, root, j)
+               and _stops_early(engine, child, engine._select_index(child)))
+    before = _counts(engine)
+    early = engine._early
+    backed_up = _record_backups(engine)
+    assert engine._descend(root, forced_idx=idx) is None
+    assert engine._early == early + 1
+    [pairs] = backed_up
+    assert len(pairs) == 2
+    _assert_counted(engine, before, pairs, en_step=1, evl_step=0)
+    check_invariants(engine)
+
+
+def test_a_waiting_leaf_carries_one_virtual_loss_until_its_evaluation(ttt):
+    engine = _engine(ttt, budget_amount=30, **PLAIN)
+    engine.reset(ttt.initial_state())
+    engine.search()
+    before = _counts(engine)
+    pairs, leaf = engine._descend(engine._root)
+    assert len(pairs) >= 2
+    _assert_counted(engine, before, pairs, en_step=0, evl_step=1)
+    engine._finish_eval((pairs, leaf), engine.evaluator.evaluate(leaf.state))
+    _assert_counted(engine, before, pairs, en_step=1, evl_step=0)
+    check_invariants(engine)
+
+
+def test_a_full_store_mid_descent_leaves_the_counts_as_they_were(ttt):
+    engine = _engine(ttt, budget_amount=30, **PLAIN)
+    engine.reset(ttt.initial_state())
+    engine.search()
+    root = engine._root
+    assert None not in root.child  # so the resolve that fails is below the root
+    engine.store.capacity = len(engine.store.nodes)
+    before = _counts(engine)
+    with pytest.raises(StoreFullError):
+        engine._descend(root)
+    assert _counts(engine) == before
+    check_invariants(engine)
+
+
+def test_every_descent_of_a_search_touches_each_edge_once():
+    # Leaves in flight, terminals, early stops and exploration branches: a
+    # backed-up descent adds one visit to each of its edges, a waiting one
+    # one virtual loss, and no other count moves.
+    env = make_env("nim:2,3,4")
+    engine = SearchEngine(env, make_evaluator("deceptive", env),
+                          SearchConfig(budget_amount=300, mini_batch_size=8, seed=5))
+    descend = engine._descend
+    kinds = set()
+
+    def checked_descend(node, forced_idx=None):
+        before = _counts(engine)
+        early = engine._early
+        backed_up = _record_backups(engine)
+        descent = descend(node, forced_idx)
+        del engine._backpropagate
+        if descent is None:
+            [pairs] = backed_up
+            kinds.add("early stop" if engine._early > early else "settled")
+            _assert_counted(engine, before, pairs, en_step=1, evl_step=0)
+        else:
+            assert backed_up == []
+            kinds.add("leaf")
+            _assert_counted(engine, before, descent[0], en_step=0, evl_step=1)
+        return descent
+
+    engine._descend = checked_descend
+    engine.reset(env.initial_state())
+    engine.search()
+    assert kinds == {"early stop", "settled", "leaf"}
+    check_invariants(engine)
 
 
 # ----- end-to-end searches ------------------------------------------------------
