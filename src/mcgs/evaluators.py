@@ -172,9 +172,8 @@ class EvalQueue:
 
     submit() holds requests in FIFO order; the caller decides when a batch
     is full (mini_batch_size) and calls flush(), which evaluates whatever is
-    pending and returns (token, evaluation) pairs in submission order.
-    total_evaluated counts every evaluation ever returned, which is what
-    evaluation budgets meter.
+    pending and returns (token, evaluation) pairs in submission order. It
+    keeps no count: the search counts what each flush returns.
     """
 
     def __init__(self, evaluator, mini_batch_size: int) -> None:
@@ -183,7 +182,6 @@ class EvalQueue:
         self.evaluator = evaluator
         self.mini_batch_size = mini_batch_size
         self._pending: list[tuple[object, object]] = []
-        self.total_evaluated = 0
 
     def __len__(self) -> int:
         return len(self._pending)
@@ -195,6 +193,4 @@ class EvalQueue:
         batch = self._pending
         self._pending = []
         evaluate = self.evaluator.evaluate
-        results = [(token, evaluate(state)) for state, token in batch]
-        self.total_evaluated += len(results)
-        return results
+        return [(token, evaluate(state)) for state, token in batch]

@@ -34,6 +34,7 @@ Memory accounting distinguishes the nodes actually allocated from
 tree_equivalent_node_count, the nodes a pure tree would have allocated for
 the same simulations: every first resolution of an edge onto a pre-existing
 node is one join event, i.e. one allocation the tree could not have shared.
+The report's trajectory_buffer_size is the search's figure, passed in.
 """
 
 from __future__ import annotations
@@ -99,7 +100,6 @@ class GraphStore:
         self.nodes: dict[StateKey, Node] = {}
         self.join_count = 0
         self.edge_count = 0
-        self.trajectory_buffer_peak = 0
         self._serial = 0
 
     def lookup_or_insert(self, key: StateKey, state=None,
@@ -144,13 +144,13 @@ class GraphStore:
         if was_existing:
             self.join_count += 1
 
-    def memory_report(self) -> dict:
-        """Live allocation counts plus the pure-tree counterfactual."""
+    def memory_report(self, trajectory_buffer_size: int = 0) -> dict:
+        """Allocation counts, the pure-tree counterfactual and a search's batch peak."""
         node_count = len(self.nodes)
         return {
             "node_count": node_count,
             "edge_count": self.edge_count,
-            "trajectory_buffer_size": self.trajectory_buffer_peak,
+            "trajectory_buffer_size": trajectory_buffer_size,
             "tree_equivalent_node_count": node_count + self.join_count,
             "transposition_join_count": self.join_count,
         }

@@ -17,8 +17,7 @@ from .solver import solved_move
 class MovePolicy:
     action: int
     policy: list[float] = field(default_factory=list)  # over the root's stored edge order
-    boosted: bool = False
-    solver_override: bool = False
+    source: str = "visits"  # what chose the move: solver, q_boost, visits or prior
 
 
 def _visit_order(node: Node) -> list[int]:
@@ -101,15 +100,16 @@ def select_move(node: Node, config, rng) -> MovePolicy:
     if action is not None:
         policy = [0.0] * len(node.actions)
         policy[node.actions.index(action)] = 1.0
-        return MovePolicy(action, policy, solver_override=True)
+        return MovePolicy(action, policy, "solver")
 
-    boosted = False
     if not _visit_order(node):
-        policy = _prior_policy(node)
+        policy, source = _prior_policy(node), "prior"
     else:
-        policy = visit_policy(node, config.tau)
+        policy, source = visit_policy(node, config.tau), "visits"
         if config.q_boost:
             policy, boosted = q_boost(node, policy, config.q_weight)
+            if boosted:
+                source = "q_boost"
 
     if config.tau == 0.0:
         idx = _argmax_policy(node, policy)
@@ -122,7 +122,7 @@ def select_move(node: Node, config, rng) -> MovePolicy:
             if r < acc:
                 idx = j
                 break
-    return MovePolicy(node.actions[idx], policy, boosted=boosted)
+    return MovePolicy(node.actions[idx], policy, source)
 
 
 def principal_variation(node: Node, limit: int = 64) -> list[int]:

@@ -20,7 +20,9 @@ proven node, or in an early stop, is backed up on the spot and never
 occupies an evaluator slot. One that ends on a new leaf waits under virtual
 loss: a round gathers up to mini_batch_size such leaves, then its one flush
 evaluates them and backpropagates them in submission order. An evaluations
-budget counts only real evaluator work.
+budget counts only real evaluator work. Each search() counts what it spends
+in a fresh SearchStats record, the one place a per-search count is kept:
+neither the eval queue nor the graph store, which outlives it, keeps one.
 
 Module state: _U_SCALES holds one exploration-scale table per
 (c_puct_base, c_puct_init), shared by every engine with those two floats.
@@ -112,25 +114,20 @@ class SearchConfig:
                 raise ValueError(f"{spec.name} must be finite, got {value}")
         if self.budget not in BUDGET_KINDS:
             raise ValueError(f"budget must be one of {BUDGET_KINDS}, got {self.budget!r}")
-        if self.budget_amount < 1:
-            raise ValueError("budget_amount must be >= 1")
-        if self.mini_batch_size < 1:
-            raise ValueError("mini_batch_size must be >= 1")
-        if self.c_puct_base <= 0:
-            raise ValueError("c_puct_base must be > 0")
-        if self.node_tau <= 0:
-            raise ValueError("node_tau must be > 0")
-        if self.tau < 0:
-            raise ValueError("tau must be >= 0")
+        for key in ("budget_amount", "mini_batch_size", "capacity"):
+            if getattr(self, key) < 1:
+                raise ValueError(f"{key} must be >= 1")
+        for key in ("c_puct_base", "node_tau", "dirichlet_alpha"):
+            if getattr(self, key) <= 0:
+                raise ValueError(f"{key} must be > 0")
+        for key in ("tau", "q_weight", "virtual_loss"):
+            if getattr(self, key) < 0:
+                raise ValueError(f"{key} must be >= 0")
         for key in ("epsilon_greedy", "epsilon_checks", "dirichlet_epsilon"):
             if not 0.0 <= getattr(self, key) <= 1.0:
                 raise ValueError(f"{key} must lie in [0, 1]")
-        if self.virtual_loss < 0:
-            raise ValueError("virtual_loss must be >= 0")
         if not -1.0 <= self.q_init <= 1.0:
             raise ValueError("q_init must lie in the value range [-1, 1]")
-        if self.capacity < 1:
-            raise ValueError("capacity must be >= 1")
 
     @classmethod
     def from_dict(cls, data: dict, prefix: str = "") -> "SearchConfig":
@@ -193,6 +190,22 @@ def correction_value(q_edge: float, v_star: float, visits: int,
     return value
 
 
+@dataclass(slots=True)
+class SearchStats:
+    """One search's counts: simulations = evaluations + terminals (settled on a
+    terminal or proven node) + early_stops; batch_peak is the largest flush."""
+
+    evaluations: int = 0
+    terminals: int = 0
+    early_stops: int = 0
+    batch_peak: int = 0
+    store_full: bool = False
+
+    @property
+    def simulations(self) -> int:
+        return self.evaluations + self.terminals + self.early_stops
+
+
 @dataclass
 class SearchResult:
     game: str
@@ -241,10 +254,7 @@ class SearchEngine:
         # alone, so a config edited later cannot corrupt another engine's table
         self._puct = (config.c_puct_base, config.c_puct_init)
         self._u_scale = _U_SCALES.setdefault(self._puct, [])
-        # per-search counters; simulations = evaluations + _terminals + _early
-        self._terminals = 0
-        self._early = 0
-        self._store_full = False
+        self.stats = SearchStats()  # replaced by each search()
 
     # ----- root management -------------------------------------------------
 
@@ -279,26 +289,19 @@ class SearchEngine:
     def search(self) -> SearchResult:
         if self._root is None:
             raise RuntimeError("search() before reset()")
-        cfg = self.config
         t0 = time.perf_counter()
         root = self._root
-
-        self._terminals = 0
-        self._early = 0
-        self._store_full = False
-
-        queue = EvalQueue(self.evaluator, cfg.mini_batch_size)
+        self.stats = SearchStats()
 
         if not root.expanded:
             if is_real(root.status):  # a terminal: stamped at creation, never expanded
-                return self._result(root, t0, "terminal_root", evaluations=0)
-            evaluation = self.evaluator.evaluate(root.state)
-            queue.total_evaluated += 1
-            self._expand(root, evaluation)
+                return self._result(root, t0, "terminal_root")
+            self._expand(root, self.evaluator.evaluate(root.state))
+            self.stats.evaluations = 1
             self._mix_root_noise(root)
 
-        stop_reason = self._run(root, queue, t0)
-        return self._result(root, t0, stop_reason, evaluations=queue.total_evaluated)
+        queue = EvalQueue(self.evaluator, self.config.mini_batch_size)
+        return self._result(root, t0, self._run(root, queue, t0))
 
     # ----- batched simulation loop ------------------------------------------
 
@@ -315,7 +318,7 @@ class SearchEngine:
         timed = budget == "milliseconds"
         watch_root = cfg.stop_when_solved
         stall_rounds = 0
-        store = self.store
+        stats = self.stats
         # with both exploration features off, _simulate only forwards the call
         simulate = self._simulate if cfg.eps_greedy or cfg.check_enhance else self._descend
 
@@ -324,11 +327,10 @@ class SearchEngine:
             # count budgets become what this round may spend: sims_left
             # simulations, queue_cap leaves. The round breaks on the one that
             # spends the last, as a check before every simulation would.
-            sims_left = (amount - queue.total_evaluated - self._terminals - self._early
-                         if budget == "simulations" else inf)
-            queue_cap = (min(batch, amount - queue.total_evaluated)
+            sims_left = amount - stats.simulations if budget == "simulations" else inf
+            queue_cap = (min(batch, amount - stats.evaluations)
                          if budget == "evaluations" else batch)
-            if self._store_full:
+            if stats.store_full:
                 return "store_full"
             if watch_root and is_real(root.status):
                 return "solved"
@@ -343,7 +345,7 @@ class SearchEngine:
                 try:
                     descent = simulate(root)
                 except StoreFullError:
-                    self._store_full = True
+                    stats.store_full = True
                     break
                 if descent is None:  # backed up already
                     terminals_this_round += 1
@@ -363,8 +365,9 @@ class SearchEngine:
                     break
 
             flushed = queue.flush()
-            if len(flushed) > store.trajectory_buffer_peak:
-                store.trajectory_buffer_peak = len(flushed)
+            stats.evaluations += len(flushed)
+            if len(flushed) > stats.batch_peak:
+                stats.batch_peak = len(flushed)
             for descent, evaluation in flushed:
                 self._finish_eval(descent, evaluation)
             if count_stalls:
@@ -456,7 +459,7 @@ class SearchEngine:
                             return self._settle(pairs, child)
                         value = correction_value(q_edge, v_star, edge_n)
                         self._backpropagate(pairs, -value)
-                        self._early += 1
+                        self.stats.early_stops += 1
                         return None
             if not child.expanded:
                 for pnode, pi in pairs:
@@ -475,7 +478,7 @@ class SearchEngine:
         value = STATUS_VALUE[node.status]
         update_node_value(node, value)
         self._backpropagate(pairs, value)
-        self._terminals += 1
+        self.stats.terminals += 1
 
     def _select_index(self, node: Node) -> int:
         """PUCT argmax over the node's live edges, reading Q through virtual loss.
@@ -585,7 +588,7 @@ class SearchEngine:
                     if env.terminal_value(child_state) is not None:
                         self._resolve_child(node, j, child_state)
             except StoreFullError:
-                self._store_full = True
+                self.stats.store_full = True
             solver.probe_expanded(node)
 
     def _check_evaluation(self, evaluation, k: int) -> None:
@@ -663,15 +666,14 @@ class SearchEngine:
 
     # ----- result assembly ---------------------------------------------------
 
-    def _result(self, root: Node, t0: float, stop_reason: str,
-                evaluations: int) -> SearchResult:
-        cfg = self.config
+    def _result(self, root: Node, t0: float, stop_reason: str) -> SearchResult:
+        stats = self.stats
         selected = None
         policy: list[float] = []
         pv: list[int] = []
         actions: list[dict] = []
         if root.expanded:
-            move = move_selection.select_move(root, cfg, self.rng)
+            move = move_selection.select_move(root, self.config, self.rng)
             selected = move.action
             policy = move.policy
             pv = move_selection.principal_variation(root)
@@ -696,13 +698,13 @@ class SearchEngine:
             value=root.v,
             root_status=root.status.name,
             root_end_in_ply=root.end_in_ply,
-            simulations=evaluations + self._terminals + self._early,
-            evaluations=evaluations,
-            terminal_trajectories=self._terminals,
-            early_stop_trajectories=self._early,
+            simulations=stats.simulations,
+            evaluations=stats.evaluations,
+            terminal_trajectories=stats.terminals,
+            early_stop_trajectories=stats.early_stops,
             stop_reason=stop_reason,
             wall_ms=wall_ms,
-            memory=self.store.memory_report(),
+            memory=self.store.memory_report(stats.batch_peak),
         )
 
 

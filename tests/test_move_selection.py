@@ -122,11 +122,12 @@ def test_q_boost_switch_threshold_is_exact():
     node = _node(store, en=[10, 5], q=[0.0, 0.5])
     move = select_move(node, cfg, _Rng(0.0))
     assert move.action == 0  # 2 * 0.5 == 1: still the favorite
+    assert move.source == "q_boost"  # boosted, though the favorite holds
 
     node = _node(store, en=[10, 5], q=[0.0, math.nextafter(0.5, 1.0)])
     move = select_move(node, cfg, _Rng(0.0))
     assert move.action == 1
-    assert move.boosted
+    assert move.source == "q_boost"
 
 
 def test_argmax_policy_tie_breaks():
@@ -169,14 +170,14 @@ def test_select_move_solver_override():
     node.status = SolverStatus.WIN
     node.end_in_ply = 1
     move = select_move(node, SearchConfig(), _Rng(0.0))
-    assert move.solver_override
+    assert move.source == "solver"
     assert move.action == 3  # proven mate outranks the visit count
     assert move.policy == [1.0, 0.0]
 
     # with the solver off the node has no status, and visits decide
     node.status = SolverStatus.UNKNOWN
     move = select_move(node, SearchConfig(), _Rng(0.0))
-    assert not move.solver_override
+    assert move.source == "visits"
     assert move.action == 7
 
 
@@ -185,7 +186,7 @@ def test_select_move_probe_only_status_falls_back_to_statistics():
     node = _node(store, en=[4, 40])
     node.status = SolverStatus.TB_WIN  # oracle said so; no proving child
     move = select_move(node, SearchConfig(), _Rng(0.0))
-    assert not move.solver_override
+    assert move.source == "visits"
     assert move.action == 1
 
 
@@ -195,7 +196,7 @@ def test_select_move_prior_path_when_nothing_was_visited():
     move = select_move(node, SearchConfig(tau=0.0), _Rng(0.0))
     assert move.action == 1
     assert move.policy == pytest.approx([0.2, 0.5, 0.3])
-    assert not move.boosted
+    assert move.source == "prior"
 
 
 def test_select_move_samples_the_cumulative_distribution():
@@ -210,7 +211,7 @@ def test_select_move_samples_the_cumulative_distribution():
 def test_move_policy_defaults():
     move = MovePolicy(action=4)
     assert move.policy == []
-    assert not move.boosted and not move.solver_override
+    assert move.source == "visits"
 
 
 def test_principal_variation_follows_visits():

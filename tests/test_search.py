@@ -157,6 +157,19 @@ def test_config_validation_errors(field, value):
         cfg.validate()
 
 
+@pytest.mark.parametrize("field,value,message", [
+    ("q_weight", -10.0, "q_weight must be >= 0"),  # would give negative probabilities
+    ("tau", -0.1, "tau must be >= 0"),
+    ("virtual_loss", -1.0, "virtual_loss must be >= 0"),
+    ("dirichlet_alpha", 0.0, "dirichlet_alpha must be > 0"),  # gammavariate's domain
+    ("dirichlet_alpha", -0.3, "dirichlet_alpha must be > 0"),
+])
+def test_config_range_errors_name_their_key(field, value, message):
+    with pytest.raises(ValueError) as error:
+        SearchConfig(**{field: value}).validate()
+    assert str(error.value) == message
+
+
 # ----- evaluator output ---------------------------------------------------------
 
 
@@ -537,7 +550,7 @@ def _early_stop_probe(q_edge, edge_n, child_n, child_v, **overrides):
     backups = []
     engine._backpropagate = lambda pairs, value: backups.append(value)
     descent = engine._descend(root, forced_idx=idx)
-    return descent, engine._early, backups
+    return descent, engine.stats.early_stops, backups
 
 
 def test_early_stop_fires_on_a_stale_edge():
@@ -617,7 +630,7 @@ def test_backprop_lands_an_early_stop_edge_on_the_child_value():
     child = root.child[idx]
     child_v = child.v
     assert engine._descend(root, forced_idx=idx) is None
-    assert engine._early == 1
+    assert engine.stats.early_stops == 1
     assert backed_up == [[(root, idx)]]
     assert root.q[idx] == -child_v
     assert root.en[idx] == 2
@@ -722,10 +735,10 @@ def test_a_descent_ending_on_a_terminal_lays_no_virtual_loss(ttt):
     idx = root.actions.index(8)
     assert root.child[idx].expanded
     before = _counts(engine)
-    terminals = engine._terminals
+    terminals = engine.stats.terminals
     backed_up = _record_backups(engine)
     assert engine._descend(root, forced_idx=idx) is None
-    assert engine._terminals == terminals + 1
+    assert engine.stats.terminals == terminals + 1
     [pairs] = backed_up
     assert [node for node, _ in pairs] == [root, root.child[idx]]
     _assert_counted(engine, before, pairs, en_step=1, evl_step=0)
@@ -752,10 +765,10 @@ def test_a_descent_ending_in_an_early_stop_lays_no_virtual_loss():
                if child is not None and child.live and not _stops_early(engine, root, j)
                and _stops_early(engine, child, engine._select_index(child)))
     before = _counts(engine)
-    early = engine._early
+    early = engine.stats.early_stops
     backed_up = _record_backups(engine)
     assert engine._descend(root, forced_idx=idx) is None
-    assert engine._early == early + 1
+    assert engine.stats.early_stops == early + 1
     [pairs] = backed_up
     assert len(pairs) == 2
     _assert_counted(engine, before, pairs, en_step=1, evl_step=0)
@@ -801,13 +814,13 @@ def test_every_descent_of_a_search_touches_each_edge_once():
 
     def checked_descend(node, forced_idx=None):
         before = _counts(engine)
-        early = engine._early
+        early = engine.stats.early_stops
         backed_up = _record_backups(engine)
         descent = descend(node, forced_idx)
         del engine._backpropagate
         if descent is None:
             [pairs] = backed_up
-            kinds.add("early stop" if engine._early > early else "settled")
+            kinds.add("early stop" if engine.stats.early_stops > early else "settled")
             _assert_counted(engine, before, pairs, en_step=1, evl_step=0)
         else:
             assert backed_up == []
@@ -926,15 +939,16 @@ class _StopCheckedEverySimulation(SearchEngine):
 
     def _stop_reason(self, root, queue, t0):
         config = self.config
-        if self._store_full:
+        stats = self.stats
+        if stats.store_full:
             return "store_full"
         if config.stop_when_solved and root.status in (SolverStatus.WIN, SolverStatus.LOSS,
                                                      SolverStatus.DRAW):
             return "solved"
         if config.budget == "simulations":
-            spent = queue.total_evaluated + self._terminals + self._early + len(queue)
+            spent = stats.evaluations + stats.terminals + stats.early_stops + len(queue)
         elif config.budget == "evaluations":
-            spent = queue.total_evaluated + len(queue)
+            spent = stats.evaluations + len(queue)
         else:
             spent = (time.perf_counter() - t0) * 1000.0
         return "budget" if spent >= config.budget_amount else None
@@ -954,7 +968,7 @@ class _StopCheckedEverySimulation(SearchEngine):
                 try:
                     descent = self._simulate(root)
                 except StoreFullError:
-                    self._store_full = True
+                    self.stats.store_full = True
                     break
                 if descent is None:
                     terminals_this_round += 1
@@ -963,8 +977,8 @@ class _StopCheckedEverySimulation(SearchEngine):
                     if len(queue) == batch:
                         break
             flushed = queue.flush()
-            store = self.store
-            store.trajectory_buffer_peak = max(store.trajectory_buffer_peak, len(flushed))
+            self.stats.evaluations += len(flushed)
+            self.stats.batch_peak = max(self.stats.batch_peak, len(flushed))
             for descent, evaluation in flushed:
                 self._finish_eval(descent, evaluation)
             if self.config.budget == "evaluations":
@@ -1133,6 +1147,23 @@ def test_trajectory_buffer_size_is_the_largest_batch_evaluated(ttt, batch):
     result = run_search(ttt, UniformEvaluator(ttt), ttt.initial_state(), config)
     assert result.evaluations >= 16
     assert result.memory["trajectory_buffer_size"] == batch
+
+
+def test_each_search_on_a_reused_engine_reports_its_own_largest_flush():
+    env = make_env("nim:3,4,5")
+    engine = SearchEngine(env, make_evaluator("heuristic", env),
+                          SearchConfig(budget="evaluations", budget_amount=64, seed=1))
+    engine.reset(env.initial_state())
+    sizes = [engine.search().memory["trajectory_buffer_size"]]
+    engine.config.budget_amount = 5  # every later flush holds at most 5 leaves
+    for _ in range(100):
+        result = engine.search()
+        sizes.append(result.memory["trajectory_buffer_size"])
+        if result.evaluations == 0:
+            break
+    assert result.stop_reason == "solved"  # a proven root: no round, no flush
+    assert sizes[:2] == [16, 5]
+    assert sizes[-1] == 0
 
 
 def test_table_oracle_is_not_solved_without_the_solver(monkeypatch):
