@@ -8,13 +8,6 @@ exploration term reads, so selection never sums the edges. The search writes
 it with each count: backpropagation adds a visit, and a leaf that waits for
 the evaluator adds and then lifts one virtual loss on its path.
 
-Each node also keeps tried, a frontier with the invariant that every edge at
-or after it has en = evl = 0. The descent raises it to i + 1 where it takes
-edge i, and a root's Dirichlet mix sets it to the edge count. Past the
-frontier the live edges are untried, each with Q = q_init, in the falling
-prior order of expansion, so selection can stop scanning there once an edge
-scores below the best.
-
 Each node also keeps live, the ascending indices of the edges selection may
 pick: every edge at expansion, then only the solver's _recompute writes it,
 dropping pruned edges and edges into children proven WIN, LOSS or DRAW.
@@ -50,7 +43,7 @@ class StoreFullError(RuntimeError):
 class Node:
     __slots__ = (
         "key", "state", "v", "n", "expanded",
-        "actions", "p", "q", "en", "evl", "child", "edge_total", "tried", "live",
+        "actions", "p", "q", "en", "evl", "child", "edge_total", "live",
         "status", "end_in_ply", "parents",
     )
 
@@ -67,7 +60,6 @@ class Node:
         self.evl: list[int] = []      # edge virtual-loss (in-flight) counts
         self.child: list = []         # child Node or None while unresolved
         self.edge_total = 0           # sum(en) + sum(evl), kept by the search
-        self.tried = 0                # edges at or after it have en = evl = 0
         self.live = ()                # edges selection may pick, kept by the solver
         self.status = SolverStatus.UNKNOWN
         self.end_in_ply = 0

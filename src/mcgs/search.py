@@ -120,7 +120,7 @@ class SearchConfig:
         for key in ("c_puct_base", "node_tau", "dirichlet_alpha"):
             if getattr(self, key) <= 0:
                 raise ValueError(f"{key} must be > 0")
-        for key in ("tau", "q_weight", "virtual_loss"):
+        for key in ("tau", "q_weight", "q_epsilon", "virtual_loss"):
             if getattr(self, key) < 0:
                 raise ValueError(f"{key} must be >= 0")
         for key in ("epsilon_greedy", "epsilon_checks", "dirichlet_epsilon"):
@@ -414,14 +414,14 @@ class SearchEngine:
         """Walk the graph from `node` until the simulation ends.
 
         The first edge is forced_idx when one is given (an exploration
-        branch). Collects (node, edge index) pairs, raising each tried
-        frontier. Nodes carry their states, so the env applies a move only
-        to resolve an edge whose child is still unknown. A simulation that
-        ends on a terminal or proven node, or in an early stop, is backed up
-        and counted here, and None is returned. One that reaches a new leaf
-        returns (pairs, leaf) for the evaluator, with one virtual loss on
-        each pair: only a waiting leaf needs it, as no descent revisits a
-        node. A StoreFullError leaves every count as it was.
+        branch). Collects (node, edge index) pairs. Nodes carry their
+        states, so the env applies a move only to resolve an edge whose
+        child is still unknown. A simulation that ends on a terminal or
+        proven node, or in an early stop, is backed up and counted here, and
+        None is returned. One that reaches a new leaf returns (pairs, leaf)
+        for the evaluator, with one virtual loss on each pair: only a
+        waiting leaf needs it, as no descent revisits a node. A
+        StoreFullError leaves every count as it was.
         """
         cfg = self.config
         transpositions = cfg.transpositions
@@ -432,8 +432,6 @@ class SearchEngine:
             if i < 0:
                 # Every edge settled: back up the node's proven value.
                 return self._settle(pairs, node)
-            if i >= node.tried:
-                node.tried = i + 1
             pairs.append((node, i))
             child = node.child[i]
             if child is None:
@@ -491,12 +489,9 @@ class SearchEngine:
         by the node's running edge total N = sum(en) + sum(evl), so a call
         neither sums the edges nor takes a log or a root.
 
-        From the node's tried frontier on, a live edge scores q_init + u * p
-        and the priors fall, so the scores never rise there: the scan stops
-        at the first such edge that scores below the best. An exact tie is
-        still scanned for the action-id rule, as is every edge at total 0,
-        where the scale is 0 and all edges tie. A negative scale (a negative
-        c_puct_init) reverses the order, so then every edge is scanned.
+        A higher score wins; an exact tie goes to the lower action id, as at
+        total 0, where the scale is 0 and every edge scores its Q. A live
+        score is finite, so the first live edge always takes the lead.
         """
         en = node.en
         evl = node.evl
@@ -512,7 +507,6 @@ class SearchEngine:
             table.extend(cpuct(t, base, init) * sqrt(t)
                          for t in range(len(table), max(total + 1, 2 * len(table), 1024)))
             u_scale = table[total]
-        tried = node.tried if u_scale >= 0.0 else len(en)
         best = -1
         best_score = NEG_INF
         for j in node.live:
@@ -525,13 +519,10 @@ class SearchEngine:
             else:
                 m = n
             score = q + u_scale * ps[j] / (1.0 + m)
-            if score < best_score:
-                if j >= tried:
-                    break
-            elif score > best_score:
+            if score > best_score:
                 best_score = score
                 best = j
-            elif best >= 0 and node.actions[j] < node.actions[best]:  # an exact tie
+            elif score == best_score and node.actions[j] < node.actions[best]:
                 best = j
         return best
 
@@ -625,7 +616,6 @@ class SearchEngine:
         live = sum(root.p[i] for i in keep) or 1.0
         for i, g in zip(keep, noise):
             root.p[i] = (1.0 - eps) * root.p[i] + eps * live * (g / total)
-        root.tried = len(root.p)  # the mix breaks the prior order
 
     # ----- backpropagation ---------------------------------------------------
 

@@ -79,18 +79,6 @@ def check_invariants(engine) -> None:
             assert node.status == status_for_outcome(outcome), node
         assert vmin <= node.v <= vmax, node
         assert node.edge_total == sum(node.en) + sum(node.evl), node
-        # Past the tried frontier every edge is untried, and the live ones
-        # keep q_init and the falling prior order that selection's early
-        # break relies on.
-        assert 0 <= node.tried <= len(node.en), node
-        frontier_priors = []
-        for i in range(node.tried, len(node.en)):
-            assert node.en[i] == node.evl[i] == 0, f"edge {i} of {node} tried past {node.tried}"
-            if node.q[i] != NEG_INF:
-                assert node.q[i] == engine.config.q_init, f"edge {i} of {node}: q={node.q[i]}"
-                frontier_priors.append(node.p[i])
-        assert all(a >= b for a, b in zip(frontier_priors, frontier_priors[1:])), \
-            f"live priors rise past the frontier of {node}"
         # live: the edges selection may pick, derived here from q and the
         # child statuses rather than kept, in ascending order.
         settled = [solver_on and child is not None and is_real(child.status)

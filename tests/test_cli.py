@@ -159,13 +159,14 @@ def test_invalid_config_value_exits_1(tmp_path, capsys):
      "error: engineA.epsilon_greedy must lie in [0, 1]"),
     ("search", "budget_amount = 0\n", [], "error: budget_amount must be >= 1"),
     ("search", "", ["--q-weight", "-10"], "error: q_weight must be >= 0"),
+    ("search", "", ["--q-epsilon", "-1"], "error: q_epsilon must be >= 0"),
     ("search", "", ["--dirichlet-epsilon", "0.5", "--dirichlet-alpha", "0"],
      "error: dirichlet_alpha must be > 0"),
     ("match", "game = nim:1,1\nengineA.dirichlet_epsilon = 0.25\nengineA.dirichlet_alpha = 0\n",
      [], "error: engineA.dirichlet_alpha must be > 0"),
 ], ids=["int_key", "bool_key", "match_key", "game_id", "engine_a_key", "engine_b_key",
         "budgets", "moves", "engine_b_range", "engine_a_probability", "range",
-        "q_weight", "dirichlet_alpha", "engine_a_alpha"])
+        "q_weight", "q_epsilon", "dirichlet_alpha", "engine_a_alpha"])
 def test_unparsable_setting_exits_1_naming_it(tmp_path, capsys, command, text, argv, named):
     path = tmp_path / "bad.cfg"
     path.write_text(text)

@@ -23,9 +23,11 @@ def _setups(draw):
     if solver and game.startswith("nim:"):
         oracle = draw(st.sampled_from(["none", "nim-xor", "table"]))
     evaluator = draw(st.sampled_from(["uniform", "heuristic", "deceptive"]))
-    searches = draw(st.integers(1, 3))
+    searches = draw(st.integers(1, 6))
     config = SearchConfig(
         seed=draw(st.integers(0, 10_000)),
+        # evaluations budgets on a reused engine: the strength study's regime
+        budget=draw(st.sampled_from(["simulations", "evaluations"])),
         budget_amount=draw(st.integers(1, 200)),
         mini_batch_size=draw(st.sampled_from([1, 2, 8, 16])),
         transpositions=draw(st.booleans()),

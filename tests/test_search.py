@@ -161,6 +161,7 @@ def test_config_validation_errors(field, value):
     ("q_weight", -10.0, "q_weight must be >= 0"),  # would give negative probabilities
     ("tau", -0.1, "tau must be >= 0"),
     ("virtual_loss", -1.0, "virtual_loss must be >= 0"),
+    ("q_epsilon", -0.01, "q_epsilon must be >= 0"),  # would early-stop at a zero gap
     ("dirichlet_alpha", 0.0, "dirichlet_alpha must be > 0"),  # gammavariate's domain
     ("dirichlet_alpha", -0.3, "dirichlet_alpha must be > 0"),
 ])
@@ -222,33 +223,12 @@ def _reference_scores(node, cfg):
     return scores
 
 
-def test_selection_matches_an_independent_puct_evaluation(ttt):
-    import random
-
-    engine = _engine(ttt, terminal_solver=False)
-    rng = random.Random(23)
-    for _ in range(500):
-        k = rng.randrange(2, 7)
-        node = expanded_node(engine.store, actions=list(range(k)))
-        for j in range(k):
-            node.p[j] = rng.random()
-            node.q[j] = rng.uniform(-1, 1)
-            node.en[j] = rng.randrange(0, 40)
-            node.evl[j] = rng.randrange(0, 3)
-        node.edge_total = sum(node.en) + sum(node.evl)
-        node.tried = k
-        picked = engine._select_index(node)
-        scores = _reference_scores(node, engine.config)
-        assert scores[picked] == max(scores)
-
-
 def test_selection_favors_the_unvisited_edge_at_low_totals(ttt):
     engine = _engine(ttt)
     node = expanded_node(engine.store, actions=[0, 1], priors=[0.5, 0.5])
     node.q[0] = 0.4
     node.en[0] = 10
     node.edge_total = 10
-    node.tried = len(node.en)
     assert engine._select_index(node) == 1
 
 
@@ -261,7 +241,6 @@ def test_selection_grows_the_scale_table_past_its_length_in_one_call(ttt, monkey
     node.en = [3000, 1200, 799]
     node.evl = [0, 1, 0]
     node.edge_total = 5000
-    node.tried = len(node.en)
     assert engine._u_scale == []
     picked = engine._select_index(node)
     scores = _reference_scores(node, cfg)
@@ -282,7 +261,6 @@ def test_engines_with_the_same_puct_constants_share_one_scale_table(ttt, monkeyp
     first.config.c_puct_init = 9.0
     node = expanded_node(first.store, actions=[0, 1])
     node.en[0] = node.edge_total = 3000
-    node.tried = 1
     first._select_index(node)
     assert len(first._u_scale) > 3000
     assert all(scale == cpuct(t) * math.sqrt(t) for t, scale in enumerate(first._u_scale))
@@ -307,7 +285,6 @@ def test_virtual_loss_diverts_parallel_simulations(ttt):
     node = expanded_node(engine.store, actions=[0, 1], priors=[0.5, 0.5])
     node.q = [0.6, 0.6]
     node.en = [5, 5]
-    node.tried = len(node.en)
     assert node.actions[engine._select_index(node)] == 0  # tie -> lower action
     node.evl[0] = 3  # three simulations already in flight
     assert node.actions[engine._select_index(node)] == 1
@@ -320,7 +297,6 @@ def _solved_edge_probe(engine, status):
     node = expanded_node(engine.store, actions=[0, 1], priors=[0.9, 0.1])
     node.q = [1.0, -0.9]
     node.en = [10, 10]
-    node.tried = len(node.en)
     attach_child(engine.store, node, 0, status=status)
     attach_child(engine.store, node, 1)
     engine.solver.propagate(node)
@@ -384,7 +360,10 @@ _FUZZ_STATUSES = (SolverStatus.WIN, SolverStatus.LOSS, SolverStatus.DRAW,
     {"c_puct_init": -1.0, "c_puct_base": 5.0, "terminal_solver": False},
     {"c_puct_init": 0.0, "c_puct_base": 1.0, "q_init": 0.5},
 ], ids=["default", "solver-off", "negative", "sign-change", "zero-init"])
-def test_the_tried_frontier_picks_what_a_full_scan_picks(ttt, overrides):
+def test_selection_picks_what_a_full_scan_picks(ttt, overrides):
+    """Random edges: exact-tie priors, virtual loss, a drawn Q on unvisited
+    edges too, and children of every status. A default-case node without a
+    child selects as it would with the solver off."""
     import random
 
     engine = _engine(ttt, **overrides)
@@ -392,50 +371,42 @@ def test_the_tried_frontier_picks_what_a_full_scan_picks(ttt, overrides):
     solver_on = engine.solver is not None
     rng = random.Random(41)
     statuses = _FUZZ_STATUSES if solver_on else _FUZZ_STATUSES[:3]
-    frontier_cases = 0
+    ties = 0
     for _ in range(4000):
         k = rng.randrange(1, 10)
-        priors = sorted((rng.choice(_FUZZ_PRIORS) if rng.random() < 0.6 else rng.random()
-                         for _ in range(k)), reverse=True)
+        priors = [rng.choice(_FUZZ_PRIORS) if rng.random() < 0.6 else rng.random()
+                  for _ in range(k)]
         node = expanded_node(engine.store, actions=rng.sample(range(3 * k), k),
                              priors=priors, q_init=cfg.q_init)
-        node.tried = rng.randrange(k + 1)
-        for j in range(node.tried):
-            node.en[j] = rng.choice((0, rng.randrange(1, 30)))
-            node.evl[j] = rng.randrange(0, 3)
-            if node.en[j]:
-                node.q[j] = rng.uniform(-1, 1)
         for j in range(k):
             if rng.random() < 0.3:
                 attach_child(engine.store, node, j, status=rng.choice(statuses))
+            if rng.random() < 0.5:
+                continue  # untried, as most edges are: the ties come from these
+            node.en[j] = rng.choice((0, rng.randrange(1, 40)))
+            node.evl[j] = rng.randrange(0, 3)
+            if node.en[j] or rng.random() < 0.3:
+                node.q[j] = rng.uniform(-1, 1)
         if solver_on:  # prunes the loss-like children and drops settled edges
             engine.solver.propagate(node)
         node.edge_total = sum(node.en) + sum(node.evl)
-        frontier_cases += node.tried < k - 1
         expected = _full_scan_pick(node, cfg, solver_on)
         assert engine._select_index(node) == expected
-        node.tried = k
-        assert engine._select_index(node) == expected
-    assert frontier_cases > 1000
+        scores = _reference_scores(node, cfg)
+        ties += sum(scores[j] == scores[expected] for j in node.live) > 1
+    assert ties > 200
 
 
 class _FullScanChecked(SearchEngine):
     """Checks every pick against `_full_scan_pick`, which reads q and the
-    child statuses instead of the live list, and re-runs every selection
-    with the frontier at the edge count, which scans every live edge."""
+    child statuses instead of the live list."""
 
-    frontier_calls = 0
+    picks = 0
 
     def _select_index(self, node):
         picked = super()._select_index(node)
         assert picked == _full_scan_pick(node, self.config, self.solver is not None), node
-        tried = node.tried
-        if tried < len(node.en):
-            self.frontier_calls += 1
-            node.tried = len(node.en)
-            full = super()._select_index(node)
-            node.tried = tried
-            assert picked == full, (node, tried)
+        self.picks += 1
         return picked
 
 
@@ -486,7 +457,7 @@ def _check_every_pick(engine):
         if result.selected_action is None:
             break
         engine.advance(result.selected_action)
-    assert engine.frontier_calls > 0
+    assert engine.picks > 0
 
 
 # ----- expansion --------------------------------------------------------------
@@ -540,7 +511,6 @@ def _early_stop_setup(q_edge, edge_n, child_n, child_v, **overrides):
     child.v = child_v
     root.q[idx] = q_edge
     root.en[idx] = edge_n
-    root.tried = len(root.en)
     return engine, root, idx
 
 
@@ -1181,15 +1151,38 @@ def test_table_oracle_is_not_solved_without_the_solver(monkeypatch):
     assert len(calls) == 1  # the solver's first probe builds the table, once
 
 
+def _check_the_stall_bounce(engine, bounce):
+    """Each later search on an exhausted root evaluates nothing: it backs up
+    `bounce` terminals, STALL_ROUNDS rounds at the terminal cap, then stalls."""
+    batch = engine.config.mini_batch_size
+    assert bounce == search.STALL_ROUNDS * search.TERMINAL_CAP_FACTOR * batch
+    for _ in range(2):
+        result = engine.search()
+        assert (result.stop_reason, result.evaluations) == ("stalled", 0)
+        assert result.simulations == result.terminal_trajectories == bounce
+
+
 def test_search_stalls_when_the_game_is_exhausted():
     env = make_env("leftright:4")
     # batch size 1 so duplicate leaves never share a collection round
-    config = SearchConfig(budget="evaluations", budget_amount=100,
-                          terminal_solver=False, mini_batch_size=1)
-    result = run_search(env, UniformEvaluator(env), env.initial_state(), config)
+    engine = _engine(env, budget="evaluations", budget_amount=100,
+                     terminal_solver=False, mini_batch_size=1)
+    engine.reset(env.initial_state())
+    result = engine.search()
     assert result.stop_reason == "stalled"
     # exactly one evaluation per non-terminal position in the chain
     assert result.evaluations == 3
+    _check_the_stall_bounce(engine, 64)
+
+
+def test_a_plain_engine_bounces_on_an_exhausted_nim_root():
+    env = make_env("nim:2,3")
+    engine = SearchEngine(env, make_evaluator("heuristic", env), SearchConfig(
+        budget="evaluations", budget_amount=500, mini_batch_size=16, **PLAIN))
+    engine.reset(env.initial_state())
+    result = engine.search()
+    assert (result.stop_reason, result.evaluations) == ("stalled", 79)
+    _check_the_stall_bounce(engine, 1024)
 
 
 def test_dirichlet_noise_is_mixed_once_per_root_placement(ttt):

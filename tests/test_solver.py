@@ -246,7 +246,6 @@ def test_selection_never_picks_a_pruned_edge(ttt):
             node.evl[i] = rng.randrange(0, 3)
         node.n = sum(node.en) + 1
         node.edge_total = sum(node.en) + sum(node.evl)
-        node.tried = len(node.en)
         assert engine._select_index(node) != pruned
 
 
