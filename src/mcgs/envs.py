@@ -117,6 +117,23 @@ class TicTacToe:
                 h ^= table[cell][piece - 1]
         return StateKey(h, state.ply)
 
+    def ending_moves(self, state: TicTacToeState, actions: list[int]) -> list[int]:
+        """Indices j, ascending, of the actions whose move ends the game.
+
+        A move ends it when it completes one of the mover's lines or fills
+        the last empty cell.
+        """
+        board = state.board
+        if board.count(0) == 1:
+            return list(range(len(actions)))
+        mover = (state.ply & 1) + 1
+        wins = set()
+        for line in TTT_LINES:
+            pieces = [board[c] for c in line]
+            if pieces.count(mover) == 2 and 0 in pieces:
+                wins.add(line[pieces.index(0)])
+        return [j for j, cell in enumerate(actions) if cell in wins]
+
     def is_forcing(self, state: TicTacToeState, action: int) -> bool:
         """True when the move creates an immediate two-in-a-row threat.
 
@@ -203,6 +220,19 @@ class Nim:
             h ^= table[i][count]
         return StateKey(h, state.ply)
 
+    def ending_moves(self, state: NimState, actions: list[int]) -> list[int]:
+        """Indices j, ascending, of the actions whose move ends the game.
+
+        Only taking every stone left ends it, which one pile holding them
+        all allows.
+        """
+        piles = state.piles
+        total = sum(piles)
+        if total not in piles:
+            return []
+        stride = self._stride
+        return [j for j, action in enumerate(actions) if action % stride + 1 == total]
+
     def is_forcing(self, state: NimState, action: int) -> bool:
         """True when the move leaves exactly one non-empty pile."""
         pile, take = self.decode(action)
@@ -264,6 +294,14 @@ class LeftRight:
 
     def state_key(self, state: LeftRightState) -> StateKey:
         return StateKey(self._table[state.pos + 1][0], state.ply)
+
+    def ending_moves(self, state: LeftRightState, actions: list[int]) -> list[int]:
+        """Indices j, ascending, of the actions whose move ends the game.
+
+        LEFT always ends it; RIGHT ends it onto the rightmost cell.
+        """
+        right_ends = state.pos + 1 == self.length - 1
+        return [j for j, action in enumerate(actions) if action == LEFT or right_ends]
 
     def is_forcing(self, state: LeftRightState, action: int) -> bool:
         return False

@@ -71,8 +71,47 @@ class UniformEvaluator:
         return Evaluation(0.0, [1.0 / k] * k)
 
 
+def _line_weight(own: int, opp: int) -> int:
+    """Weight of one tictactoe line holding `own` mover and `opp` other pieces."""
+    if opp == 0 and own:
+        return 4 if own == 2 else 1
+    if own == 0 and opp:
+        return -4 if opp == 2 else -1
+    return 0
+
+
+# _line_weight tabulated as _LINE_WEIGHT[own][opp] for the counts a
+# non-terminal board or one of its children can hold.
+_LINE_WEIGHT = tuple(tuple(_line_weight(own, opp) for opp in range(3)) for own in range(3))
+
+# Indices into TTT_LINES of the lines through each cell.
+_CELL_LINES = tuple(
+    tuple(i for i, line in enumerate(TTT_LINES) if cell in line) for cell in range(9)
+)
+
+
+def _scaled_line_weight(w: int) -> float:
+    """A board's summed line weight, scaled into [-0.9, 0.9]."""
+    scaled = 0.9 * w / 12.0
+    return max(-0.9, min(0.9, scaled))
+
+
 class HeuristicEvaluator:
     """Closed-form score per game, child-score softmax priors.
+
+    A state's score is, per game, from the mover's view:
+    - tictactoe: the summed weight of the eight lines (a line with only the
+      mover's pieces counts +1 for one and +4 for two, the other side's
+      likewise negative), scaled by 0.9/12 and clamped into [-0.9, 0.9]
+    - nim: 0.9 when the xor of the piles is non-zero, else -0.9
+    - leftright: 0.9 when an odd number of cells is left to the right end,
+      else -0.9
+
+    The value is the state's score. Each legal action's child score is the
+    negated outcome score of the child when the move ends the game, and
+    the negated score of the child otherwise; the priors are a softmax over
+    them. Each game's look-ahead computes those child scores from the
+    parent state in closed form, without building a child.
 
     sign=-1 gives the deceptive variant: the score (and hence the move
     ordering) is negated, so the evaluator actively points away from good
@@ -84,56 +123,81 @@ class HeuristicEvaluator:
         self.sign = sign
         self.name = "heuristic" if sign > 0 else "deceptive"
         if isinstance(env, TicTacToe):
-            self._raw = self._tictactoe_score
+            self._look_ahead = self._tictactoe_look_ahead
         elif isinstance(env, Nim):
-            self._raw = self._nim_score
+            self._look_ahead = self._nim_look_ahead
         elif isinstance(env, LeftRight):
-            self._raw = self._leftright_score
+            self._look_ahead = self._leftright_look_ahead
         else:
             raise ValueError(f"no heuristic for game {getattr(env, 'game_id', env)!r}")
 
-    @staticmethod
-    def _tictactoe_score(state) -> float:
-        """Weighted open-line count for the mover, scaled into [-0.9, 0.9]."""
+    def _tictactoe_look_ahead(self, state) -> tuple[float, list[float]]:
+        cells = self.env.legal_actions(state)
         board = state.board
         mover = (state.ply & 1) + 1
         other = 3 - mover
         w = 0
+        # The child's mover is the other side, and a line's weight flips sign
+        # with the side, so a child starts from -w. Per line, `gains` holds
+        # what a mover piece played into it adds to that (the child counts
+        # the line as own=opp, opp=own+1), or None when the piece completes
+        # the line.
+        gains = []
         for a, b, c in TTT_LINES:
             own = (board[a] == mover) + (board[b] == mover) + (board[c] == mover)
             opp = (board[a] == other) + (board[b] == other) + (board[c] == other)
-            if opp == 0 and own:
-                w += 4 if own == 2 else 1
-            elif own == 0 and opp:
-                w -= 4 if opp == 2 else 1
-        scaled = 0.9 * w / 12.0
-        return max(-0.9, min(0.9, scaled))
+            w += _LINE_WEIGHT[own][opp]
+            if own == 2:
+                gains.append(None)
+            else:
+                row = _LINE_WEIGHT[opp]
+                gains.append(row[own + 1] - row[own])
+        last = len(cells) == 1
+        scores = []
+        for cell in cells:
+            child_w = -w
+            for i in _CELL_LINES[cell]:
+                gain = gains[i]
+                if gain is None:
+                    scores.append(1.0)
+                    break
+                child_w += gain
+            else:
+                scores.append(-0.0 if last else -_scaled_line_weight(child_w))
+        return _scaled_line_weight(w), scores
 
     @staticmethod
-    def _nim_score(state) -> float:
+    def _nim_look_ahead(state) -> tuple[float, list[float]]:
+        piles = state.piles
         x = 0
-        for p in state.piles:
+        total = 0
+        for p in piles:
             x ^= p
-        return 0.9 if x else -0.9
+            total += p
+        if not total:
+            raise ValueError("evaluate called on a terminal state")
+        scores = []
+        for p in piles:
+            rest = x ^ p
+            scores += [1.0 if t == total else (-0.9 if rest ^ (p - t) else 0.9)
+                       for t in range(1, p + 1)]
+        return (0.9 if x else -0.9), scores
 
-    def _leftright_score(self, state) -> float:
-        remaining = self.env.length - 1 - state.pos
-        return 0.9 if remaining & 1 else -0.9
+    def _leftright_look_ahead(self, state) -> tuple[float, list[float]]:
+        self.env.legal_actions(state)  # [LEFT, RIGHT]; raises on a terminal
+        end = self.env.length - 1
+        step = state.pos + 1
+        if step == end:
+            right = 1.0
+        else:
+            right = -0.9 if (end - step) & 1 else 0.9
+        return (0.9 if (end - state.pos) & 1 else -0.9), [-1.0, right]
 
     def evaluate(self, state) -> Evaluation:
-        env = self.env
+        value, child_scores = self._look_ahead(state)
         sign = self.sign
-        child_scores = []
-        for action in env.legal_actions(state):
-            child = env.apply(state, action)
-            terminal = env.terminal_value(child)
-            if terminal is not None:
-                mine = -terminal.score
-            else:
-                mine = -self._raw(child)
-            child_scores.append(sign * mine)
-        value = sign * self._raw(state)
-        return Evaluation(value, _softmax(child_scores, _PRIOR_TEMP))
+        return Evaluation(sign * value,
+                          _softmax([sign * s for s in child_scores], _PRIOR_TEMP))
 
 
 class OracleEvaluator:

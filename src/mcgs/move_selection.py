@@ -116,12 +116,15 @@ def select_move(node: Node, config, rng) -> MovePolicy:
     else:
         r = rng.random()
         acc = 0.0
-        idx = len(policy) - 1
         for j, p in enumerate(policy):
             acc += p
             if r < acc:
                 idx = j
                 break
+        else:
+            # Rounding can leave the policy summing to r or less: fall back
+            # to the last edge with mass, never to a pruned one.
+            idx = max(j for j, p in enumerate(policy) if p > 0.0)
     return MovePolicy(node.actions[idx], policy, source)
 
 

@@ -574,10 +574,8 @@ class SearchEngine:
         if solver is not None:
             env = self.env
             try:
-                for j, action in enumerate(node.actions):
-                    child_state = env.apply(state, action)
-                    if env.terminal_value(child_state) is not None:
-                        self._resolve_child(node, j, child_state)
+                for j in env.ending_moves(state, node.actions):
+                    self._resolve_child(node, j, env.apply(state, node.actions[j]))
             except StoreFullError:
                 self.stats.store_full = True
             solver.probe_expanded(node)

@@ -7,6 +7,8 @@ import pytest
 
 from mcgs.envs import LEFT, RIGHT, NimState, Outcome, make_env
 
+from helpers import reachable_states
+
 
 def test_tictactoe_initial_nine_actions(ttt):
     assert ttt.legal_actions(ttt.initial_state()) == list(range(9))
@@ -192,3 +194,18 @@ def test_nim_apply_agrees_with_decode_on_every_state_and_action():
             else:
                 with pytest.raises(ValueError, match=f"illegal nim action {action} "):
                     env.apply(state, action)
+
+
+@pytest.mark.parametrize("game", ["tictactoe", "nim:3,4,5", "nim:2,0,3", "leftright:16"])
+def test_ending_moves_are_the_moves_to_a_terminal(game):
+    env = make_env(game)
+    rng = random.Random(5)
+    for state in reachable_states(env).values():
+        if env.terminal_value(state) is not None:
+            continue
+        actions = env.legal_actions(state)
+        shuffled = rng.sample(actions, len(actions))
+        for order in (actions, shuffled):
+            expected = [j for j, action in enumerate(order)
+                        if env.terminal_value(env.apply(state, action)) is not None]
+            assert env.ending_moves(state, order) == expected, (state, order)

@@ -1,10 +1,12 @@
 """Evaluator contracts: values in [-1, 1], priors aligned and normalized."""
 
+import math
+
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mcgs.envs import make_env
+from mcgs.envs import TTT_LINES, make_env
 from mcgs.evaluators import (
     EvalQueue,
     HeuristicEvaluator,
@@ -13,6 +15,10 @@ from mcgs.evaluators import (
     apply_node_temperature,
     make_evaluator,
 )
+
+from helpers import reachable_states
+
+LOOK_AHEAD_GAMES = ("tictactoe", "nim:3,4,5", "nim:2,0,3", "leftright:16")
 
 
 def test_uniform_evaluator_is_flat_and_valueless(ttt):
@@ -177,3 +183,63 @@ def test_eval_queue_partial_flush_and_empty_flush(ttt):
 def test_eval_queue_rejects_zero_batch(ttt):
     with pytest.raises(ValueError):
         EvalQueue(UniformEvaluator(ttt), mini_batch_size=0)
+
+
+def _reference_score(env, state) -> float:
+    """The heuristic score of a non-terminal state, from the mover's view."""
+    if env.game_id == "tictactoe":
+        mover = state.ply % 2 + 1
+        w = 0
+        for line in TTT_LINES:
+            pieces = [state.board[c] for c in line]
+            own = pieces.count(mover)
+            opp = 3 - own - pieces.count(0)
+            if own and not opp:
+                w += 4 if own == 2 else 1
+            elif opp and not own:
+                w -= 4 if opp == 2 else 1
+        return max(-0.9, min(0.9, 0.9 * w / 12.0))
+    if env.game_id.startswith("nim"):
+        x = 0
+        for p in state.piles:
+            x ^= p
+        return 0.9 if x != 0 else -0.9
+    return 0.9 if (env.length - 1 - state.pos) % 2 == 1 else -0.9
+
+
+def _reference_evaluation(env, state, sign):
+    """One ply by the docstring: build every child, score it, softmax at 0.5."""
+    scores = []
+    for action in env.legal_actions(state):
+        child = env.apply(state, action)
+        outcome = env.terminal_value(child)
+        mine = -outcome.score if outcome is not None else -_reference_score(env, child)
+        scores.append(sign * mine)
+    top = max(scores)
+    weights = [math.exp((s - top) / 0.5) for s in scores]
+    total = sum(weights)
+    return sign * _reference_score(env, state), [w / total for w in weights]
+
+
+@pytest.mark.parametrize("game", LOOK_AHEAD_GAMES)
+def test_heuristic_equals_its_one_ply_definition_bit_for_bit(game):
+    env = make_env(game)
+    states = [s for s in reachable_states(env).values() if env.terminal_value(s) is None]
+    for sign in (1.0, -1.0):
+        ev = HeuristicEvaluator(env, sign=sign)
+        for state in states:
+            value, priors = ev.evaluate(state)
+            ref_value, ref_priors = _reference_evaluation(env, state, sign)
+            assert value.hex() == ref_value.hex(), state
+            assert [p.hex() for p in priors] == [p.hex() for p in ref_priors], state
+
+
+@pytest.mark.parametrize("game", LOOK_AHEAD_GAMES)
+def test_heuristic_rejects_a_terminal_state(game):
+    env = make_env(game)
+    state = env.initial_state()
+    while env.terminal_value(state) is None:
+        state = env.apply(state, env.legal_actions(state)[-1])
+    for sign in (1.0, -1.0):
+        with pytest.raises(ValueError):
+            HeuristicEvaluator(env, sign=sign).evaluate(state)

@@ -208,6 +208,18 @@ def test_select_move_samples_the_cumulative_distribution():
     assert select_move(node, cfg, _Rng(0.999999)).action == 1
 
 
+def test_select_move_sampling_never_falls_back_to_a_pruned_edge():
+    store = GraphStore()
+    cfg = SearchConfig(tau=1.0, q_boost=False)
+    node = _node(store, en=[1] * 11, q=[0.0] * 10 + [NEG_INF])
+    r = 1.0 - 2.0 ** -53
+    move = select_move(node, cfg, _Rng(r))
+    # Ten shares of 0.1 add up to no more than r, so no prefix sum passes it.
+    assert sum(move.policy) <= r
+    assert move.policy[10] == 0.0
+    assert move.action == 9
+
+
 def test_move_policy_defaults():
     move = MovePolicy(action=4)
     assert move.policy == []
