@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .envs import Outcome, make_env
 from .evaluators import make_evaluator
 from .oracle import negamax_solve
-from .search import ENHANCEMENTS, SearchConfig, SearchEngine
+from .search import ENHANCEMENTS, SearchConfig, SearchEngine, check_fields
 
 log = logging.getLogger("mcgs.arena")
 
@@ -35,6 +35,7 @@ class MatchConfig:
     seed: int = 0
 
     def validate(self) -> None:
+        check_fields(self)
         self.engine_a.validate()
         self.engine_b.validate()
         if (self.engine_a.budget, self.engine_a.budget_amount) != (

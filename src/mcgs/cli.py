@@ -20,6 +20,7 @@ import csv
 import io
 import json
 import sys
+from dataclasses import fields
 
 from .arena import MatchConfig, move_log, play_match, scaling_report
 from .envs import make_env
@@ -27,43 +28,21 @@ from .evaluators import make_evaluator
 from .oracle import OracleLimitError, solved_table
 from .search import ENHANCEMENTS, SearchConfig, run_search
 
-# (flag, SearchConfig field, type) for everything settable by plain value
-_VALUE_FLAGS = [
-    ("--q-epsilon", "q_epsilon", float),
-    ("--q-weight", "q_weight", float),
-    ("--eps-greedy", "epsilon_greedy", float),
-    ("--eps-checks", "epsilon_checks", float),
-    ("--c-puct-init", "c_puct_init", float),
-    ("--c-puct-base", "c_puct_base", float),
-    ("--node-tau", "node_tau", float),
-    ("--tau", "tau", float),
-    ("--mini-batch", "mini_batch_size", int),
-    ("--virtual-loss", "virtual_loss", float),
-    ("--q-init", "q_init", float),
-    ("--dirichlet-epsilon", "dirichlet_epsilon", float),
-    ("--dirichlet-alpha", "dirichlet_alpha", float),
-    ("--seed", "seed", int),
-    ("--capacity", "capacity", int),
-    ("--endgame-oracle", "endgame_oracle", str),
-]
-
-# --no-X clears the corresponding feature toggle
-_TOGGLE_FLAGS = [
-    ("--no-transpositions", "transpositions"),
-    ("--no-terminal-solver", "terminal_solver"),
-    ("--no-eps-greedy", "eps_greedy"),
-    ("--no-check-enhance", "check_enhance"),
-    ("--no-q-boost", "q_boost"),
-    ("--no-stop-when-solved", "stop_when_solved"),
-]
+# Historic short names; any other field x_y is --x-y, or --no-x-y for a toggle.
+_FLAG_NAMES = {"epsilon_greedy": "--eps-greedy", "epsilon_checks": "--eps-checks",
+               "mini_batch_size": "--mini-batch"}
+_PARSERS = {"float": float, "int": int, "str": str}
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
     group = parser.add_argument_group("engine")
-    for flag, dest, typ in _VALUE_FLAGS:
-        group.add_argument(flag, dest=dest, type=typ, default=None)
-    for flag, dest in _TOGGLE_FLAGS:
-        group.add_argument(flag, dest=dest, action="store_false", default=None)
+    for spec in fields(SearchConfig):
+        flag = spec.name.replace("_", "-")
+        if spec.type == "bool":  # --no-x-y clears the toggle
+            group.add_argument(f"--no-{flag}", dest=spec.name, action="store_false", default=None)
+        elif spec.name not in ("budget", "budget_amount"):  # the budget flags set these
+            group.add_argument(_FLAG_NAMES.get(spec.name, f"--{flag}"), dest=spec.name,
+                               type=_PARSERS[spec.type], default=None)
     group.add_argument("--no-explore", action="store_true",
                        help="disable both exploration mechanisms")
     group.add_argument("--plain", action="store_true",
@@ -77,11 +56,10 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
 def _config_from_args(args) -> SearchConfig:
     # Only the settings given; from_dict fills in the defaults.
     data = _read_kv(args.config) if getattr(args, "config", None) else {}
-    for flag in _VALUE_FLAGS + _TOGGLE_FLAGS:
-        dest = flag[1]
-        value = getattr(args, dest, None)
+    for spec in fields(SearchConfig):
+        value = getattr(args, spec.name, None)  # a budget field is never a dest
         if value is not None:
-            data[dest] = value
+            data[spec.name] = value
     if args.no_explore:
         data["eps_greedy"] = False
         data["check_enhance"] = False

@@ -311,13 +311,17 @@ def make_env(spec: str):
     """Build an environment from its id string.
 
     Accepted forms: "tictactoe", "nim" or "nim:3,4,5", "leftright" or
-    "leftright:16".
+    "leftright:16"; anything else after a ':', or nothing, is an error.
     """
-    name, _, arg = spec.partition(":")
+    name, sep, arg = spec.partition(":")
     name = name.strip().lower()
-    if name == "tictactoe":
-        return TicTacToe()
     try:
+        if sep and not arg:
+            raise ValueError("nothing after ':'")
+        if name == "tictactoe":
+            if arg:
+                raise ValueError("tictactoe takes no argument")
+            return TicTacToe()
         if name == "nim":
             piles = tuple(int(p) for p in arg.split(",")) if arg else (3, 4, 5)
             return Nim(piles)

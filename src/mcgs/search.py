@@ -108,10 +108,7 @@ class SearchConfig:
     endgame_oracle: str = "none"
 
     def validate(self) -> None:
-        for spec in fields(self):
-            value = getattr(self, spec.name)
-            if spec.type == "float" and not isfinite(value):
-                raise ValueError(f"{spec.name} must be finite, got {value}")
+        check_fields(self)
         if self.budget not in BUDGET_KINDS:
             raise ValueError(f"budget must be one of {BUDGET_KINDS}, got {self.budget!r}")
         for key in ("budget_amount", "mini_batch_size", "capacity"):
@@ -148,6 +145,22 @@ class SearchConfig:
         except ValueError as exc:
             raise ValueError(prefix + str(exc)) from None
         return cfg
+
+
+_FIELD_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
+
+
+def check_fields(config) -> None:
+    """Check each bool, int, float or str field of a dataclass against its
+    annotation, and each float field for finiteness; a ValueError names the
+    key. A bool is neither an int nor a float here, though Python makes it both."""
+    for spec in fields(config):
+        value = getattr(config, spec.name)
+        kind = _FIELD_TYPES.get(spec.type)
+        if kind and (not isinstance(value, kind) or isinstance(value, bool) != (kind is bool)):
+            raise ValueError(f"{spec.name} must be {spec.type}, got {value!r}")
+        if spec.type == "float" and not isfinite(value):
+            raise ValueError(f"{spec.name} must be finite, got {value}")
 
 
 def _coerce(value, typename):
@@ -471,7 +484,9 @@ class SearchEngine:
         """Back up a simulation that ends on a terminal or proven node.
 
         The endpoint counts as a visit of the reached node too, keeping
-        N(s,a) <= N(child); its value is a constant there, so v never moves.
+        N(s,a) <= N(child), and adds the status value to the node's average:
+        a terminal's v already equals it and never moves, but a node the
+        solver proved keeps the average of its search and moves toward it.
         """
         value = STATUS_VALUE[node.status]
         update_node_value(node, value)

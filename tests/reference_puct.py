@@ -7,7 +7,7 @@ tree exactly: visit counts, values, edge Q and priors, bit for bit.
 
 from __future__ import annotations
 
-from math import log, sqrt
+from math import inf, log, sqrt
 
 from mcgs.evaluators import apply_node_temperature
 
@@ -43,7 +43,7 @@ class _Traj:
 class TreePUCT:
     def __init__(self, env, evaluator, c_puct_init=2.5, c_puct_base=19652.0,
                  q_init=-1.0, node_tau=1.7, mini_batch_size=16,
-                 virtual_loss=1.0, terminal_cap_factor=4):
+                 virtual_loss=1.0, terminal_cap_factor=4, stall_rounds=16):
         self.env = env
         self.evaluator = evaluator
         self.c_puct_init = c_puct_init
@@ -53,24 +53,46 @@ class TreePUCT:
         self.mini_batch_size = mini_batch_size
         self.virtual_loss = virtual_loss
         self.terminal_cap = terminal_cap_factor * mini_batch_size
+        self.stall_rounds = stall_rounds
         self.root: TreeNode | None = None
         self.simulations = 0
         self.evaluations = 0
         self.terminal_trajectories = 0
+        self.stop_reason = ""
 
-    def search(self, state, simulations: int) -> TreeNode:
+    def search(self, state, amount: int, budget: str = "simulations") -> TreeNode:
+        """Search in rounds until `amount` simulations or evaluations are spent.
+
+        The root's evaluation is the first simulation and the first
+        evaluation. A round gathers waiting leaves up to the batch size, or
+        the evaluations left, and backs up at most terminal_cap terminal
+        trajectories on the spot. Under an evaluations budget the search also
+        stops after stall_rounds rounds in a row that evaluate nothing.
+        """
         root = TreeNode(state)
         self.root = root
         evaluation = self.evaluator.evaluate(state)
         self.evaluations += 1
         self._expand(root, evaluation)
         self.simulations = 1
-        while self.simulations < simulations:
+        stalls = 0
+        while True:
+            if budget == "simulations":
+                sims_left = amount - self.simulations
+                leaf_cap = self.mini_batch_size
+            else:
+                sims_left = inf
+                leaf_cap = min(self.mini_batch_size, amount - self.evaluations)
+            if sims_left <= 0 or leaf_cap <= 0:
+                self.stop_reason = "budget"
+                break
+            if stalls >= self.stall_rounds:
+                self.stop_reason = "stalled"
+                break
             pending: list[_Traj] = []
             terms = 0
-            while len(pending) < self.mini_batch_size and terms < self.terminal_cap:
-                if self.simulations + len(pending) >= simulations:
-                    break
+            while (len(pending) < leaf_cap and terms < self.terminal_cap
+                   and len(pending) + terms < sims_left):
                 traj = self._simulate(root)
                 if traj.kind == "eval":
                     pending.append(traj)
@@ -91,8 +113,8 @@ class TreePUCT:
                     leaf.v += (evaluation.value - leaf.v) / n1
                 self._backprop(traj.pairs, evaluation.value)
                 self.simulations += 1
-            if not pending and terms == 0:
-                break
+            if budget == "evaluations":
+                stalls = 0 if pending else stalls + 1
         return root
 
     def _simulate(self, root: TreeNode) -> _Traj:

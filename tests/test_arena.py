@@ -129,6 +129,21 @@ def test_match_config_validates_counts():
         config.validate()
 
 
+@pytest.mark.parametrize("key,value,message", [
+    ("opening_count", 1.5, "opening_count must be int, got 1.5"),
+    ("opening_plies", True, "opening_plies must be int, got True"),
+    ("seed", "7", "seed must be int, got '7'"),
+    ("evaluator_a", None, "evaluator_a must be str, got None"),
+    ("game", 3, "game must be str, got 3"),
+])
+def test_match_config_type_errors_name_their_key(key, value, message):
+    config = _match_config("nim:1,1")
+    setattr(config, key, value)
+    with pytest.raises(ValueError) as error:
+        config.validate()
+    assert str(error.value) == message
+
+
 def test_play_game_scores_the_forced_miniature():
     env = make_env("nim:1,1")
     config = _match_config("nim:1,1", budget=16)

@@ -7,6 +7,7 @@ import pytest
 
 from mcgs.cli import _config_from_args, build_parser, main
 from mcgs.evaluators import Evaluation
+from mcgs.search import SearchConfig
 
 from helpers import FixedEvaluator
 
@@ -50,14 +51,43 @@ def test_defaults_without_flags():
     assert config.eps_greedy and config.check_enhance and config.q_boost
 
 
-def test_value_flags_override_defaults():
-    args = parse(["search", "--tau", "0.7", "--mini-batch", "4",
-                  "--seed", "9", "--endgame-oracle", "nim-xor"])
-    config = _config_from_args(args)
-    assert config.tau == 0.7
-    assert config.mini_batch_size == 4
-    assert config.seed == 9
-    assert config.endgame_oracle == "nim-xor"
+# Every engine value flag: (flag, argument, SearchConfig field, parsed value).
+VALUE_FLAGS = [
+    ("--q-epsilon", "0.05", "q_epsilon", 0.05),
+    ("--q-weight", "1.5", "q_weight", 1.5),
+    ("--eps-greedy", "0.2", "epsilon_greedy", 0.2),
+    ("--eps-checks", "0.3", "epsilon_checks", 0.3),
+    ("--c-puct-init", "1.25", "c_puct_init", 1.25),
+    ("--c-puct-base", "500", "c_puct_base", 500.0),
+    ("--node-tau", "1.1", "node_tau", 1.1),
+    ("--tau", "0.7", "tau", 0.7),
+    ("--mini-batch", "4", "mini_batch_size", 4),
+    ("--virtual-loss", "2", "virtual_loss", 2.0),
+    ("--q-init", "0.5", "q_init", 0.5),
+    ("--dirichlet-epsilon", "0.25", "dirichlet_epsilon", 0.25),
+    ("--dirichlet-alpha", "0.5", "dirichlet_alpha", 0.5),
+    ("--seed", "9", "seed", 9),
+    ("--capacity", "1000", "capacity", 1000),
+    ("--endgame-oracle", "nim-xor", "endgame_oracle", "nim-xor"),
+]
+
+# Every engine toggle flag and the SearchConfig field it clears.
+TOGGLE_FLAGS = [
+    ("--no-transpositions", "transpositions"),
+    ("--no-terminal-solver", "terminal_solver"),
+    ("--no-eps-greedy", "eps_greedy"),
+    ("--no-check-enhance", "check_enhance"),
+    ("--no-q-boost", "q_boost"),
+    ("--no-stop-when-solved", "stop_when_solved"),
+]
+
+
+@pytest.mark.parametrize("flag,text,field,value", VALUE_FLAGS, ids=[f[0] for f in VALUE_FLAGS])
+def test_value_flags_override_defaults(flag, text, field, value):
+    config = _config_from_args(parse(["search", flag, text]))
+    assert getattr(config, field) != getattr(SearchConfig(), field)
+    assert getattr(config, field) == value
+    assert type(getattr(config, field)) is type(value)
 
 
 def test_budget_flags_select_budget_kind():
@@ -67,12 +97,12 @@ def test_budget_flags_select_budget_kind():
     assert config.budget_amount == 50
 
 
-def test_toggle_flags_clear_features():
-    config = _config_from_args(parse(["search", "--no-transpositions",
-                                      "--no-q-boost"]))
-    assert not config.transpositions
-    assert not config.q_boost
-    assert config.terminal_solver  # untouched toggles keep their defaults
+@pytest.mark.parametrize("flag,field", TOGGLE_FLAGS, ids=[f[0] for f in TOGGLE_FLAGS])
+def test_toggle_flags_clear_features(flag, field):
+    config = _config_from_args(parse(["search", flag]))
+    assert getattr(config, field) is False
+    for _, other in TOGGLE_FLAGS:  # the rest keep their defaults
+        assert getattr(config, other) is (other != field)
 
 
 def test_no_explore_clears_both_branch_mechanisms():

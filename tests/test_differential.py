@@ -43,22 +43,27 @@ def _assert_same_tree(root, ref_root) -> int:
        evaluator=st.sampled_from(["uniform", "heuristic", "deceptive"]),
        batch=st.sampled_from([1, 2, 5, 16]),
        virtual_loss=st.sampled_from([0.0, 1.0, 3.0]),
+       kind=st.sampled_from(["simulations", "evaluations"]),
        budget=st.integers(1, 400))
-def test_plain_engine_equals_reference_tree_puct(game, evaluator, batch, virtual_loss, budget):
+def test_plain_engine_equals_reference_tree_puct(game, evaluator, batch, virtual_loss,
+                                                 kind, budget):
     env = make_env(game)
     evaluate = make_evaluator(evaluator, env)
     config = SearchConfig(transpositions=False, terminal_solver=False,
                           eps_greedy=False, check_enhance=False, q_boost=False,
-                          budget="simulations", budget_amount=budget,
+                          budget=kind, budget_amount=budget,
                           mini_batch_size=batch, virtual_loss=virtual_loss)
     engine = SearchEngine(env, evaluate, config)
     engine.reset(env.initial_state())
     result = engine.search()
 
     reference = TreePUCT(env, evaluate, mini_batch_size=batch, virtual_loss=virtual_loss)
-    ref_root = reference.search(env.initial_state(), budget)
+    ref_root = reference.search(env.initial_state(), budget, kind)
 
-    assert result.simulations == reference.simulations == budget
+    assert result.stop_reason == reference.stop_reason
+    assert result.simulations == reference.simulations
     assert result.evaluations == reference.evaluations
     assert result.terminal_trajectories == reference.terminal_trajectories
+    spent = result.simulations if kind == "simulations" else result.evaluations
+    assert spent == budget or (kind, result.stop_reason) == ("evaluations", "stalled")
     assert _assert_same_tree(engine._root, ref_root) == result.memory["node_count"]

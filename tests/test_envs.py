@@ -180,6 +180,20 @@ def test_make_env_rejects_unknown_id():
         make_env("leftright:1")
 
 
+@pytest.mark.parametrize("spec", ["tictactoe:9", "tictactoe:", "nim:", "leftright:"])
+def test_make_env_rejects_a_stray_or_empty_argument(spec):
+    with pytest.raises(ValueError, match=f"game id {spec!r}"):
+        make_env(spec)
+
+
+@pytest.mark.parametrize("spec,game_id", [
+    ("tictactoe", "tictactoe"), ("nim", "nim:3,4,5"), ("nim:3,4,5", "nim:3,4,5"),
+    ("leftright", "leftright:16"), ("leftright:16", "leftright:16"),
+])
+def test_make_env_documented_forms(spec, game_id):
+    assert make_env(spec).game_id == game_id
+
+
 def test_nim_apply_agrees_with_decode_on_every_state_and_action():
     env = make_env("nim:3,4,5")
     stride = 5

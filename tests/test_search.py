@@ -150,10 +150,21 @@ def test_config_rejects_unknown_keys_and_bad_bools():
     ("virtual_loss", INF),
     ("c_puct_init", INF),
     ("q_epsilon", -INF),
+    # each field takes its annotated type; a bool is neither an int nor a float
+    ("mini_batch_size", 2.5),
+    ("budget_amount", 100.0),
+    ("budget_amount", True),
+    ("seed", "3"),
+    ("tau", True),
+    ("q_init", "0"),
+    ("transpositions", "false"),
+    ("q_boost", 1),
+    ("budget", None),
+    ("endgame_oracle", 3),
 ])
 def test_config_validation_errors(field, value):
     cfg = SearchConfig(**{field: value})
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=f"^{field} must "):
         cfg.validate()
 
 
