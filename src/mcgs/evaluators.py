@@ -17,11 +17,11 @@ synchronous mini-batches the way a GPU-backed evaluator would.
 from __future__ import annotations
 
 import math
+import weakref
 from typing import NamedTuple
 
 from .envs import LeftRight, Nim, TicTacToe, TTT_LINES
-from .oracle import SolvedEntry, negamax_solve
-from .envs import StateKey
+from .oracle import negamax_solve
 
 # Softmax temperature for heuristic move priors. Sharp enough that a
 # sign-flipped heuristic produces genuinely misleading priors.
@@ -200,14 +200,20 @@ class HeuristicEvaluator:
                           _softmax([sign * s for s in child_scores], _PRIOR_TEMP))
 
 
+# env -> the negamax entries solved on it so far, shared by the oracle
+# evaluators a match builds per game on its one env; weak keys free it with
+# the env. Kept apart from the solver's _SOLVED_TABLES, which must be complete.
+_NEGAMAX_CACHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 class OracleEvaluator:
     """Exact negamax value; priors uniform over outcome-optimal moves."""
 
     name = "oracle"
 
-    def __init__(self, env, cache: dict[StateKey, SolvedEntry] | None = None) -> None:
+    def __init__(self, env) -> None:
         self.env = env
-        self.cache = cache if cache is not None else {}
+        self.cache = _NEGAMAX_CACHES.setdefault(env, {})
 
     def evaluate(self, state) -> Evaluation:
         entry = negamax_solve(self.env, state, cache=self.cache)

@@ -32,42 +32,30 @@ def sample_branch_depth(r2: float, max_depth: int | None = None) -> int:
     return depth
 
 
-def best_path(root: Node) -> tuple[list[Node], list[int]]:
-    """Follow the most-visited action from the root while one exists.
+def best_path(root: Node) -> list[Node]:
+    """The nodes of the most-visited line from the root, root first.
 
     Ties keep the first edge in stored order, i.e. the higher prior. The walk
     stops at unexpanded, terminal, or proven nodes, and at nodes with no
     visited edges.
     """
     nodes = [root]
-    actions: list[int] = []
     node = root
     while node.expanded and not is_real(node.status):
-        en = node.en
-        qs = node.q
-        best = -1
-        best_n = 0
-        for j in range(len(en)):
-            if qs[j] == NEG_INF:
-                continue
-            if en[j] > best_n:
-                best_n = en[j]
-                best = j
-        if best < 0:
+        visited = [j for j, n in enumerate(node.en) if n and node.q[j] != NEG_INF]
+        if not visited:
             break
-        child = node.child[best]
-        if child is None:
+        node = node.child[max(visited, key=node.en.__getitem__)]  # max keeps the first
+        if node is None:
             break
-        actions.append(node.actions[best])
-        nodes.append(child)
-        node = child
-    return nodes, actions
+        nodes.append(node)
+    return nodes
 
 
 def make_plan(engine, root: Node) -> Node:
     """The branch node: the best path's node at a geometrically sampled depth."""
-    nodes, actions = best_path(root)
-    return nodes[sample_branch_depth(engine.rng.random(), max_depth=len(actions))]
+    nodes = best_path(root)
+    return nodes[sample_branch_depth(engine.rng.random(), max_depth=len(nodes) - 1)]
 
 
 def execute_branch(engine, node: Node, kind: str) -> int | None:

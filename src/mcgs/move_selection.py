@@ -20,14 +20,16 @@ class MovePolicy:
     source: str = "visits"  # what chose the move: solver, q_boost, visits or prior
 
 
+def _visit_rank(node: Node):
+    """An edge's sort key: most visits first, then higher Q, then lower action id."""
+    en, qs, actions = node.en, node.q, node.actions
+    return lambda j: (-en[j], -qs[j], actions[j])
+
+
 def _visit_order(node: Node) -> list[int]:
-    """Live visited edges, most visits first; ties by higher Q, then lower action id."""
-    en = node.en
-    qs = node.q
-    actions = node.actions
-    order = [j for j in range(len(en)) if en[j] and qs[j] != NEG_INF]
-    order.sort(key=lambda j: (-en[j], -qs[j], actions[j]))
-    return order
+    """Live visited edges, in _visit_rank order."""
+    return sorted((j for j, n in enumerate(node.en) if n and node.q[j] != NEG_INF),
+                  key=_visit_rank(node))
 
 
 def visit_policy(node: Node, tau: float) -> list[float]:
@@ -75,22 +77,20 @@ def q_boost(node: Node, policy: list[float], q_weight: float) -> tuple[list[floa
 
 
 def _argmax_policy(node: Node, policy: list[float]) -> int:
-    """Ties fall to more visits, then higher Q, then lower action id."""
-    en = node.en
-    qs = node.q
-    actions = node.actions
-    return max(range(len(policy)), key=lambda j: (policy[j], en[j], qs[j], -actions[j]))
+    """The edge with the most mass; ties fall to _visit_rank."""
+    rank = _visit_rank(node)
+    return min(range(len(policy)), key=lambda j: (-policy[j], rank(j)))
 
 
 def _prior_policy(node: Node) -> list[float]:
-    live = [p if node.q[j] != NEG_INF else 0.0 for j, p in enumerate(node.p)]
-    total = sum(live)
-    if total <= 0.0:
-        k = sum(1 for j in range(len(live)) if node.q[j] != NEG_INF)
-        if k == 0:
-            return [1.0 / len(live)] * len(live)
-        return [1.0 / k if node.q[j] != NEG_INF else 0.0 for j in range(len(live))]
-    return [p / total for p in live]
+    """The live edges' priors renormalized; uniform over the live edges when
+    they hold no mass, and over every edge when none is live."""
+    live = [q != NEG_INF for q in node.q]
+    mass = [p if ok else 0.0 for p, ok in zip(node.p, live)]
+    if sum(mass) <= 0.0:
+        mass = [float(ok) for ok in live] if any(live) else [1.0] * len(live)
+    total = sum(mass)
+    return [m / total for m in mass]
 
 
 def select_move(node: Node, config, rng) -> MovePolicy:
@@ -129,24 +129,16 @@ def select_move(node: Node, config, rng) -> MovePolicy:
 
 
 def principal_variation(node: Node, limit: int = 64) -> list[int]:
-    """Most-visited line from the root, switching to proven lines when known."""
+    """At each node the proven move, else the first in _visit_rank order, until
+    `limit` moves, an unexpanded node, an unresolved edge or no visited live edge."""
     out: list[int] = []
-    while len(out) < limit and node.expanded:
+    while node is not None and node.expanded and len(out) < limit:
         action = solved_move(node)
-        idx = -1 if action is None else node.actions.index(action)
-        if idx < 0:
-            en = node.en
-            qs = node.q
-            for j in range(len(en)):
-                if qs[j] == NEG_INF or en[j] == 0:
-                    continue
-                if idx < 0 or en[j] > en[idx] or (en[j] == en[idx] and qs[j] > qs[idx]):
-                    idx = j
-            if idx < 0:
+        if action is None:
+            order = _visit_order(node)
+            if not order:
                 break
-        out.append(node.actions[idx])
-        child = node.child[idx]
-        if child is None:
-            break
-        node = child
+            action = node.actions[order[0]]
+        out.append(action)
+        node = node.child[node.actions.index(action)]
     return out

@@ -64,6 +64,10 @@ STATUS_VALUE = {s: o.score for s, o in _OUTCOME_CLASS.items()}
 _REAL_FOR_OUTCOME = {o: s for s, o in _OUTCOME_CLASS.items() if is_real(s)}
 _TB_FOR_OUTCOME = {o: s for s, o in _OUTCOME_CLASS.items() if not is_real(s)}
 _SELECTABLE = frozenset((SolverStatus.UNKNOWN, SolverStatus.TB_WIN, SolverStatus.TB_DRAW))
+# The child statuses that carry a proof to solved_move.
+_REAL_LOSS = frozenset((SolverStatus.LOSS,))
+_ANY_LOSS = frozenset((SolverStatus.LOSS, SolverStatus.TB_LOSS))
+_ANY_DRAW = frozenset((SolverStatus.DRAW, SolverStatus.TB_DRAW))
 
 
 def status_for_outcome(outcome: Outcome) -> SolverStatus:
@@ -267,42 +271,26 @@ def prune_edge(node, idx: int) -> None:
 def solved_move(node) -> int | None:
     """Best proven action at a solved node, or None.
 
-    WIN picks the fastest proven mate (LOSS child with minimal END_IN_PLY),
-    LOSS the longest resistance (maximal END_IN_PLY child), DRAW the drawing
-    child with the most visits. None means nothing is proven here: the node
-    is UNKNOWN, or no child carries the proof (an oracle probe's status).
+    The proof's children qualify and one key ranks them, the first edge
+    winning a tie: WIN plays the fastest mate (a LOSS child, or a TB_LOSS one
+    under a TB_WIN, with minimal END_IN_PLY), LOSS the longest resistance
+    (any known child, maximal END_IN_PLY), DRAW the drawing child with the
+    most visits. None means nothing is proven here: the node is UNKNOWN, or
+    no child carries the proof (an oracle probe's status).
     """
     status = node.status
     if status == SolverStatus.UNKNOWN:
         return None
     outcome = _OUTCOME_CLASS[status]
-    allow_tb = not is_real(status)
-    best_idx = -1
+    kids = node.child
     if outcome is Outcome.WIN:
-        best_eip = None
-        for i, child in enumerate(node.child):
-            if child is None:
-                continue
-            st = child.status
-            if st == SolverStatus.LOSS or (allow_tb and st == SolverStatus.TB_LOSS):
-                if best_eip is None or child.end_in_ply < best_eip:
-                    best_eip = child.end_in_ply
-                    best_idx = i
+        proof = _REAL_LOSS if is_real(status) else _ANY_LOSS
+        rank = lambda j: kids[j].end_in_ply
     elif outcome is Outcome.LOSS:
-        best_eip = -1
-        for i, child in enumerate(node.child):
-            if child is None:
-                continue
-            if child.status != SolverStatus.UNKNOWN and child.end_in_ply > best_eip:
-                best_eip = child.end_in_ply
-                best_idx = i
+        proof = _OUTCOME_CLASS  # every known status
+        rank = lambda j: -kids[j].end_in_ply
     else:
-        best_visits = -1
-        for i, child in enumerate(node.child):
-            if child is None:
-                continue
-            st = child.status
-            if st in (SolverStatus.DRAW, SolverStatus.TB_DRAW) and node.en[i] > best_visits:
-                best_visits = node.en[i]
-                best_idx = i
-    return node.actions[best_idx] if best_idx >= 0 else None
+        proof = _ANY_DRAW
+        rank = lambda j: -node.en[j]
+    edges = [j for j, child in enumerate(kids) if child is not None and child.status in proof]
+    return node.actions[min(edges, key=rank)] if edges else None

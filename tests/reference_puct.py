@@ -3,6 +3,10 @@ engine but over an explicit tree: no transpositions, no solver, no
 exploration branches, no policy boost. The differential test requires the
 engine with every enhancement disabled to reproduce this implementation's
 tree exactly: visit counts, values, edge Q and priors, bit for bit.
+
+Like the engine, it keeps its tree across moves: reset() places the root,
+search() spends one budget from it, advance() moves the root down the
+played edge, and the next search() continues on the kept subtree.
 """
 
 from __future__ import annotations
@@ -60,21 +64,34 @@ class TreePUCT:
         self.terminal_trajectories = 0
         self.stop_reason = ""
 
-    def search(self, state, amount: int, budget: str = "simulations") -> TreeNode:
-        """Search in rounds until `amount` simulations or evaluations are spent.
+    def reset(self, state) -> None:
+        """Place a fresh root at a state."""
+        self.root = TreeNode(state)
 
-        The root's evaluation is the first simulation and the first
-        evaluation. A round gathers waiting leaves up to the batch size, or
-        the evaluations left, and backs up at most terminal_cap terminal
+    def advance(self, action: int) -> None:
+        """Move the root down the edge of `action`, keeping its subtree."""
+        root = self.root
+        i = root.actions.index(action)
+        if root.kids[i] is None:
+            root.kids[i] = self._child(root.state, action)
+        self.root = root.kids[i]
+
+    def search(self, amount: int, budget: str = "simulations") -> TreeNode:
+        """Search from the root in rounds until `amount` simulations or
+        evaluations are spent; every count starts at 0.
+
+        An unexpanded root's evaluation is the first simulation and the
+        first evaluation; a kept, expanded root is not evaluated again. A
+        round gathers waiting leaves up to the batch size, or the
+        evaluations left, and backs up at most terminal_cap terminal
         trajectories on the spot. Under an evaluations budget the search also
         stops after stall_rounds rounds in a row that evaluate nothing.
         """
-        root = TreeNode(state)
-        self.root = root
-        evaluation = self.evaluator.evaluate(state)
-        self.evaluations += 1
-        self._expand(root, evaluation)
-        self.simulations = 1
+        root = self.root
+        self.simulations = self.evaluations = self.terminal_trajectories = 0
+        if not root.expanded:
+            self._expand(root, self.evaluator.evaluate(root.state))
+            self.evaluations = self.simulations = 1
         stalls = 0
         while True:
             if budget == "simulations":
@@ -118,7 +135,6 @@ class TreePUCT:
         return root
 
     def _simulate(self, root: TreeNode) -> _Traj:
-        env = self.env
         node = root
         pairs: list[tuple[TreeNode, int]] = []
         while True:
@@ -127,17 +143,19 @@ class TreePUCT:
             pairs.append((node, i))
             child = node.kids[i]
             if child is None:
-                state = env.apply(node.state, node.actions[i])
-                outcome = env.terminal_value(state)
-                child = TreeNode(state,
-                                 terminal_score=None if outcome is None else outcome.score)
-                node.kids[i] = child
+                child = node.kids[i] = self._child(node.state, node.actions[i])
             if child.terminal_score is not None:
                 child.n += 1  # terminal visit; v is the constant outcome
                 return _Traj(pairs, "terminal", value=child.v)
             if not child.expanded:
                 return _Traj(pairs, "eval", leaf=child)
             node = child
+
+    def _child(self, state, action: int) -> TreeNode:
+        """A fresh node for the state `action` leads to, scored when terminal."""
+        after = self.env.apply(state, action)
+        outcome = self.env.terminal_value(after)
+        return TreeNode(after, terminal_score=None if outcome is None else outcome.score)
 
     def _select(self, node: TreeNode) -> int:
         en = node.en

@@ -97,7 +97,8 @@ def test_criterion_3_reduction_to_tree_puct(ttt):
     assert result.simulations == 1000
 
     reference = TreePUCT(ttt, evaluator)
-    ref_root = reference.search(ttt.initial_state(), 1000)
+    reference.reset(ttt.initial_state())
+    ref_root = reference.search(1000)
     assert reference.simulations == 1000
 
     compared = 0

@@ -1,7 +1,9 @@
 """Match play: openings, scoring, confidence bounds, replayability."""
 
+import hashlib
 import json
 import math
+import random
 
 import pytest
 
@@ -21,7 +23,7 @@ from mcgs.arena import (
 from mcgs.envs import Outcome, make_env
 from mcgs.evaluators import Evaluation
 from mcgs.oracle import negamax_solve, solved_table
-from mcgs.search import SearchConfig
+from mcgs.search import SearchConfig, SearchEngine
 
 from helpers import FixedEvaluator
 
@@ -89,6 +91,14 @@ def _after(env, line):
     for action in line:
         state = env.apply(state, action)
     return state
+
+
+def test_openings_skip_lines_that_end_the_game_early():
+    # In leftright a LEFT move ends the game: a line that plays one before
+    # its last ply dies unfinished, one that ends on it reaches a terminal.
+    # Only RIGHT, RIGHT, RIGHT survives.
+    env = make_env("leftright:6")
+    assert generate_openings(env, 3, 4, random.Random(5)) == [(1, 1, 1)] * 4
 
 
 def test_openings_cycle_when_the_pool_is_small(ttt):
@@ -179,6 +189,29 @@ def test_a_match_solves_the_oracle_table_once(monkeypatch):
     result = play_match(config)
     assert len(result.games) == 20
     assert len(calls) == 1
+
+
+def test_an_oracle_match_solves_each_state_once(monkeypatch):
+    # Every game builds fresh oracle evaluators on the match's one env; they
+    # share that env's negamax cache instead of re-solving the game per game.
+    solved = []
+
+    def solve(env, state, cache=None, node_limit=None):
+        before = set(cache)
+        entry = negamax_solve(env, state, cache, node_limit)
+        solved.extend(cache.keys() - before)
+        return entry
+
+    monkeypatch.setattr("mcgs.evaluators.negamax_solve", solve)
+    config = _match_config("tictactoe", opening_plies=1, opening_count=5, seed=1)
+    config.evaluator_a = config.evaluator_b = "oracle"
+    result = play_match(config)
+    distinct = len(set(solved))
+    assert len(solved) == distinct > 0
+    record = json.dumps(result.to_dict(), sort_keys=True).encode()
+    assert (result.wins, result.draws, result.losses) == (0, 10, 0)
+    assert hashlib.sha256(record).hexdigest() == (
+        "1a8488e6bcf284ff55803b289b09f2714794a10b98a692f418955cda6a060a81")
 
 
 def test_identical_engines_score_exactly_half(ttt):
@@ -273,6 +306,24 @@ def test_engine_failure_forfeits_the_game(monkeypatch):
     record = play_game(env, config, opening=(), first="B", seed_a=1, seed_b=2)
     assert record.forfeited_by == "A"  # B moved fine; A crashed on its turn
     assert record.score_a == 0.0
+    assert len(record.moves) == 1
+
+
+def test_an_illegal_move_forfeits_the_game(monkeypatch):
+    class Cheat(SearchEngine):
+        def search(self):
+            result = super().search()
+            if self.config.seed == 2:  # engine B
+                result.selected_action = 9  # nim 2,2 has actions 0-3
+            return result
+
+    monkeypatch.setattr("mcgs.arena.SearchEngine", Cheat)
+    env = make_env("nim:2,2")
+    config = _match_config("nim:2,2", budget=16)
+    record = play_game(env, config, opening=(), first="A", seed_a=1, seed_b=2)
+    assert record.forfeited_by == "B"
+    assert record.error == "ValueError: engine B produced illegal move 9"
+    assert record.score_a == 1.0
     assert len(record.moves) == 1
 
 

@@ -2,7 +2,8 @@
 
 With transpositions and every enhancement off, the engine must be plain
 batched tree-PUCT: the same tree as `reference_puct.TreePUCT`, with equal
-visit counts, values, edge Q and priors, bit for bit.
+visit counts, values, edge Q and priors, bit for bit, in one search and in
+each search of a game that keeps its tree across moves.
 """
 
 from hypothesis import given, settings
@@ -58,7 +59,8 @@ def test_plain_engine_equals_reference_tree_puct(game, evaluator, batch, virtual
     result = engine.search()
 
     reference = TreePUCT(env, evaluate, mini_batch_size=batch, virtual_loss=virtual_loss)
-    ref_root = reference.search(env.initial_state(), budget, kind)
+    reference.reset(env.initial_state())
+    ref_root = reference.search(budget, kind)
 
     assert result.stop_reason == reference.stop_reason
     assert result.simulations == reference.simulations
@@ -67,3 +69,43 @@ def test_plain_engine_equals_reference_tree_puct(game, evaluator, batch, virtual
     spent = result.simulations if kind == "simulations" else result.evaluations
     assert spent == budget or (kind, result.stop_reason) == ("evaluations", "stalled")
     assert _assert_same_tree(engine._root, ref_root) == result.memory["node_count"]
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(game=st.one_of(st.just("tictactoe"), _nim, _leftright),
+       evaluator=st.sampled_from(["uniform", "heuristic", "deceptive"]),
+       batch=st.sampled_from([1, 2, 5, 16]),
+       virtual_loss=st.sampled_from([0.0, 1.0, 3.0]),
+       budget=st.integers(1, 150),
+       plies=st.integers(2, 5))
+def test_plain_engine_equals_reference_tree_puct_on_a_kept_tree(game, evaluator, batch,
+                                                                virtual_loss, budget, plies):
+    # The engine plays its own moves under an evaluations budget; after each
+    # one both sides advance and search again from the kept subtree.
+    env = make_env(game)
+    evaluate = make_evaluator(evaluator, env)
+    config = SearchConfig(transpositions=False, terminal_solver=False,
+                          eps_greedy=False, check_enhance=False, q_boost=False,
+                          budget="evaluations", budget_amount=budget,
+                          mini_batch_size=batch, virtual_loss=virtual_loss)
+    engine = SearchEngine(env, evaluate, config)
+    reference = TreePUCT(env, evaluate, mini_batch_size=batch, virtual_loss=virtual_loss)
+    state = env.initial_state()
+    engine.reset(state)
+    reference.reset(state)
+    start, ref_start = engine._root, reference.root
+    for _ in range(plies):
+        if env.terminal_value(state) is not None:
+            break
+        result = engine.search()
+        reference.search(budget, "evaluations")
+        assert result.stop_reason == reference.stop_reason
+        assert result.simulations == reference.simulations
+        assert result.evaluations == reference.evaluations
+        assert result.terminal_trajectories == reference.terminal_trajectories
+        # the whole kept tree, from the game's first root down
+        assert _assert_same_tree(start, ref_start) == result.memory["node_count"]
+        action = result.selected_action
+        state = env.apply(state, action)
+        engine.advance(action)
+        reference.advance(action)

@@ -111,7 +111,7 @@ def test_heuristic_rejects_unknown_games(ttt):
 
 
 def test_oracle_evaluator_matches_negamax(ttt, ttt_table):
-    ev = OracleEvaluator(ttt, cache=dict(ttt_table))
+    ev = OracleEvaluator(ttt)
     value, priors = ev.evaluate(ttt.initial_state())
     assert value == 0.0
     entry = ttt_table[ttt.state_key(ttt.initial_state())]

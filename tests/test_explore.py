@@ -55,9 +55,7 @@ def test_best_path_follows_visits_and_stops_at_the_frontier():
     store.attach_edges(a, [3, 4], [0.5, 0.5], q_init=-1.0)
     a.en = [3, 0]
     b = attach_child(store, a, 0, ply=2)  # unexpanded leaf
-    nodes, actions = best_path(root)
-    assert nodes == [root, a, b]
-    assert actions == [0, 3]
+    assert best_path(root) == [root, a, b]
 
 
 def test_best_path_skips_pruned_and_breaks_ties_by_order():
@@ -65,10 +63,9 @@ def test_best_path_skips_pruned_and_breaks_ties_by_order():
     root = expanded_node(store, actions=[0, 1, 2])
     root.en = [9, 4, 4]
     root.q[0] = NEG_INF  # pruned despite being most visited
-    attach_child(store, root, 1, ply=1)
+    first = attach_child(store, root, 1, ply=1)
     attach_child(store, root, 2, ply=1)
-    nodes, actions = best_path(root)
-    assert actions[0] == 1  # first stored edge wins the 4-4 tie
+    assert best_path(root)[1] is first  # first stored edge wins the 4-4 tie
 
 
 def test_best_path_stops_at_proven_and_unresolved_nodes():
@@ -78,14 +75,11 @@ def test_best_path_stops_at_proven_and_unresolved_nodes():
     solved = attach_child(store, root, 0, status=SolverStatus.WIN, eip=1, ply=1)
     store.attach_edges(solved, [9], [1.0], q_init=-1.0)
     solved.en = [5]  # expanded and visited, but proven: the walk stops here
-    nodes, actions = best_path(root)
-    assert nodes == [root, solved]
-    assert actions == [0]
+    assert best_path(root) == [root, solved]
 
     lone = expanded_node(store, actions=[0])
     lone.en = [3]  # visited but never resolved to a child
-    nodes, actions = best_path(lone)
-    assert nodes == [lone] and actions == []
+    assert best_path(lone) == [lone]
 
 
 class _FixedRng:
@@ -105,8 +99,8 @@ def test_make_plan_lands_on_the_sampled_depth(ttt):
     engine.reset(ttt.initial_state())
     engine.search()
     root = engine._root
-    nodes, actions = best_path(root)
-    assert len(actions) >= 2
+    nodes = best_path(root)
+    assert len(nodes) >= 3
 
     engine.rng = _FixedRng(0.75)  # depth 1
     assert make_plan(engine, root) is nodes[1]
@@ -179,7 +173,7 @@ def test_branch_trajectories_never_touch_ancestors(ttt):
     engine.reset(ttt.initial_state())
     engine.search()
     root = engine._root
-    nodes, actions = best_path(root)
+    nodes = best_path(root)
     assert len(nodes) >= 2
 
     engine.rng = _FixedRng(0.75)  # branch at depth 1

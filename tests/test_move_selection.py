@@ -1,6 +1,7 @@
 """Root move choice: visit policy, Q-gap boost, solver overrides, PV."""
 
 import math
+import random
 
 import pytest
 
@@ -249,3 +250,52 @@ def test_principal_variation_prefers_the_proven_line():
     assert principal_variation(root) == [1]
     root.status = SolverStatus.UNKNOWN  # the solver off
     assert principal_variation(root)[0] == 0
+
+
+def test_principal_variation_stops_at_an_unresolved_child():
+    store = GraphStore()
+    root = expanded_node(store, actions=[0, 1])
+    root.en = [3, 5]  # the most visited edge never resolved to a child
+    attach_child(store, root, 0, ply=1)
+    assert principal_variation(root) == [1]
+
+
+def test_principal_variation_stops_where_no_live_edge_was_visited():
+    store = GraphStore()
+    root = expanded_node(store, actions=[0, 1])
+    root.en = [4, 0]
+    a = attach_child(store, root, 0, ply=1)
+    store.attach_edges(a, [2, 3], [0.5, 0.5], q_init=-1.0)
+    a.en = [6, 0]
+    a.q[0] = NEG_INF  # visited, then pruned
+    assert principal_variation(root) == [0]
+    a.en = [0, 0]  # expanded, never visited
+    assert principal_variation(root) == [0]
+
+
+def test_principal_variation_breaks_ties_as_the_move_choice_does():
+    # More visits, then higher Q, then the lower action id: the order the
+    # move choice plays from, not the stored edge order.
+    store = GraphStore()
+    root = expanded_node(store, actions=[6, 2, 4])
+    for j in range(3):
+        attach_child(store, root, j, ply=1)
+    root.en = [5, 5, 1]
+    root.q = [0.3, 0.3, 0.9]
+    assert principal_variation(root) == [2]
+    root.q = [0.4, 0.3, 0.9]
+    assert principal_variation(root) == [6]
+
+
+def test_principal_variation_starts_with_the_plain_move_choice():
+    rng = random.Random(5)
+    config = SearchConfig(q_boost=False)
+    store = GraphStore()
+    for _ in range(200):
+        k = rng.randrange(1, 5)
+        root = expanded_node(store, actions=rng.sample(range(9), k))
+        root.en = [rng.randrange(3) for _ in range(k)]
+        root.en[0] += 1
+        root.q = [rng.choice([-0.5, 0.0, 0.5]) for _ in range(k)]
+        pv = principal_variation(root)
+        assert pv == [select_move(root, config, _Rng(0.0)).action]

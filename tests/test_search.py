@@ -1218,6 +1218,22 @@ def test_dirichlet_noise_is_mixed_once_per_root_placement(ttt):
     assert child.p == mixed
 
 
+def test_reset_onto_an_expanded_root_mixes_noise_once(ttt):
+    engine = _engine(ttt, budget_amount=50, dirichlet_epsilon=0.25, seed=3)
+    state = ttt.initial_state()
+    engine.reset(state)
+    engine.search()
+    root = engine._root
+    first = list(root.p)
+    engine.reset(state)  # the same node, placed again
+    assert engine._root is root
+    mixed = list(root.p)
+    assert mixed != first
+    assert sum(mixed) == pytest.approx(1.0)
+    engine.search()
+    assert root.p == mixed
+
+
 def test_dirichlet_noise_leaves_pruned_edges_at_zero(ttt):
     # X threatens 0-1-2: expansion proves the mate, pruning the mating edge
     # before the noise is mixed in.

@@ -291,6 +291,34 @@ def test_solved_move_prefers_the_most_visited_draw():
     assert solved_move(node) == 2
 
 
+def test_solved_move_gives_a_tie_to_the_first_edge():
+    # The first stored edge, not the lower action id, wins every tie.
+    store = GraphStore()
+    won = expanded_node(store, actions=[7, 5, 3])
+    attach_child(store, won, 0, status=SolverStatus.WIN, eip=1)  # carries no proof
+    attach_child(store, won, 1, status=SolverStatus.LOSS, eip=2)
+    attach_child(store, won, 2, status=SolverStatus.LOSS, eip=2)
+    won.status = SolverStatus.WIN
+    won.end_in_ply = 3
+    assert solved_move(won) == 5
+
+    lost = expanded_node(store, actions=[9, 2])
+    attach_child(store, lost, 0, status=SolverStatus.WIN, eip=4)
+    attach_child(store, lost, 1, status=SolverStatus.WIN, eip=4)
+    lost.status = SolverStatus.LOSS
+    lost.end_in_ply = 5
+    assert solved_move(lost) == 9
+
+    drawn = expanded_node(store, actions=[8, 1, 4])
+    attach_child(store, drawn, 0, status=SolverStatus.DRAW, eip=2)
+    attach_child(store, drawn, 1, status=SolverStatus.WIN, eip=2)  # not drawing
+    attach_child(store, drawn, 2, status=SolverStatus.TB_DRAW, eip=0)
+    drawn.en = [6, 9, 6]
+    drawn.status = SolverStatus.DRAW
+    drawn.end_in_ply = 3
+    assert solved_move(drawn) == 8
+
+
 def test_solved_move_error_cases():
     store = GraphStore()
     unsolved = expanded_node(store, actions=[0])
@@ -306,6 +334,43 @@ def test_solved_move_error_cases():
     mixed.status = SolverStatus.WIN
     mixed.end_in_ply = 1
     assert solved_move(mixed) is None
+
+
+def test_a_real_proof_survives_a_tb_rederivation():
+    # Re-derived from its children the node is only TB_WIN; the real proof
+    # it already holds is the stronger one and stays.
+    solver = TerminalSolver()
+    store = GraphStore()
+    node = expanded_node(store, actions=[0, 1])
+    attach_child(store, node, 0, status=SolverStatus.TB_LOSS, eip=2)
+    attach_child(store, node, 1, status=SolverStatus.WIN, eip=1)
+    node.status = SolverStatus.WIN
+    node.end_in_ply = 5
+    assert not solver._recompute(node)
+    assert (node.status, node.end_in_ply) == (SolverStatus.WIN, 5)
+    assert node.q[0] == NEG_INF  # the TB_LOSS child is pruned all the same
+
+
+def test_a_table_oracle_probes_nothing_below_its_min_ply():
+    env = make_env("nim:3,4,5")
+    config = SearchConfig(budget_amount=300, endgame_oracle="table:nim:3,4,5:3", seed=1)
+    engine = SearchEngine(env, UniformEvaluator(env), config)
+    oracle = engine.solver.endgame_oracle
+    answers = []
+    real_probe = oracle.probe
+
+    def probe(state):
+        answers.append((state.ply, real_probe(state)))
+        return answers[-1][1]
+
+    oracle.probe = probe
+    engine.reset(env.initial_state())
+    engine.search()
+    shallow = [status for ply, status in answers if ply < 3]
+    deep = [status for ply, status in answers if ply >= 3]
+    assert shallow and deep
+    assert all(status is None for status in shallow)
+    assert all(status is not None for status in deep)  # the table is complete
 
 
 def test_tb_win_may_cash_a_tb_proof():
