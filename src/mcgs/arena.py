@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 from .envs import Outcome, make_env
 from .evaluators import make_evaluator
-from .oracle import negamax_solve
+from .oracle import negamax_cache, negamax_solve
 from .search import ENHANCEMENTS, SearchConfig, SearchEngine, check_fields
 
 log = logging.getLogger("mcgs.arena")
@@ -123,8 +123,9 @@ def generate_openings(env, plies: int, count: int, rng: random.Random) -> list[t
 
     An opening is balanced when the position it reaches is a draw under
     optimal play. Games without draws (Nim) keep the full sample instead.
+    The balance check solves into the env's shared negamax cache.
     """
-    cache: dict = {}  # shared by the openings' solves
+    cache = negamax_cache(env)
     seen: set[tuple[int, ...]] = set()
     openings: list[tuple[int, ...]] = []
     attempts = 0

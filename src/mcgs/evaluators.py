@@ -17,11 +17,10 @@ synchronous mini-batches the way a GPU-backed evaluator would.
 from __future__ import annotations
 
 import math
-import weakref
 from typing import NamedTuple
 
 from .envs import LeftRight, Nim, TicTacToe, TTT_LINES
-from .oracle import negamax_solve
+from .oracle import negamax_cache, negamax_solve
 
 # Softmax temperature for heuristic move priors. Sharp enough that a
 # sign-flipped heuristic produces genuinely misleading priors.
@@ -200,12 +199,6 @@ class HeuristicEvaluator:
                           _softmax([sign * s for s in child_scores], _PRIOR_TEMP))
 
 
-# env -> the negamax entries solved on it so far, shared by the oracle
-# evaluators a match builds per game on its one env; weak keys free it with
-# the env. Kept apart from the solver's _SOLVED_TABLES, which must be complete.
-_NEGAMAX_CACHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 class OracleEvaluator:
     """Exact negamax value; priors uniform over outcome-optimal moves."""
 
@@ -213,7 +206,7 @@ class OracleEvaluator:
 
     def __init__(self, env) -> None:
         self.env = env
-        self.cache = _NEGAMAX_CACHES.setdefault(env, {})
+        self.cache = negamax_cache(env)
 
     def evaluate(self, state) -> Evaluation:
         entry = negamax_solve(self.env, state, cache=self.cache)
@@ -241,9 +234,11 @@ class EvalQueue:
     """Synchronous mini-batch evaluation queue.
 
     submit() holds requests in FIFO order; the caller decides when a batch
-    is full (mini_batch_size) and calls flush(), which evaluates whatever is
-    pending and returns (token, evaluation) pairs in submission order. It
-    keeps no count: the search counts what each flush returns.
+    is full (mini_batch_size) and calls flush(), which evaluates each
+    distinct pending state once and returns (token, evaluation) pairs in
+    submission order. A token submitted with state None needs no evaluation
+    and comes back with None. States must be hashable. The queue keeps no
+    count: the search counts what each flush returns.
     """
 
     def __init__(self, evaluator, mini_batch_size: int) -> None:
@@ -259,8 +254,12 @@ class EvalQueue:
     def submit(self, state, token) -> None:
         self._pending.append((state, token))
 
-    def flush(self) -> list[tuple[object, Evaluation]]:
+    def flush(self) -> list[tuple[object, Evaluation | None]]:
         batch = self._pending
         self._pending = []
         evaluate = self.evaluator.evaluate
-        return [(token, evaluate(state)) for state, token in batch]
+        done = {None: None}
+        for state, _ in batch:
+            if state not in done:
+                done[state] = evaluate(state)
+        return [(token, done[state]) for state, token in batch]

@@ -42,7 +42,7 @@ class StoreFullError(RuntimeError):
 
 class Node:
     __slots__ = (
-        "key", "state", "v", "n", "expanded",
+        "key", "state", "v", "n", "eval_value", "expanded",
         "actions", "p", "q", "en", "evl", "child", "edge_total", "live",
         "status", "end_in_ply", "parents",
     )
@@ -52,9 +52,10 @@ class Node:
         self.state = state            # the state that first reached key
         self.v = 0.0
         self.n = 0
+        self.eval_value = 0.0         # the evaluator's value, set at expansion
         self.expanded = False
-        self.actions: list[int] = []
-        self.p: list[float] = []      # priors, one entry per edge
+        self.actions: list[int] = []  # may be shared by the state's other nodes
+        self.p: list[float] = []      # priors, one entry per edge; may be shared
         self.q: list[float] = []      # edge Q (SMA); -inf marks a pruned edge
         self.en: list[int] = []       # edge visit counts
         self.evl: list[int] = []      # edge virtual-loss (in-flight) counts

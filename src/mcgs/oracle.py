@@ -11,6 +11,7 @@ the mover wins under normal play exactly when the pile XOR is non-zero.
 
 from __future__ import annotations
 
+import weakref
 from typing import NamedTuple
 
 from .envs import Outcome, StateKey
@@ -75,6 +76,18 @@ def negamax_solve(
         optimal = tuple(a for a, o in zip(actions, mine) if o is best)
         entry = cache[key] = SolvedEntry(best, distance, optimal)
     return entry
+
+
+# env -> the negamax entries solved on it so far, shared by everything that
+# solves on one env: the oracle evaluators a match builds per game and the
+# balance check of its openings. Weak keys free it with the env. Kept apart
+# from the solver's exhaustive tables, which must be complete.
+_NEGAMAX_CACHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def negamax_cache(env) -> dict[StateKey, SolvedEntry]:
+    """The env's shared negamax cache, for negamax_solve's cache argument."""
+    return _NEGAMAX_CACHES.setdefault(env, {})
 
 
 def solved_table(env, node_limit: int | None = None) -> dict[StateKey, SolvedEntry]:

@@ -20,9 +20,16 @@ proven node, or in an early stop, is backed up on the spot and never
 occupies an evaluator slot. One that ends on a new leaf waits under virtual
 loss: a round gathers up to mini_batch_size such leaves, then its one flush
 evaluates them and backpropagates them in submission order. An evaluations
-budget counts only real evaluator work. Each search() counts what it spends
-in a fresh SearchStats record, the one place a per-search count is kept:
-neither the eval queue nor the graph store, which outlives it, keeps one.
+budget counts every leaf submitted to the flush. Each search() counts what
+it spends in a fresh SearchStats record, the one place a per-search count is
+kept: neither the eval queue nor the graph store, which outlives it, keeps one.
+
+An engine turns each distinct state into an expansion once: the evaluator's
+value plus the checked, tempered, prior-sorted actions and priors. A flush
+evaluates each distinct state once, and in tree mode every later node of an
+expanded state reuses the first one's expansion, sharing its actions and
+priors lists; so the evaluator must be a pure function of the state, and code
+that changes a node's priors rebinds node.p instead of writing into it.
 
 Module state: _U_SCALES holds one exploration-scale table per
 (c_puct_base, c_puct_init), shared by every engine with those two floats.
@@ -262,6 +269,10 @@ class SearchEngine:
         oracle = make_endgame_oracle(config.endgame_oracle, env)
         self.solver = TerminalSolver(oracle) if config.terminal_solver else None
         self._root: Node | None = None
+        # Tree mode: state -> its expansion (value, actions, priors), made by
+        # the state's first expanded node and reused by every later one. In
+        # graph mode the store already holds one node per state.
+        self._expansions: dict | None = None if config.transpositions else {}
         # _u_scale[t] is the PUCT exploration scale at edge total t, shared by
         # every engine with the same _puct constants; it grows from those
         # alone, so a config edited later cannot corrupt another engine's table
@@ -309,7 +320,7 @@ class SearchEngine:
         if not root.expanded:
             if is_real(root.status):  # a terminal: stamped at creation, never expanded
                 return self._result(root, t0, "terminal_root")
-            self._expand(root, self.evaluator.evaluate(root.state))
+            self._expand(root, None)
             self.stats.evaluations = 1
             self._mix_root_noise(root)
 
@@ -332,6 +343,7 @@ class SearchEngine:
         watch_root = cfg.stop_when_solved
         stall_rounds = 0
         stats = self.stats
+        expansions = self._expansions
         # with both exploration features off, _simulate only forwards the call
         simulate = self._simulate if cfg.eps_greedy or cfg.check_enhance else self._descend
 
@@ -365,7 +377,10 @@ class SearchEngine:
                     if terminals_this_round == terminal_cap:
                         break
                 else:
-                    queue.submit(descent[1].state, descent)
+                    # A state this engine expanded already needs no evaluation.
+                    state = descent[1].state
+                    queue.submit(None if expansions is not None and state in expansions
+                                 else state, descent)
                     if len(queue) == queue_cap:
                         break
                 sims_left -= 1
@@ -387,6 +402,8 @@ class SearchEngine:
                 stall_rounds = 0 if flushed else stall_rounds + 1
 
     def _finish_eval(self, descent: tuple[list, Node], evaluation) -> None:
+        """Expand a flushed leaf from its evaluation (None for a state this
+        engine expanded already) and back the evaluator's value up its path."""
         pairs, leaf = descent
         for node, i in pairs:  # the leaf no longer waits: lift its virtual loss
             node.evl[i] -= 1
@@ -396,9 +413,8 @@ class SearchEngine:
         else:
             # A sibling simulation of this batch expanded the leaf already:
             # count the extra visit, keep N(s,a) <= N(child).
-            self._check_evaluation(evaluation, len(leaf.actions))
-            update_node_value(leaf, evaluation.value)
-        self._backpropagate(pairs, evaluation.value)
+            update_node_value(leaf, leaf.eval_value)
+        self._backpropagate(pairs, leaf.eval_value)
 
     # ----- simulation ------------------------------------------------------
 
@@ -570,20 +586,30 @@ class SearchEngine:
         return child
 
     def _expand(self, node: Node, evaluation) -> None:
-        """Create the node's edges from an evaluation and run solver hooks."""
+        """Create the node's edges from its state's expansion; run solver hooks.
+
+        A tree-mode state expanded before reuses that expansion and ignores
+        evaluation. Otherwise the expansion is built from evaluation, the
+        evaluator's output for node.state, which is asked for here when None.
+        """
         cfg = self.config
         state = node.state
-        actions = self.env.legal_actions(state)
-        self._check_evaluation(evaluation, len(actions))
-        priors = apply_node_temperature(evaluation.priors, cfg.node_tau)
-        order = sorted(range(len(actions)), key=lambda j: -priors[j])
-        self.store.attach_edges(
-            node,
-            [actions[j] for j in order],
-            [priors[j] for j in order],
-            cfg.q_init,
-        )
-        node.v = evaluation.value
+        expansions = self._expansions
+        expansion = None if expansions is None else expansions.get(state)
+        if expansion is None:
+            if evaluation is None:
+                evaluation = self.evaluator.evaluate(state)
+            actions = self.env.legal_actions(state)
+            self._check_evaluation(evaluation, len(actions))
+            priors = apply_node_temperature(evaluation.priors, cfg.node_tau)
+            order = sorted(range(len(actions)), key=lambda j: -priors[j])
+            expansion = (evaluation.value, [actions[j] for j in order],
+                         [priors[j] for j in order])
+            if expansions is not None:
+                expansions[state] = expansion
+        value, actions, priors = expansion
+        self.store.attach_edges(node, actions, priors, cfg.q_init)
+        node.eval_value = node.v = value
         node.n = 1
         solver = self.solver
         if solver is not None:
@@ -615,6 +641,7 @@ class SearchEngine:
 
         Runs once per root placement, so repeated searches on one root do not
         compound the noise. Pruned edges keep prior 0; the live mass is kept.
+        The mix goes into a new list: other nodes may share the old one.
         """
         eps = self.config.dirichlet_epsilon
         if eps <= 0.0:
@@ -626,9 +653,11 @@ class SearchEngine:
         alpha = self.config.dirichlet_alpha
         noise = [rng.gammavariate(alpha, 1.0) for _ in keep]
         total = sum(noise) or 1.0
-        live = sum(root.p[i] for i in keep) or 1.0
+        p = list(root.p)
+        live = sum(p[i] for i in keep) or 1.0
         for i, g in zip(keep, noise):
-            root.p[i] = (1.0 - eps) * root.p[i] + eps * live * (g / total)
+            p[i] = (1.0 - eps) * p[i] + eps * live * (g / total)
+        root.p = p
 
     # ----- backpropagation ---------------------------------------------------
 

@@ -263,9 +263,15 @@ class TerminalSolver:
 
 
 def prune_edge(node, idx: int) -> None:
-    """Block simulation access to a proven-LOSS child: Q = -inf, prior = 0."""
+    """Block simulation access to a proven-LOSS child: Q = -inf, prior = 0.
+
+    The zeroed prior goes into a new list: other nodes may share the old one.
+    """
     node.q[idx] = NEG_INF
-    node.p[idx] = 0.0
+    if node.p[idx]:
+        p = list(node.p)
+        p[idx] = 0.0
+        node.p = p
 
 
 def solved_move(node) -> int | None:

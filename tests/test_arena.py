@@ -193,7 +193,8 @@ def test_a_match_solves_the_oracle_table_once(monkeypatch):
 
 def test_an_oracle_match_solves_each_state_once(monkeypatch):
     # Every game builds fresh oracle evaluators on the match's one env; they
-    # share that env's negamax cache instead of re-solving the game per game.
+    # and the openings' balance check share that env's negamax cache instead
+    # of re-solving the game per game or per opening set.
     solved = []
 
     def solve(env, state, cache=None, node_limit=None):
@@ -203,6 +204,7 @@ def test_an_oracle_match_solves_each_state_once(monkeypatch):
         return entry
 
     monkeypatch.setattr("mcgs.evaluators.negamax_solve", solve)
+    monkeypatch.setattr("mcgs.arena.negamax_solve", solve)
     config = _match_config("tictactoe", opening_plies=1, opening_count=5, seed=1)
     config.evaluator_a = config.evaluator_b = "oracle"
     result = play_match(config)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from mcgs.envs import make_env
 from mcgs import search
-from mcgs.evaluators import Evaluation, UniformEvaluator, make_evaluator
+from mcgs.evaluators import Evaluation, UniformEvaluator, apply_node_temperature, make_evaluator
 from mcgs.graph import NEG_INF, GraphStore, StoreFullError
 from mcgs.oracle import solved_table
 from mcgs.search import (
@@ -22,7 +22,7 @@ from mcgs.search import (
     cpuct,
     run_search,
 )
-from mcgs.solver import SolverStatus, is_real
+from mcgs.solver import SolverStatus, is_real, prune_edge
 
 from helpers import FixedEvaluator, attach_child, check_invariants, expanded_node
 
@@ -203,16 +203,176 @@ def test_bad_evaluator_output_is_rejected_naming_the_evaluator(ttt, evaluation, 
     assert message in str(err.value)
 
 
-def test_evaluator_output_is_checked_for_an_already_expanded_leaf(ttt):
+def test_an_already_expanded_leaf_counts_its_own_evaluation_again(ttt):
+    # A sibling simulation of the flush expanded the leaf: the second
+    # submission adds the leaf's own evaluator value, and gets no output.
     engine = SearchEngine(ttt, UniformEvaluator(ttt), SearchConfig())
     engine.reset(ttt.initial_state())
     root = engine._root
     engine._expand(root, Evaluation(0.0, [1 / 9] * 9))
     child = engine._resolve_child(root, 0, ttt.apply(root.state, root.actions[0]))
-    engine._expand(child, Evaluation(0.0, [1 / 8] * 8))
+    engine._expand(child, Evaluation(0.5, [1 / 8] * 8))
     root.evl[0] = 1
-    with pytest.raises(ValueError, match="value nan"):
-        engine._finish_eval(([(root, 0)], child), Evaluation(float("nan"), [1 / 8] * 8))
+    root.edge_total = 1
+    engine._finish_eval(([(root, 0)], child), None)
+    assert (child.n, child.v, child.eval_value) == (2, 0.5, 0.5)
+    assert (root.en[0], root.evl[0], root.edge_total, root.q[0]) == (1, 0, 1, -0.5)
+
+
+class _CountingEvaluator:
+    """Forwards to an evaluator and records every state it is asked about."""
+
+    def __init__(self, inner) -> None:
+        self.inner = inner
+        self.name = inner.name
+        self.states = []
+
+    def evaluate(self, state):
+        self.states.append(state)
+        return self.inner.evaluate(state)
+
+
+def _expanded_states(engine) -> set:
+    return {node.state for node in engine.store.nodes.values() if node.expanded}
+
+
+def test_a_plain_tictactoe_search_evaluates_each_state_once():
+    # The benchmark's ttt-plain search: 6,258 leaves reach the evaluator's
+    # flush, 2,297 distinct states, one evaluator call each.
+    env = make_env("tictactoe")
+    evaluator = _CountingEvaluator(make_evaluator("heuristic", env))
+    engine = SearchEngine(env, evaluator, SearchConfig(budget_amount=20_000, seed=11, **PLAIN))
+    engine.reset(env.initial_state())
+    result = engine.search()
+    assert result.evaluations == 6_258
+    assert len(evaluator.states) == len(set(evaluator.states)) == 2_297
+    assert set(evaluator.states) == _expanded_states(engine)
+
+
+@pytest.mark.parametrize("overrides", [{}, PLAIN], ids=["all_on", "plain"])
+def test_an_engine_evaluates_each_state_once_across_searches(overrides):
+    env = make_env("nim:3,4,5")
+    evaluator = _CountingEvaluator(make_evaluator("deceptive", env))
+    engine = SearchEngine(env, evaluator, SearchConfig(
+        budget="evaluations", budget_amount=128, mini_batch_size=16, seed=2, **overrides))
+    engine.reset(env.initial_state())
+    evaluations = 0
+    for _ in range(4):
+        result = engine.search()
+        evaluations += result.evaluations
+        assert len(evaluator.states) == len(_expanded_states(engine))
+        if result.selected_action is None:
+            break
+        engine.advance(result.selected_action)
+    assert len(set(evaluator.states)) == len(evaluator.states) < evaluations
+
+
+@pytest.mark.parametrize("overrides", [dict(eps_greedy=False, check_enhance=False), PLAIN],
+                         ids=["graph", "tree"])
+def test_a_state_twice_in_one_flush_is_checked_on_its_first_evaluation(
+        ttt, monkeypatch, overrides):
+    # Uniform priors: the tenth simulation of the first round finds every
+    # root edge waiting and ties onto the first, so its leaf's state is
+    # submitted twice. Its NaN value is rejected after one evaluator call.
+    bad = ttt.apply(ttt.initial_state(), 0)
+
+    class NanAtCellZero(UniformEvaluator):
+        name = "nan-at-0"
+
+        def evaluate(self, state):
+            evaluation = super().evaluate(state)
+            return evaluation._replace(value=math.nan) if state == bad else evaluation
+
+    flushes = []
+
+    class RecordingQueue(search.EvalQueue):
+        def flush(self):
+            flushes.append([state for state, _ in self._pending])
+            return super().flush()
+
+    monkeypatch.setattr(search, "EvalQueue", RecordingQueue)
+    evaluator = _CountingEvaluator(NanAtCellZero(ttt))
+    engine = SearchEngine(ttt, evaluator, SearchConfig(
+        budget_amount=100, mini_batch_size=16, **overrides))
+    engine.reset(ttt.initial_state())
+    with pytest.raises(ValueError, match="evaluator 'nan-at-0' returned value nan"):
+        engine.search()
+    assert flushes[-1].count(bad) == 2
+    assert evaluator.states.count(bad) == 1
+
+
+def _first_expansion(engine, state):
+    """The state's expansion as the engine builds it: value, actions, priors."""
+    evaluation = engine.evaluator.evaluate(state)
+    actions = engine.env.legal_actions(state)
+    priors = apply_node_temperature(evaluation.priors, engine.config.node_tau)
+    order = sorted(range(len(actions)), key=lambda j: -priors[j])
+    return evaluation.value, [actions[j] for j in order], [priors[j] for j in order]
+
+
+def _two_nodes_of_one_state(engine, env, lines):
+    """Place a tree-mode root at the end of each line; return the roots."""
+    nodes = []
+    for line in lines:
+        engine.reset(env.initial_state())
+        for action in line:
+            engine.advance(action)
+        nodes.append(engine._root)
+    assert nodes[0] is not nodes[1] and nodes[0].state == nodes[1].state
+    return nodes
+
+
+def test_pruning_one_node_leaves_the_shared_priors_of_its_state_alone(ttt):
+    engine = SearchEngine(ttt, make_evaluator("heuristic", ttt),
+                          SearchConfig(transpositions=False, terminal_solver=True))
+    first, second = _two_nodes_of_one_state(engine, ttt, [(0, 1, 2), (2, 1, 0)])
+    engine._expand(first, None)
+    engine._expand(second, None)
+    expansion = engine._expansions[first.state]
+    assert expansion == _first_expansion(engine, first.state)
+    assert second.actions is first.actions and second.p is first.p
+    prune_edge(first, 0)
+    assert first.p[0] == 0.0 and first.q[0] == NEG_INF
+    assert second.p is expansion[2] and second.q[0] != NEG_INF
+    assert expansion == _first_expansion(engine, first.state)
+
+
+def test_root_noise_leaves_the_shared_priors_of_its_state_alone(ttt):
+    engine = SearchEngine(ttt, make_evaluator("heuristic", ttt), SearchConfig(
+        budget_amount=50, dirichlet_epsilon=0.25, seed=4, **PLAIN))
+    engine.reset(ttt.initial_state())
+    engine.search()
+    first = engine._root
+    noised = list(first.p)
+    engine.reset(ttt.initial_state())  # a second tree-mode node of the state
+    engine.search()
+    second = engine._root
+    expansion = engine._expansions[ttt.initial_state()]
+    assert second is not first and second.actions is first.actions
+    assert expansion == _first_expansion(engine, ttt.initial_state())
+    assert first.p == noised != expansion[2]
+    assert second.p not in (noised, expansion[2])
+
+
+def test_a_tree_mode_solver_search_prunes_no_shared_prior():
+    # Each node's priors are its state's expansion with its own pruned
+    # edges zeroed: pruning never reaches another node of the state.
+    env = make_env("tictactoe")
+    engine = SearchEngine(env, make_evaluator("heuristic", env), SearchConfig(
+        budget_amount=3_000, transpositions=False, terminal_solver=True, seed=5))
+    engine.reset(env.initial_state())
+    engine.search()
+    pruned = 0
+    for node in engine.store.nodes.values():
+        if not node.expanded:
+            continue
+        expansion = engine._expansions[node.state]
+        assert node.actions is expansion[1]
+        assert node.p == [0.0 if q == NEG_INF else p for p, q in zip(expansion[2], node.q)]
+        pruned += NEG_INF in node.q
+    assert pruned > 0
+    for state, expansion in engine._expansions.items():
+        assert expansion == _first_expansion(engine, state)
 
 
 # ----- selection --------------------------------------------------------------
@@ -954,7 +1114,9 @@ class _StopCheckedEverySimulation(SearchEngine):
                 if descent is None:
                     terminals_this_round += 1
                 else:
-                    queue.submit(descent[1].state, descent)
+                    state = descent[1].state
+                    known = self._expansions is not None and state in self._expansions
+                    queue.submit(None if known else state, descent)
                     if len(queue) == batch:
                         break
             flushed = queue.flush()
