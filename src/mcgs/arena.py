@@ -79,22 +79,16 @@ class MatchResult:
     seed: int
 
     def to_dict(self) -> dict:
-        def _num(x: float):
-            return x if math.isfinite(x) else repr(x)
-        return {
-            "games": len(self.games),
-            "wins": self.wins,
-            "draws": self.draws,
-            "losses": self.losses,
-            "score_rate": self.score_rate,
-            "rate_low": self.rate_low,
-            "rate_high": self.rate_high,
-            "elo": _num(self.elo),
-            "elo_low": _num(self.elo_low),
-            "elo_high": _num(self.elo_high),
-            "seed": self.seed,
-            "records": [g.to_dict() for g in self.games],
-        }
+        """The fields in order with `games` as a count, then the records.
+
+        An infinite Elo is written as its repr, which JSON can hold.
+        """
+        def _num(x):
+            return repr(x) if isinstance(x, float) and not math.isfinite(x) else x
+        out = {spec.name: _num(getattr(self, spec.name)) for spec in dataclasses.fields(self)}
+        out["games"] = len(self.games)
+        out["records"] = [g.to_dict() for g in self.games]
+        return out
 
 
 def elo_diff(score_rate: float) -> float:
@@ -134,16 +128,14 @@ def generate_openings(env, plies: int, count: int, rng: random.Random) -> list[t
         attempts += 1
         state = env.initial_state()
         line: list[int] = []
-        dead = False
         for _ in range(plies):
             if env.terminal_value(state) is not None:
-                dead = True
                 break
             actions = env.legal_actions(state)
             action = actions[rng.randrange(len(actions))]
             line.append(action)
             state = env.apply(state, action)
-        if dead or env.terminal_value(state) is not None:
+        if env.terminal_value(state) is not None:
             continue
         key = tuple(line)
         if key in seen:
@@ -223,8 +215,7 @@ def play_game(env, config: MatchConfig, opening: tuple[int, ...], first: str,
         plies=len(opening) + len(moves),
         evaluations=evaluations,
         simulations=simulations,
-        node_counts={name: eng.store.memory_report()["node_count"]
-                     for name, eng in engines.items()},
+        node_counts={name: len(eng.store.nodes) for name, eng in engines.items()},
         forfeited_by=forfeited_by,
         error=error,
     )

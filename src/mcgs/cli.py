@@ -75,7 +75,9 @@ def _config_from_args(args) -> SearchConfig:
 
 
 def _read_kv(path: str) -> dict:
+    """The file's key = value pairs; a malformed line or a repeated key is an error."""
     data = {}
+    first_line = {}
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, 1):
             line = raw.split("#", 1)[0].strip()
@@ -83,8 +85,12 @@ def _read_kv(path: str) -> dict:
                 continue
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key = value")
-            key, value = line.split("=", 1)
-            data[key.strip()] = value.strip()
+            key, value = (part.strip() for part in line.split("=", 1))
+            if key in first_line:
+                raise ValueError(f"{path}:{lineno}: key {key!r} is already set on line "
+                                 f"{first_line[key]}")
+            first_line[key] = lineno
+            data[key] = value
     return data
 
 
@@ -92,6 +98,8 @@ def _parse_match_file(path: str) -> MatchConfig:
     engines: dict[str, dict] = {"engineA.": {}, "engineB.": {}}
     top = {}
     for key, value in _read_kv(path).items():
+        if key[8:] == "seed" and key[:8] in engines:
+            raise ValueError(f"match config key {key!r}: engine seeds come from the match seed")
         if key[:8] in engines:
             engines[key[:8]][key[8:]] = value
         else:

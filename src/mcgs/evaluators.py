@@ -35,13 +35,11 @@ class Evaluation(NamedTuple):
 def apply_node_temperature(priors: list[float], node_tau: float) -> list[float]:
     """Flatten priors by raising them to 1/node_tau and renormalizing.
 
-    node_tau > 1 flattens the distribution, < 1 sharpens it. Raises
-    ValueError for node_tau <= 0.
+    node_tau > 1 flattens the distribution, < 1 sharpens it, and 1 only
+    renormalizes it. Raises ValueError for node_tau <= 0.
     """
     if node_tau <= 0:
         raise ValueError(f"node_tau must be positive, got {node_tau}")
-    if node_tau == 1.0:
-        return list(priors)
     inv = 1.0 / node_tau
     flattened = [p ** inv for p in priors]
     total = sum(flattened)

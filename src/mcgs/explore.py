@@ -20,42 +20,32 @@ EPS_GREEDY = "eps_greedy"
 FORCING = "forcing"
 
 
-def sample_branch_depth(r2: float, max_depth: int | None = None) -> int:
-    """Geometric depth: P(d) = 2^-(d+1), clamped to the best-path length."""
+def sample_branch_depth(r2: float) -> int:
+    """Geometric depth: P(d) = 2^-(d+1)."""
     if not 0.0 <= r2 < 1.0:
         raise ValueError(f"r2 must lie in [0, 1), got {r2}")
-    depth = ceil(-log2(1.0 - r2)) - 1
-    if depth < 0:
-        depth = 0
-    if max_depth is not None and depth > max_depth:
-        depth = max_depth
-    return depth
-
-
-def best_path(root: Node) -> list[Node]:
-    """The nodes of the most-visited line from the root, root first.
-
-    Ties keep the first edge in stored order, i.e. the higher prior. The walk
-    stops at unexpanded, terminal, or proven nodes, and at nodes with no
-    visited edges.
-    """
-    nodes = [root]
-    node = root
-    while node.expanded and not is_real(node.status):
-        visited = [j for j, n in enumerate(node.en) if n and node.q[j] != NEG_INF]
-        if not visited:
-            break
-        node = node.child[max(visited, key=node.en.__getitem__)]  # max keeps the first
-        if node is None:
-            break
-        nodes.append(node)
-    return nodes
+    return max(ceil(-log2(1.0 - r2)) - 1, 0)
 
 
 def make_plan(engine, root: Node) -> Node:
-    """The branch node: the best path's node at a geometrically sampled depth."""
-    nodes = best_path(root)
-    return nodes[sample_branch_depth(engine.rng.random(), max_depth=len(nodes) - 1)]
+    """The branch node: the most-visited line's node at a geometrically sampled depth.
+
+    Ties keep the first edge in stored order, i.e. the higher prior. A line
+    that ends sooner (at an unexpanded, terminal or proven node, a node with
+    no visited edges, or an unresolved edge) gives its last node.
+    """
+    node = root
+    for _ in range(sample_branch_depth(engine.rng.random())):
+        if not node.expanded or is_real(node.status):
+            break
+        visited = [j for j, n in enumerate(node.en) if n and node.q[j] != NEG_INF]
+        if not visited:
+            break
+        child = node.child[max(visited, key=node.en.__getitem__)]  # max keeps the first
+        if child is None:
+            break
+        node = child
+    return node
 
 
 def execute_branch(engine, node: Node, kind: str) -> int | None:

@@ -137,7 +137,7 @@ class GraphStore:
         if was_existing:
             self.join_count += 1
 
-    def memory_report(self, trajectory_buffer_size: int = 0) -> dict:
+    def memory_report(self, trajectory_buffer_size: int) -> dict:
         """Allocation counts, the pure-tree counterfactual and a search's batch peak."""
         node_count = len(self.nodes)
         return {

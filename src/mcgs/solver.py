@@ -82,9 +82,6 @@ class SolverContradictionError(RuntimeError):
 class NimXorOracle:
     """Endgame oracle for Nim built on the Sprague-Grundy XOR rule."""
 
-    def __init__(self, env) -> None:
-        self.env = env
-
     def probe(self, state) -> SolverStatus | None:
         return _TB_FOR_OUTCOME[nim_xor_outcome(state.piles)]
 
@@ -126,7 +123,7 @@ def make_endgame_oracle(spec: str | None, env):
     if text == "nim-xor":
         if not isinstance(env, Nim):
             raise ValueError(f"endgame oracle 'nim-xor' needs a nim game, not {env.game_id!r}")
-        return NimXorOracle(env)
+        return NimXorOracle()
     kind, _, rest = text.partition(":")
     if kind == "table":
         if rest and not (rest + ":").startswith(env.game_id + ":"):

@@ -343,13 +343,24 @@ def test_move_log_format():
 
 
 def test_match_result_serializes_infinities():
-    result = MatchResult(games=[], wins=1, draws=0, losses=0, score_rate=1.0,
+    record = GameRecord(opening=[0], first="A", moves=[1, 2], score_a=1.0,
+                        plies=3, evaluations={"A": 5, "B": 5},
+                        simulations={"A": 9, "B": 9}, node_counts={"A": 4, "B": 4})
+    result = MatchResult(games=[record], wins=1, draws=0, losses=0, score_rate=1.0,
                          rate_low=0.7, rate_high=1.0, elo=math.inf,
                          elo_low=190.0, elo_high=math.inf, seed=0)
     data = result.to_dict()
-    assert data["elo"] == "inf"
+    assert list(data) == ["games", "wins", "draws", "losses", "score_rate", "rate_low",
+                          "rate_high", "elo", "elo_low", "elo_high", "seed", "records"]
+    assert data["games"] == 1
+    assert data["elo"] == data["elo_high"] == "inf"
     assert data["elo_low"] == 190.0
+    assert data["records"] == [record.to_dict()]
     json.dumps(data)
+    lost = MatchResult(games=[], wins=0, draws=0, losses=1, score_rate=0.0,
+                       rate_low=0.0, rate_high=0.3, elo=-math.inf,
+                       elo_low=-math.inf, elo_high=-190.0, seed=0)
+    assert lost.to_dict()["elo_low"] == "-inf"
 
 
 def test_scaling_report_rows():

@@ -161,6 +161,15 @@ def test_unknown_config_key_exits_1(tmp_path, capsys, key, value):
     assert key in capsys.readouterr().err
 
 
+def test_duplicate_config_key_exits_1_naming_both_lines(tmp_path, capsys):
+    path = tmp_path / "bad.cfg"
+    path.write_text("budget_amount = 50\n# a second run\nbudget_amount = 60\n")
+    assert main(["search", "--config", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "bad.cfg:3: key 'budget_amount' is already set on line 1" in err
+
+
 def test_missing_config_file_exits_1(tmp_path, capsys):
     assert main(["search", "--config", str(tmp_path / "absent.cfg")]) == 1
     assert capsys.readouterr().err.startswith("error:")
@@ -394,9 +403,21 @@ def test_match_with_another_games_endgame_oracle_exits_1(tmp_path, capsys):
 
 def test_match_unequal_budgets_exit_1(tmp_path, capsys):
     cfg = tmp_path / "match.cfg"
-    write_match_config(cfg, extra="engineB.budget_amount = 32\n")
+    write_match_config(cfg)
+    cfg.write_text(cfg.read_text().replace("engineB.budget_amount = 16",
+                                           "engineB.budget_amount = 32"))
     assert main(["match", "--config", str(cfg)]) == 1
-    assert capsys.readouterr().err.startswith("error:")
+    assert capsys.readouterr().err == "error: engines must receive identical per-move budgets\n"
+
+
+@pytest.mark.parametrize("key", ["engineA.seed", "engineB.seed"])
+def test_match_engine_seed_exits_1(tmp_path, capsys, key):
+    # play_game seeds every engine from the match seed, so this key would change nothing.
+    cfg = tmp_path / "match.cfg"
+    write_match_config(cfg, extra=f"{key} = 12345\n")
+    assert main(["match", "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == (
+        f"error: match config key {key!r}: engine seeds come from the match seed\n")
 
 
 # --------------------------------------------------------------- scaling

@@ -1,6 +1,7 @@
 """Disconnected exploration: branch depth law, branch picking, isolation."""
 
 import random
+from types import SimpleNamespace
 
 import pytest
 
@@ -10,7 +11,6 @@ from mcgs.evaluators import UniformEvaluator
 from mcgs.explore import (
     EPS_GREEDY,
     FORCING,
-    best_path,
     execute_branch,
     make_plan,
     sample_branch_depth,
@@ -28,7 +28,7 @@ def test_branch_depth_examples():
     assert sample_branch_depth(0.5) == 0
     assert sample_branch_depth(0.75) == 1
     assert sample_branch_depth(0.875) == 2
-    assert sample_branch_depth(0.9999, max_depth=3) == 3
+    assert sample_branch_depth(0.9999) == 13
 
 
 def test_branch_depth_rejects_bad_draws():
@@ -47,41 +47,6 @@ def test_branch_depth_follows_the_halving_law():
         assert counts[d] / samples == pytest.approx(2.0 ** -(d + 1), abs=0.01)
 
 
-def test_best_path_follows_visits_and_stops_at_the_frontier():
-    store = GraphStore()
-    root = expanded_node(store, actions=[0, 1])
-    root.en = [5, 2]
-    a = attach_child(store, root, 0, ply=1)
-    store.attach_edges(a, [3, 4], [0.5, 0.5], q_init=-1.0)
-    a.en = [3, 0]
-    b = attach_child(store, a, 0, ply=2)  # unexpanded leaf
-    assert best_path(root) == [root, a, b]
-
-
-def test_best_path_skips_pruned_and_breaks_ties_by_order():
-    store = GraphStore()
-    root = expanded_node(store, actions=[0, 1, 2])
-    root.en = [9, 4, 4]
-    root.q[0] = NEG_INF  # pruned despite being most visited
-    first = attach_child(store, root, 1, ply=1)
-    attach_child(store, root, 2, ply=1)
-    assert best_path(root)[1] is first  # first stored edge wins the 4-4 tie
-
-
-def test_best_path_stops_at_proven_and_unresolved_nodes():
-    store = GraphStore()
-    root = expanded_node(store, actions=[0])
-    root.en = [7]
-    solved = attach_child(store, root, 0, status=SolverStatus.WIN, eip=1, ply=1)
-    store.attach_edges(solved, [9], [1.0], q_init=-1.0)
-    solved.en = [5]  # expanded and visited, but proven: the walk stops here
-    assert best_path(root) == [root, solved]
-
-    lone = expanded_node(store, actions=[0])
-    lone.en = [3]  # visited but never resolved to a child
-    assert best_path(lone) == [lone]
-
-
 class _FixedRng:
     def __init__(self, r2, pick=0):
         self.r2 = r2
@@ -94,19 +59,64 @@ class _FixedRng:
         return self.pick % n
 
 
+def _plan(root, r2):
+    """make_plan's branch node when the depth draw is r2."""
+    return make_plan(SimpleNamespace(rng=_FixedRng(r2)), root)
+
+
+def test_make_plan_follows_visits_and_stops_at_the_line_end():
+    store = GraphStore()
+    root = expanded_node(store, actions=[0, 1])
+    root.en = [2, 5]
+    attach_child(store, root, 0, ply=1)
+    a = attach_child(store, root, 1, ply=1)
+    store.attach_edges(a, [3, 4], [0.5, 0.5], q_init=-1.0)
+    a.en = [3, 0]
+    b = attach_child(store, a, 0, ply=2)  # unexpanded leaf
+    assert _plan(root, 0.0) is root  # depth 0
+    assert _plan(root, 0.75) is a  # depth 1
+    assert _plan(root, 0.875) is b  # depth 2
+    assert _plan(root, 0.9999999) is b  # depth 23, past the line's end
+
+
+def test_make_plan_skips_pruned_edges_and_breaks_ties_by_order():
+    store = GraphStore()
+    root = expanded_node(store, actions=[0, 1, 2])
+    root.en = [9, 4, 4]
+    root.q[0] = NEG_INF  # pruned despite being most visited
+    attach_child(store, root, 0, ply=1)
+    first = attach_child(store, root, 1, ply=1)
+    attach_child(store, root, 2, ply=1)
+    assert _plan(root, 0.75) is first  # first stored edge wins the 4-4 tie
+
+
+def test_make_plan_stops_at_proven_nodes_and_unresolved_edges():
+    store = GraphStore()
+    root = expanded_node(store, actions=[0])
+    root.en = [7]
+    solved = attach_child(store, root, 0, status=SolverStatus.WIN, eip=1, ply=1)
+    store.attach_edges(solved, [9], [1.0], q_init=-1.0)
+    solved.en = [5]  # expanded, visited and resolved, but proven: the walk stops here
+    attach_child(store, solved, 0, ply=2)
+    assert _plan(root, 0.99) is solved  # depth 6
+
+    lone = expanded_node(store, actions=[0])
+    lone.en = [3]  # visited but never resolved to a child
+    assert _plan(lone, 0.99) is lone
+
+
 def test_make_plan_lands_on_the_sampled_depth(ttt):
     engine = SearchEngine(ttt, UniformEvaluator(ttt), SearchConfig(budget_amount=400))
     engine.reset(ttt.initial_state())
     engine.search()
     root = engine._root
-    nodes = best_path(root)
-    assert len(nodes) >= 3
+    top = root.child[max(range(len(root.en)), key=root.en.__getitem__)]
+    assert top is not None and top.expanded
 
+    engine.rng = _FixedRng(0.0)  # depth 0
+    assert make_plan(engine, root) is root
     engine.rng = _FixedRng(0.75)  # depth 1
-    assert make_plan(engine, root) is nodes[1]
-
-    engine.rng = _FixedRng(0.9999999)  # deeper than the path: clamped
-    assert make_plan(engine, root) is nodes[-1]
+    assert make_plan(engine, root) is top
 
 
 def test_execute_branch_discards_settled_branch_nodes(ttt):
@@ -173,11 +183,9 @@ def test_branch_trajectories_never_touch_ancestors(ttt):
     engine.reset(ttt.initial_state())
     engine.search()
     root = engine._root
-    nodes = best_path(root)
-    assert len(nodes) >= 2
-
     engine.rng = _FixedRng(0.75)  # branch at depth 1
     branch = make_plan(engine, root)
+    assert branch is not root
     root_n = root.n
     root_en = list(root.en)
     idx = explore.execute_branch(engine, branch, EPS_GREEDY)

@@ -648,6 +648,17 @@ def test_expansion_orders_edges_by_descending_prior():
     assert root.expanded
 
 
+@pytest.mark.parametrize("node_tau", [1.0, 1.0000001])
+def test_expansion_renormalizes_priors_at_every_node_tau(node_tau):
+    # The evaluator contract asks only for positive prior mass.
+    env = make_env("nim:1,1")
+    evaluator = FixedEvaluator(Evaluation(0.0, [2.0, 2.0]))
+    engine = SearchEngine(env, evaluator, SearchConfig(node_tau=node_tau))
+    engine.reset(env.initial_state())
+    engine._expand(engine._root, None)
+    assert engine._root.p == [0.5, 0.5]
+
+
 def test_expansion_links_and_prunes_terminal_children(ttt):
     # X threatens 0-1-2: expanding this node immediately proves the win.
     engine = _engine(ttt)

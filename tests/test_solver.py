@@ -164,7 +164,7 @@ def test_contradiction_is_detected():
 
 def test_tb_probe_solves_and_propagates():
     env = make_env("nim:1,1")
-    solver = TerminalSolver(NimXorOracle(env))
+    solver = TerminalSolver(NimXorOracle())
     store = GraphStore()
     parent = expanded_node(store, actions=[0, 1])
     child = attach_child(store, parent, 0)
@@ -412,7 +412,7 @@ def test_make_endgame_oracle_specs(ttt):
 
 def test_nim_xor_oracle_probe():
     env = make_env("nim:3,4,5")
-    oracle = NimXorOracle(env)
+    oracle = NimXorOracle()
     assert oracle.probe(env.initial_state()) == SolverStatus.TB_WIN
     balanced = env.apply(env.initial_state(), 1)  # take 2 from pile 0
     assert balanced.piles == (1, 4, 5)
