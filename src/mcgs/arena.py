@@ -292,23 +292,22 @@ def scaling_report(game: str, config: SearchConfig, budgets: list[int],
         raise ValueError("budgets must be ascending")
     env = make_env(game)
     reference = dataclasses.replace(config, **dict.fromkeys(ENHANCEMENTS, False))
-    rng = random.Random(seed)
-    openings = generate_openings(env, opening_plies, opening_count, rng)
+    base = MatchConfig(game=game, engine_a=config, engine_b=reference,
+                       evaluator_a=evaluator, evaluator_b=evaluator,
+                       opening_plies=opening_plies, opening_count=opening_count,
+                       seed=seed)
+    base.validate()  # before the openings are drawn, so an error names its key
+    openings = generate_openings(env, opening_plies, opening_count, random.Random(seed))
     rows: list[dict] = []
     for budget in budgets:
         probe_cfg = dataclasses.replace(config, budget_amount=budget, seed=seed)
         engine = SearchEngine(env, make_evaluator(evaluator, env), probe_cfg)
         engine.reset(env.initial_state())
         result = engine.search()
-        match_cfg = MatchConfig(
-            game=game,
+        match_cfg = dataclasses.replace(
+            base,
             engine_a=dataclasses.replace(config, budget_amount=budget),
             engine_b=dataclasses.replace(reference, budget_amount=budget),
-            evaluator_a=evaluator,
-            evaluator_b=evaluator,
-            opening_plies=opening_plies,
-            opening_count=opening_count,
-            seed=seed,
         )
         match = play_match(match_cfg, openings=openings)
         row = {

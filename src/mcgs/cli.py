@@ -201,13 +201,13 @@ def _cmd_solve(args) -> int:
     table = solved_table(env, node_limit=args.limit)
     entries = [
         {
-            "position_hash": key.position_hash,
-            "ply": key.ply,
+            **{field: list(value) if isinstance(value, tuple) else value
+               for field, value in state._asdict().items()},
             "outcome": entry.outcome.name,
             "distance": entry.distance,
             "optimal_actions": list(entry.optimal_actions),
         }
-        for key, entry in sorted(table.items())
+        for state, entry in sorted(table.items())
     ]
     _emit({"game": env.game_id, "states": len(entries), "entries": entries},
           args.out, args.pretty)

@@ -6,18 +6,18 @@ player 0 moving at even plies. Terminal values are always reported from the
 perspective of the side to move at the terminal state (the player who just got
 mated sees LOSS).
 
-State keys are Zobrist hashes tabulated per (cell, piece) from a fixed published
-seed, paired with the ply counter. Two states reached at different depths never
-share a key, which keeps the search graph acyclic.
+A state is its own transposition key: state_key returns it unchanged, so two
+positions share a graph node exactly when their states are equal. Every state
+carries its ply, so states reached at different depths never share a node,
+which keeps the search graph acyclic. state_key is the env's hook for that
+identity rule: an env whose states carried more than the position (a move
+history, say) would map them to what decides the game there.
 """
 
 from __future__ import annotations
 
 import enum
-import random
 from typing import NamedTuple
-
-ZOBRIST_SEED = 0x5EEDB0A7D15EA5E5
 
 
 class Outcome(enum.Enum):
@@ -42,24 +42,6 @@ class Outcome(enum.Enum):
         return Outcome.DRAW
 
 
-class StateKey(NamedTuple):
-    """Transposition key: board hash plus the step counter.
-
-    Keeping ply a separate component (rather than mixing it into the hash bits)
-    makes keys on a single trajectory provably distinct, so transpositions can
-    only join states at equal depth and the search graph stays a DAG.
-    """
-
-    position_hash: int
-    ply: int
-
-
-def _zobrist_table(cells: int, pieces: int, salt: int) -> list[list[int]]:
-    """Tabulate 64-bit keys per (cell, piece) from the fixed published seed."""
-    rng = random.Random(ZOBRIST_SEED ^ salt)
-    return [[rng.getrandbits(64) for _ in range(pieces)] for _ in range(cells)]
-
-
 class TicTacToeState(NamedTuple):
     board: tuple[int, ...]  # 9 cells, 0 empty, 1 = X (player 0), 2 = O (player 1)
     ply: int
@@ -77,9 +59,6 @@ class TicTacToe:
     """Standard 3x3 tictactoe. Actions are cell indices 0..8."""
 
     game_id = "tictactoe"
-
-    def __init__(self) -> None:
-        self._table = _zobrist_table(9, 2, salt=0x7177)
 
     def initial_state(self) -> TicTacToeState:
         return TicTacToeState((0,) * 9, 0)
@@ -109,13 +88,9 @@ class TicTacToe:
             return Outcome.DRAW
         return None
 
-    def state_key(self, state: TicTacToeState) -> StateKey:
-        h = 0
-        table = self._table
-        for cell, piece in enumerate(state.board):
-            if piece:
-                h ^= table[cell][piece - 1]
-        return StateKey(h, state.ply)
+    def state_key(self, state: TicTacToeState) -> TicTacToeState:
+        """The state's transposition key: the state itself, ply included."""
+        return state
 
     def ending_moves(self, state: TicTacToeState, actions: list[int]) -> list[int]:
         """Indices j, ascending, of the actions whose move ends the game.
@@ -181,7 +156,6 @@ class Nim:
         self.piles = tuple(piles)
         self.game_id = "nim:" + ",".join(str(p) for p in piles)
         self._stride = max(max(piles), 1)
-        self._table = _zobrist_table(len(piles), self._stride + 1, salt=0x4E49)
 
     def initial_state(self) -> NimState:
         return NimState(self.piles, 0)
@@ -213,12 +187,9 @@ class Nim:
             return None
         return Outcome.LOSS  # no stones to take: the previous mover took the last one
 
-    def state_key(self, state: NimState) -> StateKey:
-        h = 0
-        table = self._table
-        for i, count in enumerate(state.piles):
-            h ^= table[i][count]
-        return StateKey(h, state.ply)
+    def state_key(self, state: NimState) -> NimState:
+        """The state's transposition key: the state itself, ply included."""
+        return state
 
     def ending_moves(self, state: NimState, actions: list[int]) -> list[int]:
         """Indices j, ascending, of the actions whose move ends the game.
@@ -269,7 +240,6 @@ class LeftRight:
             raise ValueError(f"leftright length must be >= 2, got {length}")
         self.length = length
         self.game_id = f"leftright:{length}"
-        self._table = _zobrist_table(length + 1, 1, salt=0x4C52)
 
     def initial_state(self) -> LeftRightState:
         return LeftRightState(0, 0)
@@ -292,8 +262,9 @@ class LeftRight:
             return Outcome.LOSS  # opponent claimed the right end
         return None
 
-    def state_key(self, state: LeftRightState) -> StateKey:
-        return StateKey(self._table[state.pos + 1][0], state.ply)
+    def state_key(self, state: LeftRightState) -> LeftRightState:
+        """The state's transposition key: the state itself, ply included."""
+        return state
 
     def ending_moves(self, state: LeftRightState, actions: list[int]) -> list[int]:
         """Indices j, ascending, of the actions whose move ends the game.

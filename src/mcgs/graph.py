@@ -17,11 +17,12 @@ at q_init (a first-play-urgency pessimism, not a sample): the first real
 update replaces the initial value entirely because the SMA divides by the
 post-increment count.
 
-Each node keeps the state that first reached its key, so a descent applies a
-move only to resolve an unknown edge. The key must determine the state (the
-same condition that makes sharing statistics sound); with transpositions off
-only the ply is shared. Cost: one state object per node, 128 bytes for a
-four-pile NimState, 168 for a TicTacToeState.
+With transpositions on, the store keys each node by env.state_key of its
+state, the state itself, so transposed positions share one node. With them
+off, each node gets the next serial int, and the store is the tree a
+path-keyed search would build. Each node keeps its state, so a descent
+applies a move only to resolve an unknown edge. Cost: one state object per
+node, 128 bytes for a four-pile NimState, 168 for a TicTacToeState.
 
 Memory accounting distinguishes the nodes actually allocated from
 tree_equivalent_node_count, the nodes a pure tree would have allocated for
@@ -32,7 +33,6 @@ The report's trajectory_buffer_size is the search's figure, passed in.
 
 from __future__ import annotations
 
-from .envs import StateKey
 from .solver import NEG_INF, SolverStatus  # noqa: F401 (NEG_INF is re-exported)
 
 
@@ -42,14 +42,13 @@ class StoreFullError(RuntimeError):
 
 class Node:
     __slots__ = (
-        "key", "state", "v", "n", "eval_value", "expanded",
+        "state", "v", "n", "eval_value", "expanded",
         "actions", "p", "q", "en", "evl", "child", "edge_total", "live",
         "status", "end_in_ply", "parents",
     )
 
-    def __init__(self, key: StateKey, state=None) -> None:
-        self.key = key
-        self.state = state            # the state that first reached key
+    def __init__(self, state=None) -> None:
+        self.state = state
         self.v = 0.0
         self.n = 0
         self.eval_value = 0.0         # the evaluator's value, set at expansion
@@ -68,7 +67,7 @@ class Node:
 
     def __repr__(self) -> str:
         return (
-            f"Node(key={self.key}, v={self.v:+.3f}, n={self.n}, "
+            f"Node(state={self.state}, v={self.v:+.3f}, n={self.n}, "
             f"edges={len(self.actions)}, status={self.status.name})"
         )
 
@@ -83,19 +82,19 @@ def update_node_value(node: Node, value: float) -> None:
 class GraphStore:
     """Flat transposition table plus allocation accounting.
 
-    With transpositions disabled every insert gets a fresh synthetic key, so
+    With transpositions disabled every insert gets a fresh serial key, so
     the stored graph degenerates to the tree a path-keyed search would build.
     """
 
     def __init__(self, transpositions: bool = True, capacity: int = 2_000_000) -> None:
         self.transpositions = transpositions
         self.capacity = capacity
-        self.nodes: dict[StateKey, Node] = {}
+        self.nodes: dict[object, Node] = {}  # by state key; by serial int in tree mode
         self.join_count = 0
         self.edge_count = 0
         self._serial = 0
 
-    def lookup_or_insert(self, key: StateKey, state=None,
+    def lookup_or_insert(self, key, state=None,
                          over_capacity: bool = False) -> tuple[Node, bool]:
         """Return (node, was_existing); insert a fresh node holding state on miss.
 
@@ -107,10 +106,10 @@ class GraphStore:
                 return node, True
         else:
             self._serial += 1
-            key = StateKey(self._serial, key.ply)
+            key = self._serial
         if len(self.nodes) >= self.capacity and not over_capacity:
             raise StoreFullError(f"graph store capacity {self.capacity} exhausted")
-        node = Node(key, state)
+        node = Node(state)
         self.nodes[key] = node
         return node, False
 
@@ -118,7 +117,7 @@ class GraphStore:
                      q_init: float) -> None:
         """Create the edge slots of a freshly expanded node."""
         if node.expanded:
-            raise ValueError(f"node {node.key} is already expanded")
+            raise ValueError(f"node {node.state} is already expanded")
         k = len(actions)
         node.actions = actions
         node.p = priors

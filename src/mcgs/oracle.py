@@ -14,7 +14,7 @@ from __future__ import annotations
 import weakref
 from typing import NamedTuple
 
-from .envs import Outcome, StateKey
+from .envs import Outcome
 
 
 class SolvedEntry(NamedTuple):
@@ -33,13 +33,14 @@ _RANK = {Outcome.WIN: 2, Outcome.DRAW: 1, Outcome.LOSS: 0}
 def negamax_solve(
     env,
     state,
-    cache: dict[StateKey, SolvedEntry] | None = None,
+    cache: dict[object, SolvedEntry] | None = None,
     node_limit: int | None = None,
 ) -> SolvedEntry:
     """Solve a state exactly, memoized on the transposition key.
 
     The depth-first walk keeps its own stack, so a game's depth is not
-    bounded by Python's recursion limit.
+    bounded by Python's recursion limit. node_limit bounds the states the
+    solve holds, solved (in cache) or on the stack.
     """
     if cache is None:
         cache = {}
@@ -51,7 +52,7 @@ def negamax_solve(
         hit = cache.get(key)
         if hit is not None:
             return hit
-        if node_limit is not None and len(cache) >= node_limit:
+        if node_limit is not None and len(cache) + len(stack) >= node_limit:
             raise OracleLimitError(f"oracle node limit {node_limit} exceeded")
         terminal = env.terminal_value(st)
         if terminal is None:
@@ -85,19 +86,19 @@ def negamax_solve(
 _NEGAMAX_CACHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def negamax_cache(env) -> dict[StateKey, SolvedEntry]:
+def negamax_cache(env) -> dict[object, SolvedEntry]:
     """The env's shared negamax cache, for negamax_solve's cache argument."""
     return _NEGAMAX_CACHES.setdefault(env, {})
 
 
-def solved_table(env, node_limit: int | None = None) -> dict[StateKey, SolvedEntry]:
+def solved_table(env, node_limit: int | None = None) -> dict[object, SolvedEntry]:
     """Solve every state reachable from the initial position.
 
     Terminal states are included (distance 0, no actions). The result maps
-    transposition keys to SolvedEntry, suitable as an exhaustive reference
-    or as a synthetic tablebase when restricted by ply.
+    each state (its env.state_key) to its SolvedEntry, suitable as an
+    exhaustive reference or as a synthetic tablebase when restricted by ply.
     """
-    cache: dict[StateKey, SolvedEntry] = {}
+    cache: dict[object, SolvedEntry] = {}
     negamax_solve(env, env.initial_state(), cache=cache, node_limit=node_limit)
     # The memoized solve already visited exactly the reachable set: every
     # non-terminal expansion recursed into all children.

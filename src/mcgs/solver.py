@@ -248,7 +248,7 @@ class TerminalSolver:
             self.nodes_solved += 1
         elif _OUTCOME_CLASS[current] is not _OUTCOME_CLASS[new_status]:
             raise SolverContradictionError(
-                f"node {node.key} proven {current.name} re-derived as {new_status.name}"
+                f"node {node.state} proven {current.name} re-derived as {new_status.name}"
             )
         elif is_real(current) and not is_real(new_status):
             return False  # keep the stronger real proof

@@ -4,7 +4,6 @@ reachable-state enumeration that shares no code with the oracle's solve.
 
 from collections import deque
 
-from mcgs.envs import StateKey
 from mcgs.graph import NEG_INF, GraphStore
 from mcgs.oracle import negamax_solve
 from mcgs.solver import (
@@ -17,9 +16,10 @@ from mcgs.solver import (
 _serial = [7000]
 
 
-def fresh_key(ply: int = 0) -> StateKey:
+def fresh_key(ply: int = 0) -> tuple[int, int]:
+    """A store key no env state equals: a fresh serial number and a ply."""
     _serial[0] += 1
-    return StateKey(_serial[0], ply)
+    return _serial[0], ply
 
 
 def expanded_node(store: GraphStore, actions, priors=None, ply: int = 0,
@@ -62,15 +62,19 @@ def check_invariants(engine) -> None:
 
     Meant to run between searches, when no simulation is in flight. With
     the solver on, every node must be quiescent: re-deriving it from its
-    children changes nothing, so no propagation was cut short.
+    children changes nothing, so no propagation was cut short. With
+    transpositions on, every node is the one its state's key finds.
     """
     env = engine.env
     solver_on = engine.solver is not None
     vmin, vmax = -1.0, 1.0
     negamax_cache = _NEGAMAX_CACHES.setdefault(env.game_id, {})
     incoming: dict[int, int] = {}
-    nodes = list(engine.store.nodes.values())
+    store = engine.store
+    nodes = list(store.nodes.values())
     for node in nodes:
+        if store.transpositions:
+            assert store.nodes[env.state_key(node.state)] is node, node
         outcome = env.terminal_value(node.state)
         terminal = not node.expanded and is_real(node.status)
         assert terminal == (outcome is not None), node
@@ -111,14 +115,14 @@ def check_invariants(engine) -> None:
         assert len(node.parents) == incoming.get(id(node), 0), node
 
 
-def reachable_states(env) -> dict[StateKey, object]:
+def reachable_states(env) -> dict:
     """Enumerate all states reachable in legal play, keyed by transposition key.
 
     A breadth-first walk that shares no code with `solved_table`, so the two
     can be checked against each other.
     """
     initial = env.initial_state()
-    seen: dict[StateKey, object] = {env.state_key(initial): initial}
+    seen = {env.state_key(initial): initial}
     queue = deque([initial])
     while queue:
         state = queue.popleft()

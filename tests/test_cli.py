@@ -442,6 +442,17 @@ def test_scaling_emits_csv(tmp_path):
         assert int(row["node_count"]) >= 1
 
 
+@pytest.mark.parametrize("openings, plies, message", [
+    ("0", "0", "error: opening_count must be >= 1\n"),
+    ("1", "-1", "error: opening_plies must be >= 0\n"),
+])
+def test_scaling_opening_settings_exit_1_naming_their_key(openings, plies, message, capsys):
+    assert main(["scaling", "--game", "leftright:4", "--budgets", "8",
+                 "--openings", openings, "--plies", plies,
+                 "--evaluator", "uniform"]) == 1
+    assert capsys.readouterr().err == message
+
+
 def test_scaling_rejects_descending_budgets(capsys):
     assert main(["scaling", "--game", "leftright:4", "--budgets", "16,8",
                  "--openings", "1", "--plies", "0",
@@ -452,6 +463,21 @@ def test_scaling_rejects_descending_budgets(capsys):
 # ----------------------------------------------------------------- solve
 
 
+@pytest.mark.parametrize("game, first", [
+    ("tictactoe", {"board": [0] * 9, "ply": 0, "outcome": "DRAW", "distance": 9,
+                   "optimal_actions": list(range(9))}),
+    ("nim:3,4,5", {"piles": [0, 0, 0], "ply": 3, "outcome": "LOSS", "distance": 0,
+                   "optimal_actions": []}),
+])
+def test_solve_entries_carry_the_state_fields_in_state_order(game, first, capsys):
+    assert main(["solve", "--game", game]) == 0
+    entries = json.loads(capsys.readouterr().out)["entries"]
+    assert entries[0] == first
+    fields = [k for k in first if k not in ("outcome", "distance", "optimal_actions")]
+    states = [[e[k] for k in fields] for e in entries]
+    assert states == sorted(states)
+
+
 def test_solve_dumps_full_table(capsys):
     assert main(["solve", "--game", "leftright:8"]) == 0
     payload = json.loads(capsys.readouterr().out)
@@ -459,8 +485,10 @@ def test_solve_dumps_full_table(capsys):
     assert payload["states"] == 15
     assert len(payload["entries"]) == 15
     entry = payload["entries"][0]
-    assert set(entry) == {"position_hash", "ply", "outcome",
-                          "distance", "optimal_actions"}
+    assert entry == {"pos": -1, "ply": 1, "outcome": "WIN",
+                     "distance": 0, "optimal_actions": []}
+    states = [(e["pos"], e["ply"]) for e in payload["entries"]]
+    assert states == sorted(states)
     assert max(e["distance"] for e in payload["entries"]) == 7
     assert all(e["outcome"] in ("WIN", "LOSS", "DRAW")
                for e in payload["entries"])

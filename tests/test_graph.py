@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from mcgs.envs import StateKey, make_env
+from mcgs.envs import make_env
 from mcgs.evaluators import UniformEvaluator
 from mcgs.graph import (
     NEG_INF,
@@ -83,7 +83,7 @@ def test_edge_sma_equals_the_running_mean(values):
 
 
 def test_node_value_sma():
-    node = Node(fresh_key(0))
+    node = Node()
     update_node_value(node, 0.8)
     assert (node.n, node.v) == (1, 0.8)
     update_node_value(node, -0.2)
@@ -99,20 +99,21 @@ def test_attach_edges_rejects_double_expansion():
 
 
 def test_lookup_is_shared_only_with_transpositions_on():
-    key = StateKey(1234, 3)
+    state = make_env("nim:3").initial_state()
     shared = GraphStore(transpositions=True)
-    a, existed_a = shared.lookup_or_insert(key)
-    b, existed_b = shared.lookup_or_insert(key)
+    a, existed_a = shared.lookup_or_insert(state, state)
+    b, existed_b = shared.lookup_or_insert(state, state)
     assert a is b
     assert (existed_a, existed_b) == (False, True)
+    assert shared.nodes == {state: a}
 
     split = GraphStore(transpositions=False)
-    c, existed_c = split.lookup_or_insert(key)
-    d, existed_d = split.lookup_or_insert(key)
+    c, existed_c = split.lookup_or_insert(state, state)
+    d, existed_d = split.lookup_or_insert(state, state)
     assert c is not d
     assert (existed_c, existed_d) == (False, False)
-    assert c.key != d.key
-    assert c.key.ply == d.key.ply == 3  # synthetic keys keep the depth
+    assert split.nodes == {1: c, 2: d}  # serial keys in tree mode
+    assert c.state is d.state is state
 
 
 def test_link_counts_joins_and_in_degree():

@@ -135,3 +135,13 @@ def test_solved_table_respects_node_limit():
     with pytest.raises(OracleLimitError):
         solved_table(env, node_limit=3)
     assert len(solved_table(env, node_limit=100)) == 15
+
+
+@pytest.mark.parametrize("game, states", [
+    ("leftright:100", 199), ("tictactoe", 5478), ("nim:3,4,5", 554),
+])
+def test_node_limit_counts_the_states_on_the_stack(game, states):
+    env = make_env(game)
+    assert len(solved_table(env, node_limit=states)) == states
+    with pytest.raises(OracleLimitError):
+        solved_table(env, node_limit=states - 1)

@@ -844,7 +844,7 @@ def test_backprop_counts_visits_on_pruned_edges_without_unpruning(ttt):
 
 def _counts(engine):
     """Every expanded node's edge visits, virtual losses and edge total."""
-    return {node.key: (list(node.en), list(node.evl), node.edge_total)
+    return {node: (list(node.en), list(node.evl), node.edge_total)
             for node in engine.store.nodes.values() if node.expanded}
 
 
@@ -852,15 +852,15 @@ def _assert_counted(engine, before, pairs, en_step, evl_step):
     """Each pair's edge moved by en_step and evl_step, its node's total by
     their sum, and every other count is as it was. A node expanded since
     `before` has only zero counts."""
-    expected = {key: (list(en), list(evl), total) for key, (en, evl, total) in before.items()}
+    expected = {node: (list(en), list(evl), total) for node, (en, evl, total) in before.items()}
     for node, i in pairs:
-        en, evl, total = expected[node.key]
+        en, evl, total = expected[node]
         en[i] += en_step
         evl[i] += evl_step
-        expected[node.key] = (en, evl, total + en_step + evl_step)
+        expected[node] = (en, evl, total + en_step + evl_step)
     after = _counts(engine)
-    for key in after.keys() - expected.keys():
-        en, evl, total = after.pop(key)
+    for node in after.keys() - expected.keys():
+        en, evl, total = after.pop(node)
         assert not any(en) and not any(evl) and total == 0
     assert after == expected
 
@@ -1459,15 +1459,11 @@ def test_every_node_keeps_a_state_of_its_key(game, overrides):
     engine.advance(result.selected_action)
     engine.search()
     assert len(engine.store.nodes) > 100
-    for node in engine.store.nodes.values():
-        if engine.store.transpositions:
-            assert env.state_key(node.state) == node.key
-        else:  # keys are serial numbers; only the ply survives
-            assert node.state.ply == node.key.ply
+    check_invariants(engine)
 
 
 class _CountingEnv:
-    """Delegates to an env and records every (state key, action) it applies."""
+    """Delegates to an env and records every (state, action) it applies."""
 
     def __init__(self, env):
         self._env = env
@@ -1477,12 +1473,12 @@ class _CountingEnv:
         return getattr(self._env, name)
 
     def apply(self, state, action):
-        self.applied.append((self._env.state_key(state), action))
+        self.applied.append((state, action))
         return self._env.apply(state, action)
 
 
 def _resolved_edges(store):
-    return {(node.key, node.actions[j])
+    return {(node.state, node.actions[j])
             for node in store.nodes.values()
             for j in range(len(node.actions)) if node.child[j] is not None}
 
