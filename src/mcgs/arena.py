@@ -115,46 +115,67 @@ def wilson_bounds(score: float, games: int, z: float = WILSON_Z) -> tuple[float,
 def generate_openings(env, plies: int, count: int, rng: random.Random) -> list[tuple[int, ...]]:
     """Distinct random opening lines, preferring game-value-balanced ones.
 
-    An opening is balanced when the position it reaches is a draw under
-    optimal play. Games without draws (Nim) keep the full sample instead.
-    The balance check solves into the env's shared negamax cache.
+    Each attempt plays one random line of `plies` moves from the start (one
+    `rng.randrange` a ply) and keeps it if it is new and leaves the game
+    unfinished. An opening is balanced when the position it reaches is a
+    draw under optimal play; the first `count` balanced lines are returned,
+    cycled when fewer exist. Games without draws (Nim) use every kept line
+    instead. The draw ends after 4 x `count` kept lines or max(200,
+    400 x `count`) attempts, or as soon as `count` balanced lines are in
+    hand, since later lines cannot change the answer. It leaves `rng`
+    wherever it stopped.
+
+    A memo asks the env about each position once: its terminal value, its
+    legal actions and each child. Each kept line's end position is solved
+    as it is drawn, into the env's shared negamax cache.
     """
     cache = negamax_cache(env)
+    memo: dict = {}  # state -> (state, terminal value, legal actions, child per action)
+
+    def visit(state):
+        node = memo.get(state)
+        if node is None:
+            terminal = env.terminal_value(state)
+            actions = () if terminal is not None else env.legal_actions(state)
+            node = memo[state] = (state, terminal, actions, [None] * len(actions))
+        return node
+
+    root = visit(env.initial_state())
     seen: set[tuple[int, ...]] = set()
     openings: list[tuple[int, ...]] = []
+    balanced: list[tuple[int, ...]] = []
     attempts = 0
     limit = max(200, count * 400)
     while len(openings) < count * 4 and attempts < limit:
         attempts += 1
-        state = env.initial_state()
+        node = root
         line: list[int] = []
         for _ in range(plies):
-            if env.terminal_value(state) is not None:
+            state, terminal, actions, children = node
+            if terminal is not None:
                 break
-            actions = env.legal_actions(state)
-            action = actions[rng.randrange(len(actions))]
-            line.append(action)
-            state = env.apply(state, action)
-        if env.terminal_value(state) is not None:
+            i = rng.randrange(len(actions))
+            line.append(actions[i])
+            node = children[i]
+            if node is None:
+                node = children[i] = visit(env.apply(state, actions[i]))
+        state, terminal, _, _ = node
+        if terminal is not None:
             continue
         key = tuple(line)
         if key in seen:
             continue
         seen.add(key)
         openings.append(key)
-    balanced = [line for line in openings
-                if _opening_outcome(env, line, cache) is Outcome.DRAW]
+        if negamax_solve(env, state, cache).outcome is Outcome.DRAW:
+            balanced.append(key)
+            if len(balanced) == count:
+                break
     pool = balanced if balanced else openings
     if not pool:
-        raise ValueError("could not generate any openings")
+        raise ValueError(f"opening_plies {plies}: no line of {plies} plies from the start of "
+                         f"{env.game_id} left the game unfinished in {attempts} random draws")
     return [pool[i % len(pool)] for i in range(count)]
-
-
-def _opening_outcome(env, line, cache) -> Outcome:
-    state = env.initial_state()
-    for action in line:
-        state = env.apply(state, action)
-    return negamax_solve(env, state, cache).outcome
 
 
 def _score_for_a(outcome: Outcome, mover: str) -> float:
@@ -224,10 +245,9 @@ def play_game(env, config: MatchConfig, opening: tuple[int, ...], first: str,
 def play_match(config: MatchConfig, openings: list[tuple[int, ...]] | None = None) -> MatchResult:
     config.validate()
     env = make_env(config.game)
-    rng = random.Random(config.seed)
     if openings is None:
-        openings = generate_openings(env, config.opening_plies,
-                                     config.opening_count, rng)
+        openings = generate_openings(env, config.opening_plies, config.opening_count,
+                                     random.Random(config.seed))
     games: list[GameRecord] = []
     wins = draws = losses = 0
     for g, opening in enumerate(openings):

@@ -1,5 +1,6 @@
 """Match play: openings, scoring, confidence bounds, replayability."""
 
+import collections
 import hashlib
 import json
 import math
@@ -22,10 +23,11 @@ from mcgs.arena import (
 )
 from mcgs.envs import Outcome, make_env
 from mcgs.evaluators import Evaluation
-from mcgs.oracle import negamax_solve, solved_table
+from mcgs.oracle import negamax_cache, negamax_solve, solved_table
 from mcgs.search import SearchConfig, SearchEngine
 
 from helpers import FixedEvaluator
+from reference_openings import reference_openings
 
 PLAIN = dict(transpositions=False, terminal_solver=False, eps_greedy=False,
              check_enhance=False, q_boost=False)
@@ -117,6 +119,103 @@ def test_openings_are_deterministic_for_a_seeded_rng(ttt):
     a = generate_openings(ttt, plies=2, count=8, rng=random.Random(11))
     b = generate_openings(ttt, plies=2, count=8, rng=random.Random(11))
     assert a == b
+
+
+# Cells (game, plies, count) on which the plain sampler spends more than
+# about 0.05 s a seed, nearly all of it drawing every one of its
+# max(200, 400 * count) attempts in a small line space. ONE_SEED cells run
+# at seed 11 alone; SKIPPED cells cost over 0.15 s even at one seed.
+ONE_SEED = {
+    ("leftright:6", 0, 200), ("leftright:6", 3, 25), ("leftright:6", 4, 25),
+    ("leftright:9", 0, 200), ("leftright:9", 3, 25), ("leftright:9", 4, 25),
+    ("nim:1,1,1", 0, 200), ("nim:1,1,1", 2, 25), ("nim:1,1,1", 3, 25),
+    ("nim:3,4,5", 1, 25), ("nim:3,4,5", 3, 200),
+    ("tictactoe", 1, 25), ("tictactoe", 2, 25),
+}
+SKIPPED = {("nim:1,1,1", 4, 25)} | {
+    (game, plies, 200)
+    for game, plies_range in [("leftright:6", range(1, 5)), ("leftright:9", range(1, 5)),
+                              ("nim:1,1,1", range(1, 5)), ("nim:3,4,5", range(3)),
+                              ("tictactoe", range(4))]
+    for plies in plies_range
+}
+
+
+@pytest.mark.parametrize("game", ["nim:3,4,5", "nim:1,1,1", "tictactoe",
+                                  "leftright:6", "leftright:9"])
+def test_openings_equal_the_plain_rejection_sampler(game):
+    env = make_env(game)
+    checked = errors = 0
+    for plies in range(5):
+        for count in (1, 5, 25, 200):
+            cell = (game, plies, count)
+            if cell in SKIPPED:
+                continue
+            for seed in (11,) if cell in ONE_SEED else (0, 1, 11):
+                try:
+                    expected = reference_openings(env, plies, count, random.Random(seed))
+                except ValueError:
+                    with pytest.raises(ValueError, match=f"^opening_plies {plies}: "):
+                        generate_openings(env, plies, count, random.Random(seed))
+                    errors += 1
+                else:
+                    got = generate_openings(env, plies, count, random.Random(seed))
+                    assert got == expected, (plies, count, seed)
+                checked += 1
+    assert checked >= 36
+    # nim:1,1,1 ends after three plies, so its longer lines all fail.
+    assert errors == (13 if game == "nim:1,1,1" else 0)
+
+
+class CountingEnv:
+    """An env that counts what it is asked about each state and (state, action)."""
+
+    def __init__(self, env):
+        self.env = env
+        self.asked = collections.Counter()
+
+    def initial_state(self):
+        return self.env.initial_state()
+
+    def terminal_value(self, state):
+        self.asked["terminal_value", state] += 1
+        return self.env.terminal_value(state)
+
+    def legal_actions(self, state):
+        self.asked["legal_actions", state] += 1
+        return self.env.legal_actions(state)
+
+    def apply(self, state, action):
+        self.asked["apply", state, action] += 1
+        return self.env.apply(state, action)
+
+    def state_key(self, state):
+        return self.env.state_key(state)
+
+
+def test_openings_ask_the_env_once_per_state_and_move(ttt, ttt_table):
+    env = CountingEnv(ttt)
+    # A solved cache leaves the balance check nothing to ask the env.
+    negamax_cache(env).update(ttt_table)
+    openings = generate_openings(env, 3, 200, random.Random(11))
+    assert openings == generate_openings(ttt, 3, 200, random.Random(11))
+    assert env.asked and max(env.asked.values()) == 1
+
+
+class CountingRandom(random.Random):
+    draws = 0
+
+    def randrange(self, *args):
+        self.draws += 1
+        return super().randrange(*args)
+
+
+def test_openings_stop_once_enough_balanced_lines_are_drawn(ttt):
+    # 276 of tictactoe's 504 3-ply lines are balanced; 200 of them turn up
+    # in about 550 attempts, long before the attempt limit of 80,000.
+    rng = CountingRandom(11)
+    generate_openings(ttt, 3, 200, rng)
+    assert rng.draws < 3 * 1_000
 
 
 def test_match_config_requires_equal_budgets():

@@ -410,6 +410,17 @@ def test_match_unequal_budgets_exit_1(tmp_path, capsys):
     assert capsys.readouterr().err == "error: engines must receive identical per-move budgets\n"
 
 
+def test_match_with_no_unfinished_opening_exits_1_naming_the_key(tmp_path, capsys):
+    # Every tictactoe game ends within nine plies.
+    cfg = tmp_path / "match.cfg"
+    cfg.write_text("game = tictactoe\nopening_plies = 10\n")
+    assert main(["match", "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ("error: opening_plies 10: no line of 10 plies from the start of "
+                            "tictactoe left the game unfinished in 10000 random draws\n")
+    assert captured.out == ""
+
+
 @pytest.mark.parametrize("key", ["engineA.seed", "engineB.seed"])
 def test_match_engine_seed_exits_1(tmp_path, capsys, key):
     # play_game seeds every engine from the match seed, so this key would change nothing.
