@@ -110,30 +110,15 @@ class TicTacToe:
         return [j for j, cell in enumerate(actions) if cell in wins]
 
     def is_forcing(self, state: TicTacToeState, action: int) -> bool:
-        """True when the move creates an immediate two-in-a-row threat.
+        """True when the move makes a two-in-a-row threat through its cell.
 
-        The threat has to run through the moved cell: some line containing the
-        placed piece ends up with exactly two of the mover's pieces plus one
-        empty cell.
+        A line through the cell forces when its other two cells hold one
+        mover piece and one empty cell.
         """
         board = state.board
-        piece = (state.ply & 1) + 1
-        for line in TTT_LINES:
-            if action not in line:
-                continue
-            own = 1  # the piece being placed
-            empty = 0
-            for cell in line:
-                if cell == action:
-                    continue
-                value = board[cell]
-                if value == piece:
-                    own += 1
-                elif value == 0:
-                    empty += 1
-            if own == 2 and empty == 1:
-                return True
-        return False
+        threat = {(state.ply & 1) + 1, 0}
+        return any({board[c] for c in line if c != action} == threat
+                   for line in TTT_LINES if action in line)
 
 
 class NimState(NamedTuple):

@@ -80,9 +80,9 @@ def negamax_solve(
 
 
 # env -> the negamax entries solved on it so far, shared by everything that
-# solves on one env: the oracle evaluators a match builds per game and the
-# balance check of its openings. Weak keys free it with the env. Kept apart
-# from the solver's exhaustive tables, which must be complete.
+# solves on one env: the oracle evaluators and table oracles a match builds
+# per game and the balance check of its openings. Weak keys free it with the
+# env.
 _NEGAMAX_CACHES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 

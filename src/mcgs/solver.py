@@ -5,15 +5,20 @@ terminal node with its outcome when it creates the node, solver or not. The
 solver derives every other status from the node's children (the MCTS-Solver
 rules of Winands, Bjornsson & Saito, CG 2008), re-derived by one method
 whenever a child changes and carried up the parents' back-references until
-nothing changes. A node becomes WIN the moment one child is proven LOSS; it
-becomes LOSS or DRAW only once all children are known. END_IN_PLY tracks the
-proven line length: wins take the shortest proven mate, losses the longest
-resistance. Because the first proven mate is not always the shortest one,
-END_IN_PLY of WIN nodes may refine downward as further LOSS children are
-proven; statuses move monotonically from UNKNOWN to solved and never back.
-The same derivation prunes every edge into a proven-LOSS child (Q = -inf,
-prior = 0) so simulations stop re-entering refuted lines; it also keeps
-node.live, so selection skips settled edges without a status test.
+nothing changes. Each known child is ranked by what it proves for the parent:
+LOSS 0, TB_LOSS 1, DRAW 2, TB_DRAW 3, WIN and TB_WIN 4. The lowest rank, the
+shortest END_IN_PLY among its children breaking ties, decides:
+- rank 0 or 1 proves WIN or TB_WIN at once, unknown siblings or not;
+- once every child is known, rank 2 or 3 proves DRAW or TB_DRAW;
+- once every child is known and all rank 4, the parent is lost: LOSS when
+  every child is a real WIN, else TB_LOSS, at the longest END_IN_PLY.
+The proof is one ply longer than its child's line. Because the first proven
+mate is not always the shortest one, END_IN_PLY of WIN nodes may refine
+downward as further LOSS children are proven; statuses move monotonically
+from UNKNOWN to solved and never back. The same derivation prunes every edge
+into a LOSS or TB_LOSS child (Q = -inf, prior = 0) so simulations stop
+re-entering refuted lines; it also keeps node.live, so selection skips
+settled edges without a status test.
 
 TB_* statuses come from an endgame oracle probe and behave like their real
 counterparts for propagation and pruning, except that search keeps flowing
@@ -24,11 +29,10 @@ actual terminal) and a TB status may upgrade to the matching real status.
 from __future__ import annotations
 
 import enum
-import weakref
 from collections import deque
 
 from .envs import Nim, Outcome
-from .oracle import nim_xor_outcome, solved_table
+from .oracle import negamax_cache, negamax_solve, nim_xor_outcome
 
 NEG_INF = float("-inf")
 
@@ -68,6 +72,14 @@ _SELECTABLE = frozenset((SolverStatus.UNKNOWN, SolverStatus.TB_WIN, SolverStatus
 _REAL_LOSS = frozenset((SolverStatus.LOSS,))
 _ANY_LOSS = frozenset((SolverStatus.LOSS, SolverStatus.TB_LOSS))
 _ANY_DRAW = frozenset((SolverStatus.DRAW, SolverStatus.TB_DRAW))
+# What a known child proves for its parent: the lowest rank decides (see the
+# module docstring), and _PROVES is the parent's status for each rank below 4.
+_RANK = {
+    SolverStatus.LOSS: 0, SolverStatus.TB_LOSS: 1,
+    SolverStatus.DRAW: 2, SolverStatus.TB_DRAW: 3,
+    SolverStatus.WIN: 4, SolverStatus.TB_WIN: 4,
+}
+_PROVES = (SolverStatus.WIN, SolverStatus.TB_WIN, SolverStatus.DRAW, SolverStatus.TB_DRAW)
 
 
 def status_for_outcome(outcome: Outcome) -> SolverStatus:
@@ -86,26 +98,26 @@ class NimXorOracle:
         return _TB_FOR_OUTCOME[nim_xor_outcome(state.piles)]
 
 
-# env -> its exhaustive solve, shared by every table oracle built on that env
-# (a match builds fresh engines per game on one env). The solve depends on the
-# env alone, so sharing it changes no result; weak keys free it with the env.
-_SOLVED_TABLES: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
-
-
 class TableOracle:
-    """Synthetic tablebase: the exhaustive solve restricted to ply >= min_ply."""
+    """Synthetic tablebase: the exhaustive solve restricted to ply >= min_ply.
+
+    The first probe solves the initial state into the env's shared negamax
+    cache, which then holds every reachable state; the oracle evaluators and
+    the openings' balance check solve into the same cache.
+    """
 
     def __init__(self, env, min_ply: int = 0) -> None:
         self.env = env
         self.min_ply = min_ply
+        self.table = None
 
     def probe(self, state) -> SolverStatus | None:
         if state.ply < self.min_ply:
             return None
-        table = _SOLVED_TABLES.get(self.env)
-        if table is None:  # the first probe on this env solves the game
-            table = _SOLVED_TABLES[self.env] = solved_table(self.env)
-        entry = table.get(self.env.state_key(state))
+        if self.table is None:
+            self.table = negamax_cache(self.env)
+            negamax_solve(self.env, self.env.initial_state(), self.table)
+        entry = self.table.get(self.env.state_key(state))
         if entry is None:
             return None
         return _TB_FOR_OUTCOME[entry.outcome]
@@ -115,7 +127,8 @@ def make_endgame_oracle(spec: str | None, env):
     """Build an endgame oracle from its id: "none", "nim-xor", "table[:<game>[:<min_ply>]]".
 
     The oracle must fit the searched game: "nim-xor" needs Nim, and a table's
-    <game> must equal env.game_id. Raises ValueError otherwise.
+    <game> must equal env.game_id. A table spec may not end in ':'. Raises
+    ValueError otherwise.
     """
     text = (spec or "").strip().lower()
     if text in ("", "none"):
@@ -126,6 +139,8 @@ def make_endgame_oracle(spec: str | None, env):
         return NimXorOracle()
     kind, _, rest = text.partition(":")
     if kind == "table":
+        if text.endswith(":"):
+            raise ValueError(f"endgame oracle {spec!r}: nothing after ':'")
         if rest and not (rest + ":").startswith(env.game_id + ":"):
             raise ValueError(f"endgame oracle {spec!r} names another game than {env.game_id!r}; "
                              f"expected table:{env.game_id}[:<min_ply>]")
@@ -190,9 +205,8 @@ class TerminalSolver:
         """
         if not node.expanded:  # a terminal, or a leaf not yet evaluated
             return False
-        min_loss = min_tb_loss = None
-        min_draw = min_tb_draw = None
-        max_any = 0
+        best_rank, best_eip = 4, 0  # the lowest (rank, END_IN_PLY) below rank 4
+        max_eip = 0
         all_known = True
         all_real_wins = True
         kept = 0  # live edges: unresolved or into a _SELECTABLE child
@@ -203,43 +217,26 @@ class TerminalSolver:
                 continue
             st = child.status
             eip = child.end_in_ply
-            if st == SolverStatus.LOSS:
+            rank = _RANK[st]
+            if rank < best_rank or rank == best_rank and eip < best_eip:
+                best_rank, best_eip = rank, eip
+            if rank < 2:
                 prune_edge(node, j)
-                if min_loss is None or eip < min_loss:
-                    min_loss = eip
-            elif st == SolverStatus.TB_LOSS:
-                prune_edge(node, j)
-                if min_tb_loss is None or eip < min_tb_loss:
-                    min_tb_loss = eip
-            elif st == SolverStatus.DRAW:
-                if min_draw is None or eip < min_draw:
-                    min_draw = eip
-            elif st == SolverStatus.TB_DRAW:
-                if min_tb_draw is None or eip < min_tb_draw:
-                    min_tb_draw = eip
             if st != SolverStatus.WIN:
                 all_real_wins = False
-                if st == SolverStatus.TB_WIN or st == SolverStatus.TB_DRAW:
+                if st in _SELECTABLE:
                     kept += 1
-            if eip > max_any:
-                max_any = eip
+            if eip > max_eip:
+                max_eip = eip
         if kept != len(node.live):
             node.live = tuple(j for j, child in enumerate(node.child)
                               if child is None or child.status in _SELECTABLE)
 
-        if min_loss is not None:
-            new_status, new_eip = SolverStatus.WIN, min_loss + 1
-        elif min_tb_loss is not None:
-            new_status, new_eip = SolverStatus.TB_WIN, min_tb_loss + 1
+        if best_rank < 2 or all_known and best_rank < 4:
+            new_status, new_eip = _PROVES[best_rank], best_eip + 1
         elif all_known:
-            if min_draw is not None:
-                new_status, new_eip = SolverStatus.DRAW, min_draw + 1
-            elif min_tb_draw is not None:
-                new_status, new_eip = SolverStatus.TB_DRAW, min_tb_draw + 1
-            elif all_real_wins:
-                new_status, new_eip = SolverStatus.LOSS, max_any + 1
-            else:
-                new_status, new_eip = SolverStatus.TB_LOSS, max_any + 1
+            new_status = SolverStatus.LOSS if all_real_wins else SolverStatus.TB_LOSS
+            new_eip = max_eip + 1
         else:
             return False
 

@@ -54,6 +54,23 @@ class FixedEvaluator:
         return self.evaluation
 
 
+def record_solves(monkeypatch, *modules) -> list:
+    """Wrap negamax_solve where each module calls it. Returns the list that
+    collects the key of every state a call solved anew into its cache."""
+    solved = []
+
+    def solve(env, state, cache=None, node_limit=None):
+        cache = {} if cache is None else cache
+        before = set(cache)
+        entry = negamax_solve(env, state, cache, node_limit)
+        solved.extend(cache.keys() - before)
+        return entry
+
+    for module in modules:
+        monkeypatch.setattr(module + ".negamax_solve", solve)
+    return solved
+
+
 _NEGAMAX_CACHES: dict[str, dict] = {}  # game id -> solved entries; pure, so shared
 
 

@@ -23,10 +23,10 @@ from mcgs.arena import (
 )
 from mcgs.envs import Outcome, make_env
 from mcgs.evaluators import Evaluation
-from mcgs.oracle import negamax_cache, negamax_solve, solved_table
+from mcgs.oracle import negamax_cache, negamax_solve
 from mcgs.search import SearchConfig, SearchEngine
 
-from helpers import FixedEvaluator
+from helpers import FixedEvaluator, record_solves
 from reference_openings import reference_openings
 
 PLAIN = dict(transpositions=False, terminal_solver=False, eps_greedy=False,
@@ -280,13 +280,12 @@ def test_match_scoring_and_counts_add_up():
 def test_a_match_solves_the_oracle_table_once(monkeypatch):
     # Every game builds fresh engines on the match's one env; they share
     # that env's solved table instead of solving it per game.
-    calls = []
-    monkeypatch.setattr("mcgs.solver.solved_table",
-                        lambda *args: calls.append(args) or solved_table(*args))
+    solved = record_solves(monkeypatch, "mcgs.solver")
     config = _match_config("nim:3,4,5", budget=32, opening_count=10,
                            a={"endgame_oracle": "table"})
     result = play_match(config)
     assert len(result.games) == 20
+    calls = [key for key in solved if key == make_env("nim:3,4,5").initial_state()]
     assert len(calls) == 1
 
 
@@ -294,16 +293,7 @@ def test_an_oracle_match_solves_each_state_once(monkeypatch):
     # Every game builds fresh oracle evaluators on the match's one env; they
     # and the openings' balance check share that env's negamax cache instead
     # of re-solving the game per game or per opening set.
-    solved = []
-
-    def solve(env, state, cache=None, node_limit=None):
-        before = set(cache)
-        entry = negamax_solve(env, state, cache, node_limit)
-        solved.extend(cache.keys() - before)
-        return entry
-
-    monkeypatch.setattr("mcgs.evaluators.negamax_solve", solve)
-    monkeypatch.setattr("mcgs.arena.negamax_solve", solve)
+    solved = record_solves(monkeypatch, "mcgs.evaluators", "mcgs.arena")
     config = _match_config("tictactoe", opening_plies=1, opening_count=5, seed=1)
     config.evaluator_a = config.evaluator_b = "oracle"
     result = play_match(config)

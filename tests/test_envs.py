@@ -5,7 +5,7 @@ import random
 
 import pytest
 
-from mcgs.envs import LEFT, RIGHT, NimState, Outcome, make_env
+from mcgs.envs import LEFT, RIGHT, TTT_LINES, NimState, Outcome, make_env
 
 from helpers import reachable_states
 
@@ -144,6 +144,23 @@ def test_forcing_tictactoe_two_in_a_row(ttt):
     assert ttt.is_forcing(state, 1)  # completes 0-1 with 2 open
     assert ttt.is_forcing(state, 2)  # completes 0-2 with 1 open
     assert not ttt.is_forcing(state, 5)
+
+
+def test_forcing_tictactoe_is_a_two_and_an_empty_through_the_move(ttt):
+    # The rule read off the board after the move: some line through the
+    # moved cell holds two of the mover's pieces and one empty cell.
+    pairs = 0
+    for state in reachable_states(ttt).values():
+        if ttt.terminal_value(state) is not None:
+            continue
+        for action in ttt.legal_actions(state):
+            board = ttt.apply(state, action).board
+            two = sorted((board[action], board[action], 0))
+            expected = any(sorted(board[c] for c in line) == two
+                           for line in TTT_LINES if action in line)
+            assert ttt.is_forcing(state, action) == expected, (state, action)
+            pairs += 1
+    assert pairs == 16_167
 
 
 def test_forcing_leftright_always_false():

@@ -13,7 +13,6 @@ from mcgs.envs import make_env
 from mcgs import search
 from mcgs.evaluators import Evaluation, UniformEvaluator, apply_node_temperature, make_evaluator
 from mcgs.graph import NEG_INF, GraphStore, StoreFullError
-from mcgs.oracle import solved_table
 from mcgs.search import (
     ENHANCEMENTS,
     SearchConfig,
@@ -24,7 +23,7 @@ from mcgs.search import (
 )
 from mcgs.solver import SolverStatus, is_real, prune_edge
 
-from helpers import FixedEvaluator, attach_child, check_invariants, expanded_node
+from helpers import FixedEvaluator, attach_child, check_invariants, expanded_node, record_solves
 
 INF = float("inf")
 PLAIN = dict.fromkeys(ENHANCEMENTS, False)
@@ -1321,18 +1320,29 @@ def test_each_search_on_a_reused_engine_reports_its_own_largest_flush():
 
 
 def test_table_oracle_is_not_solved_without_the_solver(monkeypatch):
-    calls = []
-    monkeypatch.setattr("mcgs.solver.solved_table",
-                        lambda *args: calls.append(args) or solved_table(*args))
+    solved = record_solves(monkeypatch, "mcgs.solver")
     env = make_env("nim:3,4,5")
     config = SearchConfig(budget_amount=50, endgame_oracle="table", **PLAIN)
     result = run_search(env, UniformEvaluator(env), env.initial_state(), config)
     assert result.simulations == 50
+    calls = [key for key in solved if key == env.initial_state()]
     assert calls == []
 
     config = SearchConfig(budget_amount=50, endgame_oracle="table")
     run_search(env, UniformEvaluator(env), env.initial_state(), config)
-    assert len(calls) == 1  # the solver's first probe builds the table, once
+    calls = [key for key in solved if key == env.initial_state()]
+    assert len(calls) == 1  # the solver's first probe solves the game, once
+
+
+def test_an_oracle_search_with_a_table_oracle_solves_each_state_once(monkeypatch):
+    # The oracle evaluator and the table oracle solve into the env's one
+    # negamax cache, so no state is solved twice.
+    solved = record_solves(monkeypatch, "mcgs.evaluators", "mcgs.solver")
+    env = make_env("tictactoe")
+    config = SearchConfig(budget_amount=200, endgame_oracle="table", seed=1)
+    result = run_search(env, make_evaluator("oracle", env), env.initial_state(), config)
+    assert len(solved) == len(set(solved)) == 5478
+    assert (result.selected_action, result.root_status) == (5, "TB_DRAW")
 
 
 def _check_the_stall_bounce(engine, bounce):

@@ -1,14 +1,16 @@
 """Terminal solver: status derivation, pruning, propagation, proven moves."""
 
+import itertools
 import random
 
 import pytest
 
 from mcgs.envs import Outcome, make_env
 from mcgs.evaluators import UniformEvaluator
-from mcgs.graph import NEG_INF, GraphStore
+from mcgs.graph import NEG_INF, GraphStore, Node
 from mcgs.search import SearchConfig, SearchEngine
 from mcgs.solver import (
+    STATUS_VALUE,
     NimXorOracle,
     SolverContradictionError,
     SolverStatus,
@@ -351,6 +353,73 @@ def test_a_real_proof_survives_a_tb_rederivation():
     assert node.q[0] == NEG_INF  # the TB_LOSS child is pruned all the same
 
 
+def _rule_list(kids):
+    """What the module docstring's rules derive from these (status,
+    END_IN_PLY) children (None: unresolved): (the status and END_IN_PLY they
+    prove, or None; the live edges; the pruned edges)."""
+    S = SolverStatus
+    known = {j: kid for j, kid in enumerate(kids) if kid and kid[0] != S.UNKNOWN}
+    live = tuple(j for j, kid in enumerate(kids)
+                 if not kid or kid[0] in (S.UNKNOWN, S.TB_WIN, S.TB_DRAW))
+    pruned = [j for j, (st, _) in known.items() if st in (S.LOSS, S.TB_LOSS)]
+
+    def shortest(status):
+        eips = [eip for st, eip in known.values() if st == status]
+        return min(eips) if eips else None
+
+    every = len(known) == len(kids)
+    new = None
+    if shortest(S.LOSS) is not None:
+        new = S.WIN, shortest(S.LOSS) + 1
+    elif shortest(S.TB_LOSS) is not None:
+        new = S.TB_WIN, shortest(S.TB_LOSS) + 1
+    elif every and shortest(S.DRAW) is not None:
+        new = S.DRAW, shortest(S.DRAW) + 1
+    elif every and shortest(S.TB_DRAW) is not None:
+        new = S.TB_DRAW, shortest(S.TB_DRAW) + 1
+    elif every:
+        real = all(st == S.WIN for st, _ in known.values())
+        new = S.LOSS if real else S.TB_LOSS, max(eip for _, eip in known.values()) + 1
+    return new, live, pruned
+
+
+def test_recompute_matches_the_rule_list():
+    # Every parent status over every 1-3 children, each unresolved, UNKNOWN
+    # or solved, at END_IN_PLY 0-2. A derived status of another outcome
+    # class is a contradiction; a real proof outranks a TB derivation.
+    kinds = [None] + [(status, eip) for status in SolverStatus for eip in range(3)]
+    solver = TerminalSolver()
+    store = GraphStore()
+    cases = 0
+    for k in (1, 2, 3):
+        for kids in itertools.product(kinds, repeat=k):
+            new, live, pruned = _rule_list(kids)
+            q = [NEG_INF if j in pruned else 0.5 for j in range(k)]
+            p = [0.0 if j in pruned else 1.0 / k for j in range(k)]
+            children = []
+            for kid in kids:
+                child = None
+                if kid:
+                    child = Node()
+                    child.status, child.end_in_ply = kid
+                children.append(child)
+            for old in [(s, 2 if s else 0) for s in SolverStatus]:  # UNKNOWN is 0
+                node = Node()
+                store.attach_edges(node, list(range(k)), [1.0 / k] * k, 0.5)
+                node.child = children
+                node.status, node.end_in_ply = old
+                cases += 1
+                if new and old[0] and STATUS_VALUE[old[0]] != STATUS_VALUE[new[0]]:
+                    with pytest.raises(SolverContradictionError):
+                        solver._recompute(node)
+                    continue
+                keep = not new or new == old or is_real(old[0]) and not is_real(new[0])
+                assert solver._recompute(node) is not keep, (old, kids)
+                assert (node.status, node.end_in_ply) == (old if keep else new), (old, kids)
+                assert (tuple(node.live), node.q, node.p) == (live, q, p), (old, kids)
+    assert cases == 78_078
+
+
 def test_a_table_oracle_probes_nothing_below_its_min_ply():
     env = make_env("nim:3,4,5")
     config = SearchConfig(budget_amount=300, endgame_oracle="table:nim:3,4,5:3", seed=1)
@@ -408,6 +477,10 @@ def test_make_endgame_oracle_specs(ttt):
         make_endgame_oracle("table:nim:3,4", nim)
     with pytest.raises(ValueError, match="min_ply"):
         make_endgame_oracle("table:tictactoe:four", ttt)
+    # nothing after a ':' is an error, as in a game id, not a table from ply 0
+    for spec, env in (("table:", ttt), ("table:tictactoe:", ttt), ("table:nim:3,4,5:", nim)):
+        with pytest.raises(ValueError, match=f"endgame oracle '{spec}': nothing after ':'"):
+            make_endgame_oracle(spec, env)
 
 
 def test_nim_xor_oracle_probe():
