@@ -10,8 +10,8 @@ aligned with env.legal_actions(state) order and sum to 1. Four families:
   on escaping misleading evaluations
 - oracle: exact negamax value, priors uniform over the optimal moves
 
-Evaluation requests can be routed through EvalQueue, which groups them into
-synchronous mini-batches the way a GPU-backed evaluator would.
+The search calls evaluate() once per distinct state it expands, one state
+at a time; its EvalQueue only holds the leaves that wait for that call.
 """
 
 from __future__ import annotations
@@ -227,37 +227,3 @@ def make_evaluator(name: str, env):
         return OracleEvaluator(env)
     raise ValueError(f"unknown evaluator {name!r}")
 
-
-class EvalQueue:
-    """Synchronous mini-batch evaluation queue.
-
-    submit() holds requests in FIFO order; the caller decides when a batch
-    is full (mini_batch_size) and calls flush(), which evaluates each
-    distinct pending state once and returns (token, evaluation) pairs in
-    submission order. A token submitted with state None needs no evaluation
-    and comes back with None. States must be hashable. The queue keeps no
-    count: the search counts what each flush returns.
-    """
-
-    def __init__(self, evaluator, mini_batch_size: int) -> None:
-        if mini_batch_size < 1:
-            raise ValueError("mini_batch_size must be >= 1")
-        self.evaluator = evaluator
-        self.mini_batch_size = mini_batch_size
-        self._pending: list[tuple[object, object]] = []
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    def submit(self, state, token) -> None:
-        self._pending.append((state, token))
-
-    def flush(self) -> list[tuple[object, Evaluation | None]]:
-        batch = self._pending
-        self._pending = []
-        evaluate = self.evaluator.evaluate
-        done = {None: None}
-        for state, _ in batch:
-            if state not in done:
-                done[state] = evaluate(state)
-        return [(token, done[state]) for state, token in batch]

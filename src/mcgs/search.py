@@ -17,19 +17,23 @@ mechanisms reconcile them:
 
 A simulation is backed up where it ends. One that ends on a terminal or
 proven node, or in an early stop, is backed up on the spot and never
-occupies an evaluator slot. One that ends on a new leaf waits under virtual
-loss: a round gathers up to mini_batch_size such leaves, then its one flush
-evaluates them and backpropagates them in submission order. An evaluations
-budget counts every leaf submitted to the flush. Each search() counts what
-it spends in a fresh SearchStats record, the one place a per-search count is
-kept: neither the eval queue nor the graph store, which outlives it, keeps one.
+occupies an evaluator slot. One that ends on a new leaf waits in the
+EvalQueue under virtual loss: a round gathers up to mini_batch_size such
+leaves, then its one flush hands them back to be expanded and backpropagated
+in submission order. An evaluations budget counts every leaf of a flush.
+Each search() counts what it spends in a fresh SearchStats record, the one
+place a per-search count is kept: neither the eval queue nor the graph
+store, which outlives it, keeps one.
 
-An engine turns each distinct state into an expansion once: the evaluator's
-value plus the checked, tempered, prior-sorted actions and priors. A flush
-evaluates each distinct state once, and in tree mode every later node of an
-expanded state reuses the first one's expansion, sharing its actions and
-priors lists; so the evaluator must be a pure function of the state, and code
-that changes a node's priors rebinds node.p instead of writing into it.
+_expand is the one place that calls the evaluator, for the root and for
+every flushed leaf alike, and an engine turns each distinct state into an
+expansion once there: the evaluator's value plus the checked, tempered,
+prior-sorted actions and priors. In graph mode the store holds one node per
+state; in tree mode every later node of an expanded state, a second leaf of
+the same flush among them, reuses the first one's expansion, sharing its
+actions and priors lists. So the evaluator must be a pure function of the
+state, and code that changes a node's priors rebinds node.p instead of
+writing into it.
 
 Module state: _U_SCALES holds one exploration-scale table per
 (c_puct_base, c_puct_init), shared by every engine with those two floats.
@@ -44,7 +48,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 from math import inf, isfinite, log, sqrt
 
-from .evaluators import EvalQueue, apply_node_temperature
+from .evaluators import apply_node_temperature
 from .graph import NEG_INF, GraphStore, Node, StoreFullError, update_node_value
 from .solver import (
     STATUS_VALUE,
@@ -249,6 +253,32 @@ class SearchResult:
         return asdict(self)
 
 
+class EvalQueue:
+    """The (pairs, leaf) descents that wait for the evaluator, in FIFO order.
+
+    The caller decides when a batch is full (mini_batch_size); flush() hands
+    the waiting descents back in submission order and empties the queue. The
+    queue keeps no count: the search counts what each flush returns.
+    """
+
+    def __init__(self, mini_batch_size: int) -> None:
+        if mini_batch_size < 1:
+            raise ValueError("mini_batch_size must be >= 1")
+        self.mini_batch_size = mini_batch_size
+        self._pending: list[tuple[list, Node]] = []
+
+    def __len__(self) -> int:
+        return len(self._pending)
+
+    def submit(self, descent: tuple[list, Node]) -> None:
+        self._pending.append(descent)
+
+    def flush(self) -> list[tuple[list, Node]]:
+        batch = self._pending
+        self._pending = []
+        return batch
+
+
 class SearchEngine:
     """Persistent search over one game: the store survives across moves.
 
@@ -320,11 +350,11 @@ class SearchEngine:
         if not root.expanded:
             if is_real(root.status):  # a terminal: stamped at creation, never expanded
                 return self._result(root, t0, "terminal_root")
-            self._expand(root, None)
+            self._expand(root)
             self.stats.evaluations = 1
             self._mix_root_noise(root)
 
-        queue = EvalQueue(self.evaluator, self.config.mini_batch_size)
+        queue = EvalQueue(self.config.mini_batch_size)
         return self._result(root, t0, self._run(root, queue, t0))
 
     # ----- batched simulation loop ------------------------------------------
@@ -343,7 +373,6 @@ class SearchEngine:
         watch_root = cfg.stop_when_solved
         stall_rounds = 0
         stats = self.stats
-        expansions = self._expansions
         # with both exploration features off, _simulate only forwards the call
         simulate = self._simulate if cfg.eps_greedy or cfg.check_enhance else self._descend
 
@@ -377,10 +406,7 @@ class SearchEngine:
                     if terminals_this_round == terminal_cap:
                         break
                 else:
-                    # A state this engine expanded already needs no evaluation.
-                    state = descent[1].state
-                    queue.submit(None if expansions is not None and state in expansions
-                                 else state, descent)
+                    queue.submit(descent)
                     if len(queue) == queue_cap:
                         break
                 sims_left -= 1
@@ -396,20 +422,19 @@ class SearchEngine:
             stats.evaluations += len(flushed)
             if len(flushed) > stats.batch_peak:
                 stats.batch_peak = len(flushed)
-            for descent, evaluation in flushed:
-                self._finish_eval(descent, evaluation)
+            for descent in flushed:
+                self._finish_eval(descent)
             if count_stalls:
                 stall_rounds = 0 if flushed else stall_rounds + 1
 
-    def _finish_eval(self, descent: tuple[list, Node], evaluation) -> None:
-        """Expand a flushed leaf from its evaluation (None for a state this
-        engine expanded already) and back the evaluator's value up its path."""
+    def _finish_eval(self, descent: tuple[list, Node]) -> None:
+        """Expand a flushed leaf and back its evaluator value up its path."""
         pairs, leaf = descent
         for node, i in pairs:  # the leaf no longer waits: lift its virtual loss
             node.evl[i] -= 1
             node.edge_total -= 1
         if not leaf.expanded:
-            self._expand(leaf, evaluation)
+            self._expand(leaf)
         else:
             # A sibling simulation of this batch expanded the leaf already:
             # count the extra visit, keep N(s,a) <= N(child).
@@ -585,20 +610,19 @@ class SearchEngine:
             self.solver.note_link(node, child)
         return child
 
-    def _expand(self, node: Node, evaluation) -> None:
+    def _expand(self, node: Node) -> None:
         """Create the node's edges from its state's expansion; run solver hooks.
 
-        A tree-mode state expanded before reuses that expansion and ignores
-        evaluation. Otherwise the expansion is built from evaluation, the
-        evaluator's output for node.state, which is asked for here when None.
+        A tree-mode state expanded before reuses that expansion. Otherwise the
+        expansion is built from the evaluator's output for node.state: this is
+        the engine's one evaluator call.
         """
         cfg = self.config
         state = node.state
         expansions = self._expansions
         expansion = None if expansions is None else expansions.get(state)
         if expansion is None:
-            if evaluation is None:
-                evaluation = self.evaluator.evaluate(state)
+            evaluation = self.evaluator.evaluate(state)
             actions = self.env.legal_actions(state)
             self._check_evaluation(evaluation, len(actions))
             priors = apply_node_temperature(evaluation.priors, cfg.node_tau)
@@ -640,8 +664,9 @@ class SearchEngine:
         """Mix Dirichlet noise into a newly placed root's live priors.
 
         Runs once per root placement, so repeated searches on one root do not
-        compound the noise. Pruned edges keep prior 0; the live mass is kept.
-        The mix goes into a new list: other nodes may share the old one.
+        compound the noise. Pruned edges keep prior 0; the live mass is kept,
+        and when every gamma draw underflows to 0 the priors stay as they
+        are. The mix goes into a new list: other nodes may share the old one.
         """
         eps = self.config.dirichlet_epsilon
         if eps <= 0.0:
@@ -652,7 +677,9 @@ class SearchEngine:
         rng = self.rng
         alpha = self.config.dirichlet_alpha
         noise = [rng.gammavariate(alpha, 1.0) for _ in keep]
-        total = sum(noise) or 1.0
+        total = sum(noise)
+        if not total:  # every draw underflowed: no direction to mix toward
+            return
         p = list(root.p)
         live = sum(p[i] for i in keep) or 1.0
         for i, g in zip(keep, noise):

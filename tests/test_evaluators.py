@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from mcgs.envs import TTT_LINES, make_env
 from mcgs.evaluators import (
-    EvalQueue,
     HeuristicEvaluator,
     OracleEvaluator,
     UniformEvaluator,
@@ -169,20 +168,6 @@ def test_node_temperature_keeps_order_and_mass(weights, tau):
         for j in range(len(priors)):
             if priors[i] > priors[j]:
                 assert out[i] >= out[j] - 1e-12
-
-
-def test_eval_queue_partial_flush_and_empty_flush(ttt):
-    queue = EvalQueue(UniformEvaluator(ttt), mini_batch_size=16)
-    for i in range(5):
-        assert queue.submit(ttt.initial_state(), token=i) is None
-    results = queue.flush()
-    assert [token for token, _ in results] == [0, 1, 2, 3, 4]
-    assert queue.flush() == []
-
-
-def test_eval_queue_rejects_zero_batch(ttt):
-    with pytest.raises(ValueError):
-        EvalQueue(UniformEvaluator(ttt), mini_batch_size=0)
 
 
 def _reference_score(env, state) -> float:

@@ -150,7 +150,7 @@ def test_first_forcing_prefers_checks_then_falls_back(ttt):
         state = ttt.apply(state, move)
     engine.reset(state)
     node = engine._root
-    engine._expand(node, UniformEvaluator(ttt).evaluate(state))
+    engine._expand(node)
 
     idx = execute_branch(engine, node, FORCING)
     assert ttt.is_forcing(state, node.actions[idx])

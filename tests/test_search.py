@@ -3,6 +3,7 @@
 import dataclasses
 import itertools
 import math
+import random
 import time
 
 import pytest
@@ -204,18 +205,34 @@ def test_bad_evaluator_output_is_rejected_naming_the_evaluator(ttt, evaluation, 
 
 def test_an_already_expanded_leaf_counts_its_own_evaluation_again(ttt):
     # A sibling simulation of the flush expanded the leaf: the second
-    # submission adds the leaf's own evaluator value, and gets no output.
+    # submission adds the leaf's own evaluator value once more.
     engine = SearchEngine(ttt, UniformEvaluator(ttt), SearchConfig())
     engine.reset(ttt.initial_state())
     root = engine._root
-    engine._expand(root, Evaluation(0.0, [1 / 9] * 9))
+    engine._expand(root)
     child = engine._resolve_child(root, 0, ttt.apply(root.state, root.actions[0]))
-    engine._expand(child, Evaluation(0.5, [1 / 8] * 8))
+    engine.evaluator = FixedEvaluator(Evaluation(0.5, [1 / 8] * 8))
+    engine._expand(child)
     root.evl[0] = 1
     root.edge_total = 1
-    engine._finish_eval(([(root, 0)], child), None)
+    engine._finish_eval(([(root, 0)], child))
     assert (child.n, child.v, child.eval_value) == (2, 0.5, 0.5)
     assert (root.en[0], root.evl[0], root.edge_total, root.q[0]) == (1, 0, 1, -0.5)
+
+
+def test_eval_queue_partial_flush_and_empty_flush():
+    queue = search.EvalQueue(mini_batch_size=16)
+    for i in range(5):
+        assert queue.submit(([], i)) is None
+    assert len(queue) == 5
+    assert [leaf for _, leaf in queue.flush()] == [0, 1, 2, 3, 4]
+    assert len(queue) == 0
+    assert queue.flush() == []
+
+
+def test_eval_queue_rejects_zero_batch():
+    with pytest.raises(ValueError):
+        search.EvalQueue(mini_batch_size=0)
 
 
 class _CountingEvaluator:
@@ -286,7 +303,7 @@ def test_a_state_twice_in_one_flush_is_checked_on_its_first_evaluation(
 
     class RecordingQueue(search.EvalQueue):
         def flush(self):
-            flushes.append([state for state, _ in self._pending])
+            flushes.append([leaf.state for _, leaf in self._pending])
             return super().flush()
 
     monkeypatch.setattr(search, "EvalQueue", RecordingQueue)
@@ -298,6 +315,43 @@ def test_a_state_twice_in_one_flush_is_checked_on_its_first_evaluation(
         engine.search()
     assert flushes[-1].count(bad) == 2
     assert evaluator.states.count(bad) == 1
+
+
+@pytest.mark.parametrize("transpositions", [True, False], ids=["graph", "tree"])
+@pytest.mark.parametrize("mini_batch_size", [1, 16])
+def test_every_evaluator_call_happens_inside_expand(transpositions, mini_batch_size):
+    env = make_env("nim:3,4,5")
+    evaluator = make_evaluator("heuristic", env)
+    engine = SearchEngine(env, evaluator, SearchConfig(
+        budget="evaluations", budget_amount=64, mini_batch_size=mini_batch_size,
+        transpositions=transpositions, seed=1))
+    depth = [0]
+    inside = []  # per evaluator call: whether an _expand call was running
+    evaluate = evaluator.evaluate
+    expand = engine._expand
+
+    def watched_evaluate(state):
+        inside.append(depth[0] > 0)
+        return evaluate(state)
+
+    def watched_expand(node):
+        depth[0] += 1
+        try:
+            expand(node)
+        finally:
+            depth[0] -= 1
+
+    evaluator.evaluate = watched_evaluate
+    engine._expand = watched_expand
+    engine.reset(env.initial_state())
+    searches = 0
+    for _ in range(4):  # a kept engine: later searches reuse the store
+        result = engine.search()
+        searches += 1
+        if result.selected_action is None:
+            break
+        engine.advance(result.selected_action)
+    assert searches > 1 and inside and all(inside)
 
 
 def _first_expansion(engine, state):
@@ -325,8 +379,8 @@ def test_pruning_one_node_leaves_the_shared_priors_of_its_state_alone(ttt):
     engine = SearchEngine(ttt, make_evaluator("heuristic", ttt),
                           SearchConfig(transpositions=False, terminal_solver=True))
     first, second = _two_nodes_of_one_state(engine, ttt, [(0, 1, 2), (2, 1, 0)])
-    engine._expand(first, None)
-    engine._expand(second, None)
+    engine._expand(first)
+    engine._expand(second)
     expansion = engine._expansions[first.state]
     assert expansion == _first_expansion(engine, first.state)
     assert second.actions is first.actions and second.p is first.p
@@ -635,11 +689,11 @@ def _check_every_pick(engine):
 
 def test_expansion_orders_edges_by_descending_prior():
     env = make_env("nim:1,1,1")
-    engine = _engine(env, node_tau=1.0)
-    state = env.initial_state()
-    engine.reset(state)
+    evaluator = FixedEvaluator(Evaluation(0.25, [0.1, 0.7, 0.2]))
+    engine = SearchEngine(env, evaluator, SearchConfig(node_tau=1.0))
+    engine.reset(env.initial_state())
     root = engine._root
-    engine._expand(root, Evaluation(0.25, [0.1, 0.7, 0.2]))
+    engine._expand(root)
     assert root.actions == [1, 2, 0]
     assert root.p == [0.7, 0.2, 0.1]
     assert root.q == [-1.0] * 3
@@ -654,7 +708,7 @@ def test_expansion_renormalizes_priors_at_every_node_tau(node_tau):
     evaluator = FixedEvaluator(Evaluation(0.0, [2.0, 2.0]))
     engine = SearchEngine(env, evaluator, SearchConfig(node_tau=node_tau))
     engine.reset(env.initial_state())
-    engine._expand(engine._root, None)
+    engine._expand(engine._root)
     assert engine._root.p == [0.5, 0.5]
 
 
@@ -666,7 +720,7 @@ def test_expansion_links_and_prunes_terminal_children(ttt):
         state = ttt.apply(state, move)
     engine.reset(state)
     root = engine._root
-    engine._expand(root, UniformEvaluator(ttt).evaluate(state))
+    engine._expand(root)
     idx = root.actions.index(2)
     assert root.child[idx] is not None
     assert root.child[idx].status == SolverStatus.LOSS  # the terminal, stamped
@@ -685,7 +739,7 @@ def _early_stop_setup(q_edge, edge_n, child_n, child_v, **overrides):
     state = env.initial_state()
     engine.reset(state)
     root = engine._root
-    engine._expand(root, Evaluation(0.0, [0.5, 0.5]))
+    engine._expand(root)  # uniform: value 0, priors [0.5, 0.5]
     idx = root.actions.index(1)
     child = engine._resolve_child(root, idx, env.apply(state, 1))
     child.n = child_n
@@ -808,6 +862,26 @@ def test_backprop_reanchors_above_a_join(ttt):
     assert mid.v == pytest.approx(-0.2)
     assert root.q[0] == pytest.approx(0.2)
     assert root.en[0] == 5
+
+
+def test_backprop_through_a_pruned_edge_above_a_join_averages_the_join_value_negated(ttt):
+    engine = _engine(ttt)
+    store = GraphStore()
+    root = expanded_node(store, actions=[0])
+    mid = expanded_node(store, actions=[0], ply=1)
+    other = expanded_node(store, actions=[0])
+    store.link(root, 0, mid, was_existing=False)
+    store.link(other, 0, mid, was_existing=True)
+    mid.n, mid.v = 3, -0.1
+    root.n, root.v = 1, 0.0
+    root.q[0] = NEG_INF
+
+    engine._backpropagate([(root, 0), (mid, 0)], 0.5)
+    # mid's value moved to -0.2. The pruned edge has no Q to correct, so
+    # root's average takes qTarget = -mid.v = +0.2 itself as its sample.
+    assert mid.v == pytest.approx(-0.2)
+    assert (root.n, root.v) == (2, pytest.approx(0.1))
+    assert (root.en[0], root.q[0]) == (1, NEG_INF)
 
 
 def test_backprop_correction_saturates_at_the_value_floor(ttt):
@@ -934,7 +1008,7 @@ def test_a_waiting_leaf_carries_one_virtual_loss_until_its_evaluation(ttt):
     pairs, leaf = engine._descend(engine._root)
     assert len(pairs) >= 2
     _assert_counted(engine, before, pairs, en_step=0, evl_step=1)
-    engine._finish_eval((pairs, leaf), engine.evaluator.evaluate(leaf.state))
+    engine._finish_eval((pairs, leaf))
     _assert_counted(engine, before, pairs, en_step=1, evl_step=0)
     check_invariants(engine)
 
@@ -1124,16 +1198,14 @@ class _StopCheckedEverySimulation(SearchEngine):
                 if descent is None:
                     terminals_this_round += 1
                 else:
-                    state = descent[1].state
-                    known = self._expansions is not None and state in self._expansions
-                    queue.submit(None if known else state, descent)
+                    queue.submit(descent)
                     if len(queue) == batch:
                         break
             flushed = queue.flush()
             self.stats.evaluations += len(flushed)
             self.stats.batch_peak = max(self.stats.batch_peak, len(flushed))
-            for descent, evaluation in flushed:
-                self._finish_eval(descent, evaluation)
+            for descent in flushed:
+                self._finish_eval(descent)
             if self.config.budget == "evaluations":
                 stall_rounds = 0 if flushed else stall_rounds + 1
 
@@ -1431,6 +1503,21 @@ def test_dirichlet_noise_leaves_pruned_edges_at_zero(ttt):
     assert root.q[idx] == NEG_INF
     assert root.p[idx] == 0.0
     assert all(p > 0 for j, p in enumerate(root.p) if j != idx)
+    # Uniform priors over five cells: the mix keeps the four live edges' 0.8.
+    assert sum(root.p) == pytest.approx(0.8)
+
+
+def test_root_noise_whose_draws_all_underflow_leaves_the_priors_alone():
+    # At alpha 1e-5 both gamma draws of seed 0 are 0.0: the noise has no
+    # direction, and the priors keep their mass.
+    rng = random.Random(0)
+    assert [rng.gammavariate(1e-5, 1.0) for _ in range(2)] == [0.0, 0.0]
+    env = make_env("leftright:16")
+    engine = _engine(env, dirichlet_epsilon=0.25, dirichlet_alpha=1e-5,
+                     budget_amount=1, seed=0)
+    engine.reset(env.initial_state())
+    engine.search()
+    assert engine._root.p == [0.5, 0.5]
 
 
 def test_search_before_reset_raises(ttt):
