@@ -54,7 +54,7 @@ class Node:
         self.eval_value = 0.0         # the evaluator's value, set at expansion
         self.expanded = False
         self.actions: list[int] = []  # may be shared by the state's other nodes
-        self.p: list[float] = []      # priors, one entry per edge; may be shared
+        self.p: list[float] = []      # priors, one per edge; may be shared: root noise rebinds it
         self.q: list[float] = []      # edge Q (SMA); -inf marks a pruned edge
         self.en: list[int] = []       # edge visit counts
         self.evl: list[int] = []      # edge virtual-loss (in-flight) counts

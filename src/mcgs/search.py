@@ -32,8 +32,8 @@ prior-sorted actions and priors. In graph mode the store holds one node per
 state; in tree mode every later node of an expanded state, a second leaf of
 the same flush among them, reuses the first one's expansion, sharing its
 actions and priors lists. So the evaluator must be a pure function of the
-state, and code that changes a node's priors rebinds node.p instead of
-writing into it.
+state, and the root's Dirichlet noise, the one change to a node's priors
+after expansion, rebinds node.p instead of writing into it.
 
 Module state: _U_SCALES holds one exploration-scale table per
 (c_puct_base, c_puct_init), shared by every engine with those two floats.
@@ -136,6 +136,13 @@ class SearchConfig:
                 raise ValueError(f"{key} must lie in [0, 1]")
         if not -1.0 <= self.q_init <= 1.0:
             raise ValueError("q_init must lie in the value range [-1, 1]")
+        # Keep cpuct(N) * sqrt(N) finite up to N = 2**53, and q_boost's mass
+        # and the Dirichlet noise's gamma draws and total finite (see README).
+        if self.c_puct_base < 1e-290:
+            raise ValueError("c_puct_base must be >= 1e-290")
+        for key in ("c_puct_init", "q_weight", "dirichlet_alpha"):
+            if abs(getattr(self, key)) > 1e300:
+                raise ValueError(f"{key} must not exceed 1e300 in magnitude")
 
     @classmethod
     def from_dict(cls, data: dict, prefix: str = "") -> "SearchConfig":
@@ -664,7 +671,7 @@ class SearchEngine:
         """Mix Dirichlet noise into a newly placed root's live priors.
 
         Runs once per root placement, so repeated searches on one root do not
-        compound the noise. Pruned edges keep prior 0; the live mass is kept,
+        compound the noise. Pruned edges get no noise; the live mass is kept,
         and when every gamma draw underflows to 0 the priors stay as they
         are. The mix goes into a new list: other nodes may share the old one.
         """
@@ -740,7 +747,7 @@ class SearchEngine:
                 pruned = root.q[j] == NEG_INF
                 actions.append({
                     "action": root.actions[j],
-                    "prior": root.p[j],
+                    "prior": 0.0 if pruned else root.p[j],
                     "visits": root.en[j],
                     "q": None if pruned else root.q[j],
                     "pruned": pruned,

@@ -16,9 +16,9 @@ The proof is one ply longer than its child's line. Because the first proven
 mate is not always the shortest one, END_IN_PLY of WIN nodes may refine
 downward as further LOSS children are proven; statuses move monotonically
 from UNKNOWN to solved and never back. The same derivation prunes every edge
-into a LOSS or TB_LOSS child (Q = -inf, prior = 0) so simulations stop
-re-entering refuted lines; it also keeps node.live, so selection skips
-settled edges without a status test.
+into a LOSS or TB_LOSS child, so simulations stop re-entering refuted lines:
+Q = -inf is the one mark, as the solver writes no prior. It also keeps
+node.live, so selection skips settled edges without a status test.
 
 TB_* statuses come from an endgame oracle probe and behave like their real
 counterparts for propagation and pruning, except that search keeps flowing
@@ -157,8 +157,8 @@ class TerminalSolver:
     Terminal nodes arrive stamped by the engine. The engine reports link and
     expansion events; each one feeds `propagate`, whose `_recompute` is the
     only code that reads a node's children: it derives status and
-    END_IN_PLY, prunes edges into loss-like children, keeps the live edge
-    list, and reports a change so the parents are re-derived in turn.
+    END_IN_PLY, prunes edges into loss-like children (Q = -inf), keeps
+    node.live, and reports a change so the parents are re-derived in turn.
     """
 
     def __init__(self, endgame_oracle=None) -> None:
@@ -221,7 +221,7 @@ class TerminalSolver:
             if rank < best_rank or rank == best_rank and eip < best_eip:
                 best_rank, best_eip = rank, eip
             if rank < 2:
-                prune_edge(node, j)
+                node.q[j] = NEG_INF
             if st != SolverStatus.WIN:
                 all_real_wins = False
                 if st in _SELECTABLE:
@@ -254,18 +254,6 @@ class TerminalSolver:
         node.status = new_status
         node.end_in_ply = new_eip
         return True
-
-
-def prune_edge(node, idx: int) -> None:
-    """Block simulation access to a proven-LOSS child: Q = -inf, prior = 0.
-
-    The zeroed prior goes into a new list: other nodes may share the old one.
-    """
-    node.q[idx] = NEG_INF
-    if node.p[idx]:
-        p = list(node.p)
-        p[idx] = 0.0
-        node.p = p
 
 
 def solved_move(node) -> int | None:

@@ -226,6 +226,7 @@ def test_criterion_8_strength_ordering():
         "transpositions": dataclasses.replace(plain, transpositions=True),
         "terminal_solver": dataclasses.replace(plain, terminal_solver=True),
         "eps_greedy": dataclasses.replace(plain, eps_greedy=True),
+        "check_enhance": dataclasses.replace(plain, check_enhance=True),
         "q_boost": dataclasses.replace(plain, q_boost=True),
     }
     rates = {}
@@ -300,5 +301,8 @@ def test_criterion_10_q_boost_algebra():
 
     assert not switches(2.0, 0.5)  # product exactly 1: favorite keeps argmax
     assert switches(2.0, math.nextafter(0.5, 1.0))  # one ulp above: switches
+    # at the q_weight bound the boosted mass stays finite and the rule holds
+    assert switches(1e300, 1.0) and switches(1e300, 1e-299)
+    assert not switches(1e300, 1e-301)
     print("criterion 10: PASS (mass 1 within 1e-9 over 2*10^4 policies, "
           "one-hot switch exactly at q_weight*q_delta > 1)")

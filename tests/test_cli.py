@@ -221,6 +221,21 @@ def test_zero_c_puct_base_exits_1(capsys):
     assert err.startswith("error:") and "c_puct_base" in err
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["--game", "tictactoe", "--c-puct-init=-1e308", "--budget-sims", "300"], "c_puct_init"),
+    (["--game", "tictactoe", "--c-puct-base=5e-324", "--evaluator", "oracle",
+      "--budget-sims", "300"], "c_puct_base"),
+    (["--game", "nim:3,4,5", "--evaluator", "deceptive", "--moves", "5,13,7",
+      "--budget-sims", "32", "--q-weight", "1.79e308"], "q_weight"),
+    (["--game", "tictactoe", "--dirichlet-epsilon", "0.5", "--dirichlet-alpha", "1e308",
+      "--budget-sims", "50"], "dirichlet_alpha"),
+])
+def test_settings_past_their_float_bounds_exit_1_naming_the_key(argv, key, capsys):
+    assert main(["search"] + argv) == 1
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {key} must ") and not captured.out
+
+
 @pytest.mark.parametrize("flag,value", [
     ("--node-tau", "nan"),
     ("--q-weight", "nan"),

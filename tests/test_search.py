@@ -22,7 +22,7 @@ from mcgs.search import (
     cpuct,
     run_search,
 )
-from mcgs.solver import SolverStatus, is_real, prune_edge
+from mcgs.solver import SolverStatus, is_real
 
 from helpers import FixedEvaluator, attach_child, check_invariants, expanded_node, record_solves
 
@@ -175,11 +175,38 @@ def test_config_validation_errors(field, value):
     ("q_epsilon", -0.01, "q_epsilon must be >= 0"),  # would early-stop at a zero gap
     ("dirichlet_alpha", 0.0, "dirichlet_alpha must be > 0"),  # gammavariate's domain
     ("dirichlet_alpha", -0.3, "dirichlet_alpha must be > 0"),
+    # cpuct(N) * sqrt(N) would overflow and leave selection no live edge
+    ("c_puct_init", -1e308, "c_puct_init must not exceed 1e300 in magnitude"),
+    ("c_puct_init", 1e301, "c_puct_init must not exceed 1e300 in magnitude"),
+    ("c_puct_base", 5e-324, "c_puct_base must be >= 1e-290"),
+    # q_boost's mass would overflow into a NaN policy
+    ("q_weight", 1.79e308, "q_weight must not exceed 1e300 in magnitude"),
+    # gammavariate would never return; the noise total would overflow
+    ("dirichlet_alpha", 1e308, "dirichlet_alpha must not exceed 1e300 in magnitude"),
+    ("dirichlet_alpha", 8e307, "dirichlet_alpha must not exceed 1e300 in magnitude"),
 ])
 def test_config_range_errors_name_their_key(field, value, message):
     with pytest.raises(ValueError) as error:
         SearchConfig(**{field: value}).validate()
     assert str(error.value) == message
+
+
+@pytest.mark.parametrize("overrides", [
+    dict(c_puct_init=-1e300),
+    dict(c_puct_init=1e300, c_puct_base=1e-290),
+    dict(c_puct_base=1e-290, q_weight=1e300, tau=1.0),
+    dict(dirichlet_epsilon=0.5, dirichlet_alpha=1e300),
+])
+def test_settings_at_their_bounds_search_with_finite_numbers(ttt, overrides):
+    base, init = overrides.get("c_puct_base", 19652.0), overrides.get("c_puct_init", 2.5)
+    assert math.isfinite(cpuct(2.0 ** 53, base, init) * math.sqrt(2.0 ** 53))
+    result = run_search(ttt, make_evaluator("oracle", ttt), ttt.initial_state(),
+                        SearchConfig(budget_amount=300, seed=2, **overrides))
+    numbers = [result.value] + result.policy + [
+        x for a in result.actions for x in (a["prior"], a["q"]) if x is not None]
+    assert all(math.isfinite(x) for x in numbers)
+    assert sum(a["prior"] for a in result.actions) == pytest.approx(1.0)
+    assert sum(result.policy) == pytest.approx(1.0)
 
 
 # ----- evaluator output ---------------------------------------------------------
@@ -384,9 +411,10 @@ def test_pruning_one_node_leaves_the_shared_priors_of_its_state_alone(ttt):
     expansion = engine._expansions[first.state]
     assert expansion == _first_expansion(engine, first.state)
     assert second.actions is first.actions and second.p is first.p
-    prune_edge(first, 0)
-    assert first.p[0] == 0.0 and first.q[0] == NEG_INF
-    assert second.p is expansion[2] and second.q[0] != NEG_INF
+    loss = attach_child(engine.store, first, 0, status=SolverStatus.LOSS)
+    engine.solver.note_link(first, loss)
+    assert first.q[0] == NEG_INF and 0 not in first.live
+    assert first.p is second.p is expansion[2] and second.q[0] != NEG_INF
     assert expansion == _first_expansion(engine, first.state)
 
 
@@ -408,8 +436,8 @@ def test_root_noise_leaves_the_shared_priors_of_its_state_alone(ttt):
 
 
 def test_a_tree_mode_solver_search_prunes_no_shared_prior():
-    # Each node's priors are its state's expansion with its own pruned
-    # edges zeroed: pruning never reaches another node of the state.
+    # Pruning marks a node's own Q only: with no root noise, every node's
+    # priors are its state's expansion list itself.
     env = make_env("tictactoe")
     engine = SearchEngine(env, make_evaluator("heuristic", env), SearchConfig(
         budget_amount=3_000, transpositions=False, terminal_solver=True, seed=5))
@@ -421,7 +449,7 @@ def test_a_tree_mode_solver_search_prunes_no_shared_prior():
             continue
         expansion = engine._expansions[node.state]
         assert node.actions is expansion[1]
-        assert node.p == [0.0 if q == NEG_INF else p for p, q in zip(expansion[2], node.q)]
+        assert node.p is expansion[2]
         pruned += NEG_INF in node.q
     assert pruned > 0
     for state, expansion in engine._expansions.items():
@@ -1489,7 +1517,7 @@ def test_reset_onto_an_expanded_root_mixes_noise_once(ttt):
     assert root.p == mixed
 
 
-def test_dirichlet_noise_leaves_pruned_edges_at_zero(ttt):
+def test_dirichlet_noise_leaves_pruned_priors_alone(ttt):
     # X threatens 0-1-2: expansion proves the mate, pruning the mating edge
     # before the noise is mixed in.
     state = ttt.initial_state()
@@ -1497,14 +1525,17 @@ def test_dirichlet_noise_leaves_pruned_edges_at_zero(ttt):
         state = ttt.apply(state, move)
     engine = _engine(ttt, budget_amount=50, dirichlet_epsilon=0.25, seed=3)
     engine.reset(state)
-    engine.search()
+    result = engine.search()
     root = engine._root
     idx = root.actions.index(2)
     assert root.q[idx] == NEG_INF
-    assert root.p[idx] == 0.0
+    # Uniform priors over five cells: the pruned edge keeps its 0.2 and gets
+    # no noise, the mix keeps the four live edges' 0.8, and the output
+    # reports the pruned prior as 0.
+    assert root.p[idx] == 0.2
     assert all(p > 0 for j, p in enumerate(root.p) if j != idx)
-    # Uniform priors over five cells: the mix keeps the four live edges' 0.8.
-    assert sum(root.p) == pytest.approx(0.8)
+    assert sum(p for j, p in enumerate(root.p) if j != idx) == pytest.approx(0.8)
+    assert result.actions[idx]["pruned"] and result.actions[idx]["prior"] == 0.0
 
 
 def test_root_noise_whose_draws_all_underflow_leaves_the_priors_alone():

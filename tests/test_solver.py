@@ -46,13 +46,14 @@ def test_one_losing_child_proves_the_parent_won():
     solver = TerminalSolver()
     store = GraphStore()
     parent = expanded_node(store, actions=[0, 1, 2])
+    priors = parent.p
     child = attach_child(store, parent, 1, status=SolverStatus.LOSS, eip=0)
     solver.note_link(parent, child)
     assert parent.status == SolverStatus.WIN
     assert parent.end_in_ply == 1
-    # the refuted line is blocked for simulations
-    assert parent.q[1] == NEG_INF
-    assert parent.p[1] == 0.0
+    # the refuted line is blocked for simulations by its Q alone
+    assert parent.q[1] == NEG_INF and 1 not in parent.live
+    assert parent.p is priors and priors == [1 / 3] * 3
 
 
 def test_note_link_ignores_unknown_children():
@@ -97,13 +98,14 @@ def test_every_child_lost_prunes_everything_and_wins():
     solver = TerminalSolver()
     store = GraphStore()
     parent = expanded_node(store, actions=[0, 1])
+    priors = parent.p
     for idx in range(2):
         child = attach_child(store, parent, idx, status=SolverStatus.LOSS, eip=idx)
         solver.note_link(parent, child)
     assert parent.status == SolverStatus.WIN
     assert parent.end_in_ply == 1
-    assert all(q == NEG_INF for q in parent.q)
-    assert all(p == 0.0 for p in parent.p)
+    assert all(q == NEG_INF for q in parent.q) and not parent.live
+    assert parent.p is priors and priors == [0.5, 0.5]
 
 
 def test_win_proof_refines_toward_the_shortest_mate():
@@ -395,7 +397,7 @@ def test_recompute_matches_the_rule_list():
         for kids in itertools.product(kinds, repeat=k):
             new, live, pruned = _rule_list(kids)
             q = [NEG_INF if j in pruned else 0.5 for j in range(k)]
-            p = [0.0 if j in pruned else 1.0 / k for j in range(k)]
+            p = [1.0 / k] * k  # the solver never writes a prior
             children = []
             for kid in kids:
                 child = None
