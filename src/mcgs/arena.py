@@ -122,12 +122,19 @@ def generate_openings(env, plies: int, count: int, rng: random.Random) -> list[t
     cycled when fewer exist. Games without draws (Nim) use every kept line
     instead. The draw ends after 4 x `count` kept lines or max(200,
     400 x `count`) attempts, or as soon as `count` balanced lines are in
-    hand, since later lines cannot change the answer. It leaves `rng`
-    wherever it stopped.
+    hand or every unfinished line has been drawn, since later lines cannot
+    change the answer. It leaves `rng` wherever it stopped.
 
     A memo asks the env about each position once: its terminal value, its
     legal actions and each child. Each kept line's end position is solved
     as it is drawn, into the env's shared negamax cache.
+
+    The drawn prefixes form a trie. A prefix's entry is [open, parent
+    entry, memo node, entry per action index], where open counts the
+    continuations not yet closed; a whole line (it ends the game or has
+    `plies` moves) has no continuations and is open until first drawn. A
+    prefix closes once each continuation has closed, and the draw has run
+    dry once the empty prefix closes.
     """
     cache = negamax_cache(env)
     memo: dict = {}  # state -> (state, terminal value, legal actions, child per action)
@@ -140,32 +147,49 @@ def generate_openings(env, plies: int, count: int, rng: random.Random) -> list[t
             node = memo[state] = (state, terminal, actions, [None] * len(actions))
         return node
 
-    root = visit(env.initial_state())
-    seen: set[tuple[int, ...]] = set()
+    def enter(parent, node, depth: int) -> list:
+        """A new trie entry for a prefix of `depth` moves that reaches `node`."""
+        if depth == plies or node[1] is not None:
+            return [1, parent, node, None]  # a whole line, open until drawn
+        k = len(node[2])
+        return [k, parent, node, [None] * k]
+
+    trie = enter(None, visit(env.initial_state()), 0)
     openings: list[tuple[int, ...]] = []
     balanced: list[tuple[int, ...]] = []
     attempts = 0
     limit = max(200, count * 400)
-    while len(openings) < count * 4 and attempts < limit:
+    while trie[0] and len(openings) < count * 4 and attempts < limit:
         attempts += 1
-        node = root
+        entry = trie
         line: list[int] = []
         for _ in range(plies):
-            state, terminal, actions, children = node
-            if terminal is not None:
+            node = entry[2]
+            actions = node[2]
+            if not actions:  # the game is over
                 break
             i = rng.randrange(len(actions))
             line.append(actions[i])
-            node = children[i]
-            if node is None:
-                node = children[i] = visit(env.apply(state, actions[i]))
-        state, terminal, _, _ = node
+            sub = entry[3][i]
+            if sub is None:
+                children = node[3]
+                child = children[i]
+                if child is None:
+                    child = children[i] = visit(env.apply(node[0], actions[i]))
+                sub = entry[3][i] = enter(entry, child, len(line))
+            entry = sub
+        if not entry[0]:  # drawn before
+            continue
+        closing = entry  # it closes, and so does each ancestor it leaves nothing open in
+        while closing is not None:
+            closing[0] -= 1
+            if closing[0]:
+                break
+            closing = closing[1]
+        state, terminal, _, _ = entry[2]
         if terminal is not None:
             continue
         key = tuple(line)
-        if key in seen:
-            continue
-        seen.add(key)
         openings.append(key)
         if negamax_solve(env, state, cache).outcome is Outcome.DRAW:
             balanced.append(key)
@@ -173,8 +197,10 @@ def generate_openings(env, plies: int, count: int, rng: random.Random) -> list[t
                 break
     pool = balanced if balanced else openings
     if not pool:
+        found = ("leaves the game unfinished" if not trie[0]
+                 else f"left the game unfinished in {attempts} random draws")
         raise ValueError(f"opening_plies {plies}: no line of {plies} plies from the start of "
-                         f"{env.game_id} left the game unfinished in {attempts} random draws")
+                         f"{env.game_id} {found}")
     return [pool[i % len(pool)] for i in range(count)]
 
 

@@ -1,7 +1,7 @@
-"""Evaluators: map a non-terminal state to a value and priors over legal actions.
+"""Evaluators: map a non-terminal state to a value and priors over its actions.
 
 Values live in [-1, +1] from the perspective of the side to move. Priors are
-aligned with env.legal_actions(state) order and sum to 1. Four families:
+aligned with evaluate's `actions` argument and sum to 1. Four families:
 
 - uniform: value 0, flat priors (the no-information baseline)
 - heuristic: deterministic closed-form score per game, priors from a softmax
@@ -10,8 +10,9 @@ aligned with env.legal_actions(state) order and sum to 1. Four families:
   on escaping misleading evaluations
 - oracle: exact negamax value, priors uniform over the optimal moves
 
-The search calls evaluate() once per distinct state it expands, one state
-at a time; its EvalQueue only holds the leaves that wait for that call.
+The search calls evaluate(state, actions) once per distinct state it expands,
+with the env.legal_actions(state) it asked for, in the env's order, so no
+evaluator asks the env again. Its EvalQueue holds the leaves that wait.
 """
 
 from __future__ import annotations
@@ -63,9 +64,8 @@ class UniformEvaluator:
     def __init__(self, env) -> None:
         self.env = env
 
-    def evaluate(self, state) -> Evaluation:
-        k = len(self.env.legal_actions(state))
-        return Evaluation(0.0, [1.0 / k] * k)
+    def evaluate(self, state, actions) -> Evaluation:
+        return Evaluation(0.0, [1.0 / len(actions)] * len(actions))
 
 
 def _line_weight(own: int, opp: int) -> int:
@@ -128,8 +128,7 @@ class HeuristicEvaluator:
         else:
             raise ValueError(f"no heuristic for game {getattr(env, 'game_id', env)!r}")
 
-    def _tictactoe_look_ahead(self, state) -> tuple[float, list[float]]:
-        cells = self.env.legal_actions(state)
+    def _tictactoe_look_ahead(self, state, cells) -> tuple[float, list[float]]:
         board = state.board
         mover = (state.ply & 1) + 1
         other = 3 - mover
@@ -164,34 +163,31 @@ class HeuristicEvaluator:
         return _scaled_line_weight(w), scores
 
     @staticmethod
-    def _nim_look_ahead(state) -> tuple[float, list[float]]:
+    def _nim_look_ahead(state, actions) -> tuple[float, list[float]]:
         piles = state.piles
         x = 0
         total = 0
         for p in piles:
             x ^= p
             total += p
-        if not total:
-            raise ValueError("evaluate called on a terminal state")
         scores = []
-        for p in piles:
+        for p in piles:  # the env's action order: pile by pile, taking 1..p
             rest = x ^ p
             scores += [1.0 if t == total else (-0.9 if rest ^ (p - t) else 0.9)
                        for t in range(1, p + 1)]
         return (0.9 if x else -0.9), scores
 
-    def _leftright_look_ahead(self, state) -> tuple[float, list[float]]:
-        self.env.legal_actions(state)  # [LEFT, RIGHT]; raises on a terminal
+    def _leftright_look_ahead(self, state, actions) -> tuple[float, list[float]]:
         end = self.env.length - 1
         step = state.pos + 1
         if step == end:
             right = 1.0
         else:
             right = -0.9 if (end - step) & 1 else 0.9
-        return (0.9 if (end - state.pos) & 1 else -0.9), [-1.0, right]
+        return (0.9 if (end - state.pos) & 1 else -0.9), [-1.0, right]  # LEFT, RIGHT
 
-    def evaluate(self, state) -> Evaluation:
-        value, child_scores = self._look_ahead(state)
+    def evaluate(self, state, actions) -> Evaluation:
+        value, child_scores = self._look_ahead(state, actions)
         sign = self.sign
         return Evaluation(sign * value,
                           _softmax([sign * s for s in child_scores], _PRIOR_TEMP))
@@ -206,9 +202,8 @@ class OracleEvaluator:
         self.env = env
         self.cache = negamax_cache(env)
 
-    def evaluate(self, state) -> Evaluation:
+    def evaluate(self, state, actions) -> Evaluation:
         entry = negamax_solve(self.env, state, cache=self.cache)
-        actions = self.env.legal_actions(state)
         optimal = set(entry.optimal_actions)
         share = 1.0 / len(optimal)
         priors = [share if a in optimal else 0.0 for a in actions]

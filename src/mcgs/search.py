@@ -136,10 +136,13 @@ class SearchConfig:
                 raise ValueError(f"{key} must lie in [0, 1]")
         if not -1.0 <= self.q_init <= 1.0:
             raise ValueError("q_init must lie in the value range [-1, 1]")
-        # Keep cpuct(N) * sqrt(N) finite up to N = 2**53, and q_boost's mass
-        # and the Dirichlet noise's gamma draws and total finite (see README).
+        # Keep cpuct(N) * sqrt(N) and the virtual-loss product evl * virtual_loss
+        # finite up to N = evl = 2**53, and q_boost's mass and the Dirichlet
+        # noise's gamma draws and total finite (see README).
         if self.c_puct_base < 1e-290:
             raise ValueError("c_puct_base must be >= 1e-290")
+        if self.virtual_loss > 1e290:
+            raise ValueError("virtual_loss must not exceed 1e290")
         for key in ("c_puct_init", "q_weight", "dirichlet_alpha"):
             if abs(getattr(self, key)) > 1e300:
                 raise ValueError(f"{key} must not exceed 1e300 in magnitude")
@@ -621,16 +624,16 @@ class SearchEngine:
         """Create the node's edges from its state's expansion; run solver hooks.
 
         A tree-mode state expanded before reuses that expansion. Otherwise the
-        expansion is built from the evaluator's output for node.state: this is
-        the engine's one evaluator call.
+        expansion is built from the evaluator's output for node.state and the
+        legal actions asked of the env: this is the engine's one evaluator call.
         """
         cfg = self.config
         state = node.state
         expansions = self._expansions
         expansion = None if expansions is None else expansions.get(state)
         if expansion is None:
-            evaluation = self.evaluator.evaluate(state)
             actions = self.env.legal_actions(state)
+            evaluation = self.evaluator.evaluate(state, actions)
             self._check_evaluation(evaluation, len(actions))
             priors = apply_node_temperature(evaluation.priors, cfg.node_tau)
             order = sorted(range(len(actions)), key=lambda j: -priors[j])

@@ -50,7 +50,7 @@ class FixedEvaluator:
         self.evaluation = evaluation
         self.name = name
 
-    def evaluate(self, state):
+    def evaluate(self, state, actions):
         return self.evaluation
 
 

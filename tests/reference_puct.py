@@ -90,7 +90,7 @@ class TreePUCT:
         root = self.root
         self.simulations = self.evaluations = self.terminal_trajectories = 0
         if not root.expanded:
-            self._expand(root, self.evaluator.evaluate(root.state))
+            self._evaluate(root)
             self.evaluations = self.simulations = 1
         stalls = 0
         while True:
@@ -119,16 +119,9 @@ class TreePUCT:
                     self.terminal_trajectories += 1
                     terms += 1
             for traj in pending:
-                evaluation = self.evaluator.evaluate(traj.leaf.state)
+                value = self._evaluate(traj.leaf)
                 self.evaluations += 1
-                leaf = traj.leaf
-                if not leaf.expanded:
-                    self._expand(leaf, evaluation)
-                else:
-                    n1 = leaf.n + 1
-                    leaf.n = n1
-                    leaf.v += (evaluation.value - leaf.v) / n1
-                self._backprop(traj.pairs, evaluation.value)
+                self._backprop(traj.pairs, value)
                 self.simulations += 1
             if budget == "evaluations":
                 stalls = 0 if pending else stalls + 1
@@ -187,8 +180,20 @@ class TreePUCT:
                 best = j
         return best
 
-    def _expand(self, node: TreeNode, evaluation) -> None:
+    def _evaluate(self, node: TreeNode) -> float:
+        """Evaluate a leaf on its legal actions: expand it the first time,
+        else add a visit of the value (a second leaf of one round)."""
         actions = self.env.legal_actions(node.state)
+        evaluation = self.evaluator.evaluate(node.state, actions)
+        if node.expanded:
+            n1 = node.n + 1
+            node.n = n1
+            node.v += (evaluation.value - node.v) / n1
+        else:
+            self._expand(node, actions, evaluation)
+        return evaluation.value
+
+    def _expand(self, node: TreeNode, actions, evaluation) -> None:
         priors = apply_node_temperature(evaluation.priors, self.node_tau)
         order = sorted(range(len(actions)), key=lambda j: -priors[j])
         node.actions = [actions[j] for j in order]

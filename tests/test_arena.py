@@ -218,6 +218,23 @@ def test_openings_stop_once_enough_balanced_lines_are_drawn(ttt):
     assert rng.draws < 3 * 1_000
 
 
+@pytest.mark.parametrize("game,plies,lines", [
+    ("nim:1,1,1", 4, 0), ("leftright:9", 3, 1), ("tictactoe", 1, 9)])
+def test_openings_stop_once_every_unfinished_line_is_drawn(game, plies, lines):
+    # None of these line spaces holds 200 balanced or 800 unfinished lines,
+    # so only running dry ends the draw before its 80,000 attempts.
+    env = make_env(game)
+    rng = CountingRandom(11)
+    if lines:
+        assert len(set(generate_openings(env, plies, 200, rng))) == lines
+    else:
+        with pytest.raises(ValueError, match=(
+                f"^opening_plies {plies}: no line of {plies} plies from the start of "
+                f"{game} leaves the game unfinished$")):
+            generate_openings(env, plies, 200, rng)
+    assert 0 < rng.draws < 1_000
+
+
 def test_match_config_requires_equal_budgets():
     config = _match_config("nim:1,1")
     config.engine_b.budget_amount = 128
@@ -362,7 +379,7 @@ class _Bomb:
     def __init__(self, env):
         self.env = env
 
-    def evaluate(self, state):
+    def evaluate(self, state, actions):
         raise RuntimeError("evaluator crashed")
 
 

@@ -229,6 +229,8 @@ def test_zero_c_puct_base_exits_1(capsys):
       "--budget-sims", "32", "--q-weight", "1.79e308"], "q_weight"),
     (["--game", "tictactoe", "--dirichlet-epsilon", "0.5", "--dirichlet-alpha", "1e308",
       "--budget-sims", "50"], "dirichlet_alpha"),
+    (["--game", "tictactoe", "--mini-batch", "64", "--virtual-loss", "1e308",
+      "--budget-sims", "3000"], "virtual_loss"),
 ])
 def test_settings_past_their_float_bounds_exit_1_naming_the_key(argv, key, capsys):
     assert main(["search"] + argv) == 1
@@ -377,7 +379,7 @@ def test_match_log_file(tmp_path, capsys):
 class _CrashingEvaluator:
     name = "crash"
 
-    def evaluate(self, state):
+    def evaluate(self, state, actions):
         raise RuntimeError("evaluator crashed")
 
 

@@ -41,7 +41,7 @@ def _assert_same_tree(root, ref_root) -> int:
 
 @settings(max_examples=120, deadline=None, derandomize=True)
 @given(game=st.one_of(st.just("tictactoe"), _nim, _leftright),
-       evaluator=st.sampled_from(["uniform", "heuristic", "deceptive"]),
+       evaluator=st.sampled_from(["uniform", "heuristic", "deceptive", "oracle"]),
        batch=st.sampled_from([1, 2, 5, 16]),
        virtual_loss=st.sampled_from([0.0, 1.0, 3.0]),
        kind=st.sampled_from(["simulations", "evaluations"]),
@@ -73,7 +73,7 @@ def test_plain_engine_equals_reference_tree_puct(game, evaluator, batch, virtual
 
 @settings(max_examples=80, deadline=None, derandomize=True)
 @given(game=st.one_of(st.just("tictactoe"), _nim, _leftright),
-       evaluator=st.sampled_from(["uniform", "heuristic", "deceptive"]),
+       evaluator=st.sampled_from(["uniform", "heuristic", "deceptive", "oracle"]),
        batch=st.sampled_from([1, 2, 5, 16]),
        virtual_loss=st.sampled_from([0.0, 1.0, 3.0]),
        budget=st.integers(1, 150),

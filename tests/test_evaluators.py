@@ -20,9 +20,14 @@ from helpers import reachable_states
 LOOK_AHEAD_GAMES = ("tictactoe", "nim:3,4,5", "nim:2,0,3", "leftright:16")
 
 
+def _evaluate(ev, state):
+    """Evaluate as the engine does: a non-terminal state and its legal actions."""
+    return ev.evaluate(state, ev.env.legal_actions(state))
+
+
 def test_uniform_evaluator_is_flat_and_valueless(ttt):
     ev = UniformEvaluator(ttt)
-    value, priors = ev.evaluate(ttt.initial_state())
+    value, priors = _evaluate(ev, ttt.initial_state())
     assert value == 0.0
     assert priors == [1.0 / 9] * 9
 
@@ -36,7 +41,7 @@ def test_priors_align_with_legal_actions_on_random_positions(ttt):
         state = ttt.initial_state()
         while ttt.terminal_value(state) is None:
             for ev in evaluators:
-                value, priors = ev.evaluate(state)
+                value, priors = _evaluate(ev, state)
                 assert -1.0 <= value <= 1.0
                 assert len(priors) == len(ttt.legal_actions(state))
                 assert sum(priors) == pytest.approx(1.0)
@@ -46,10 +51,10 @@ def test_priors_align_with_legal_actions_on_random_positions(ttt):
 
 def test_heuristic_counts_open_lines(ttt):
     ev = HeuristicEvaluator(ttt)
-    assert ev.evaluate(ttt.initial_state()).value == 0.0
+    assert _evaluate(ev, ttt.initial_state()).value == 0.0
     # After X takes the center, O sees four open opposing lines: -4/12 * 0.9.
     state = ttt.apply(ttt.initial_state(), 4)
-    assert ev.evaluate(state).value == pytest.approx(-0.3)
+    assert _evaluate(ev, state).value == pytest.approx(-0.3)
 
 
 def test_deceptive_is_the_sign_flipped_heuristic(ttt):
@@ -57,10 +62,10 @@ def test_deceptive_is_the_sign_flipped_heuristic(ttt):
     liar = HeuristicEvaluator(ttt, sign=-1.0)
     assert liar.name == "deceptive"
     state = ttt.apply(ttt.initial_state(), 4)
-    assert liar.evaluate(state).value == pytest.approx(0.3)
+    assert _evaluate(liar, state).value == pytest.approx(0.3)
 
-    h = honest.evaluate(ttt.initial_state()).priors
-    d = liar.evaluate(ttt.initial_state()).priors
+    h = _evaluate(honest, ttt.initial_state()).priors
+    d = _evaluate(liar, ttt.initial_state()).priors
     # The honest prior peaks on the center; the flipped one peaks on an edge.
     assert max(range(9), key=h.__getitem__) == 4
     assert max(range(9), key=d.__getitem__) in (1, 3, 5, 7)
@@ -72,33 +77,33 @@ def test_heuristic_prior_spots_an_immediate_win(ttt):
     for move in (0, 4, 1, 5):
         state = ttt.apply(state, move)
     actions = ttt.legal_actions(state)
-    priors = HeuristicEvaluator(ttt).evaluate(state).priors
+    priors = _evaluate(HeuristicEvaluator(ttt), state).priors
     # X completes the top row with 2; the winning child outscores any
     # heuristic value, so the softmax puts its peak there.
     best = actions[max(range(len(priors)), key=priors.__getitem__)]
     assert best == 2
     worst = actions[min(range(len(priors)), key=priors.__getitem__)]
-    deceptive = HeuristicEvaluator(ttt, sign=-1.0).evaluate(state).priors
+    deceptive = _evaluate(HeuristicEvaluator(ttt, sign=-1.0), state).priors
     assert actions[min(range(len(deceptive)), key=deceptive.__getitem__)] == 2
     assert worst != 2
 
 
 def test_nim_heuristic_reads_the_pile_parity():
     env = make_env("nim:3,4,5")
-    assert HeuristicEvaluator(env).evaluate(env.initial_state()).value == 0.9
-    assert HeuristicEvaluator(env, sign=-1.0).evaluate(env.initial_state()).value == -0.9
+    assert _evaluate(HeuristicEvaluator(env), env.initial_state()).value == 0.9
+    assert _evaluate(HeuristicEvaluator(env, sign=-1.0), env.initial_state()).value == -0.9
     balanced = env.apply(env.initial_state(), env.legal_actions(env.initial_state())[1])
     # removing 2 from pile 0: piles (1, 4, 5), xor = 0
     assert balanced.piles == (1, 4, 5)
-    assert HeuristicEvaluator(env).evaluate(balanced).value == -0.9
+    assert _evaluate(HeuristicEvaluator(env), balanced).value == -0.9
 
 
 def test_leftright_heuristic_reads_distance_parity():
     env = make_env("leftright:16")
     ev = HeuristicEvaluator(env)
     start = env.initial_state()
-    assert ev.evaluate(start).value == 0.9
-    assert ev.evaluate(env.apply(start, 1)).value == -0.9
+    assert _evaluate(ev, start).value == 0.9
+    assert _evaluate(ev, env.apply(start, 1)).value == -0.9
 
 
 def test_heuristic_rejects_unknown_games(ttt):
@@ -111,7 +116,7 @@ def test_heuristic_rejects_unknown_games(ttt):
 
 def test_oracle_evaluator_matches_negamax(ttt, ttt_table):
     ev = OracleEvaluator(ttt)
-    value, priors = ev.evaluate(ttt.initial_state())
+    value, priors = _evaluate(ev, ttt.initial_state())
     assert value == 0.0
     entry = ttt_table[ttt.state_key(ttt.initial_state())]
     expected = [1.0 / len(entry.optimal_actions) if a in entry.optimal_actions else 0.0
@@ -122,7 +127,7 @@ def test_oracle_evaluator_matches_negamax(ttt, ttt_table):
     state = ttt.initial_state()
     for move in (0, 4, 1, 5):
         state = ttt.apply(state, move)
-    value, priors = ev.evaluate(state)
+    value, priors = _evaluate(ev, state)
     assert value == 1.0
     actions = ttt.legal_actions(state)
     wins = ttt_table[ttt.state_key(state)].optimal_actions
@@ -213,18 +218,7 @@ def test_heuristic_equals_its_one_ply_definition_bit_for_bit(game):
     for sign in (1.0, -1.0):
         ev = HeuristicEvaluator(env, sign=sign)
         for state in states:
-            value, priors = ev.evaluate(state)
+            value, priors = _evaluate(ev, state)
             ref_value, ref_priors = _reference_evaluation(env, state, sign)
             assert value.hex() == ref_value.hex(), state
             assert [p.hex() for p in priors] == [p.hex() for p in ref_priors], state
-
-
-@pytest.mark.parametrize("game", LOOK_AHEAD_GAMES)
-def test_heuristic_rejects_a_terminal_state(game):
-    env = make_env(game)
-    state = env.initial_state()
-    while env.terminal_value(state) is None:
-        state = env.apply(state, env.legal_actions(state)[-1])
-    for sign in (1.0, -1.0):
-        with pytest.raises(ValueError):
-            HeuristicEvaluator(env, sign=sign).evaluate(state)

@@ -1,5 +1,6 @@
 """Engine internals and end-to-end searches on the desk-scale games."""
 
+import collections
 import dataclasses
 import itertools
 import math
@@ -14,6 +15,7 @@ from mcgs.envs import make_env
 from mcgs import search
 from mcgs.evaluators import Evaluation, UniformEvaluator, apply_node_temperature, make_evaluator
 from mcgs.graph import NEG_INF, GraphStore, StoreFullError
+from mcgs.oracle import negamax_cache
 from mcgs.search import (
     ENHANCEMENTS,
     SearchConfig,
@@ -184,6 +186,9 @@ def test_config_validation_errors(field, value):
     # gammavariate would never return; the noise total would overflow
     ("dirichlet_alpha", 1e308, "dirichlet_alpha must not exceed 1e300 in magnitude"),
     ("dirichlet_alpha", 8e307, "dirichlet_alpha must not exceed 1e300 in magnitude"),
+    # evl * virtual_loss would overflow and leave selection no live edge
+    ("virtual_loss", 1e308, "virtual_loss must not exceed 1e290"),
+    ("virtual_loss", 5e307, "virtual_loss must not exceed 1e290"),
 ])
 def test_config_range_errors_name_their_key(field, value, message):
     with pytest.raises(ValueError) as error:
@@ -196,10 +201,12 @@ def test_config_range_errors_name_their_key(field, value, message):
     dict(c_puct_init=1e300, c_puct_base=1e-290),
     dict(c_puct_base=1e-290, q_weight=1e300, tau=1.0),
     dict(dirichlet_epsilon=0.5, dirichlet_alpha=1e300),
+    dict(mini_batch_size=64, virtual_loss=1e290),
 ])
 def test_settings_at_their_bounds_search_with_finite_numbers(ttt, overrides):
     base, init = overrides.get("c_puct_base", 19652.0), overrides.get("c_puct_init", 2.5)
     assert math.isfinite(cpuct(2.0 ** 53, base, init) * math.sqrt(2.0 ** 53))
+    assert math.isfinite(2.0 ** 53 * overrides.get("virtual_loss", 1.0))
     result = run_search(ttt, make_evaluator("oracle", ttt), ttt.initial_state(),
                         SearchConfig(budget_amount=300, seed=2, **overrides))
     numbers = [result.value] + result.policy + [
@@ -270,9 +277,9 @@ class _CountingEvaluator:
         self.name = inner.name
         self.states = []
 
-    def evaluate(self, state):
+    def evaluate(self, state, actions):
         self.states.append(state)
-        return self.inner.evaluate(state)
+        return self.inner.evaluate(state, actions)
 
 
 def _expanded_states(engine) -> set:
@@ -322,8 +329,8 @@ def test_a_state_twice_in_one_flush_is_checked_on_its_first_evaluation(
     class NanAtCellZero(UniformEvaluator):
         name = "nan-at-0"
 
-        def evaluate(self, state):
-            evaluation = super().evaluate(state)
+        def evaluate(self, state, actions):
+            evaluation = super().evaluate(state, actions)
             return evaluation._replace(value=math.nan) if state == bad else evaluation
 
     flushes = []
@@ -347,6 +354,8 @@ def test_a_state_twice_in_one_flush_is_checked_on_its_first_evaluation(
 @pytest.mark.parametrize("transpositions", [True, False], ids=["graph", "tree"])
 @pytest.mark.parametrize("mini_batch_size", [1, 16])
 def test_every_evaluator_call_happens_inside_expand(transpositions, mini_batch_size):
+    # Each call also gets a non-terminal state and exactly its legal actions:
+    # an evaluator never sees a terminal state.
     env = make_env("nim:3,4,5")
     evaluator = make_evaluator("heuristic", env)
     engine = SearchEngine(env, evaluator, SearchConfig(
@@ -357,9 +366,11 @@ def test_every_evaluator_call_happens_inside_expand(transpositions, mini_batch_s
     evaluate = evaluator.evaluate
     expand = engine._expand
 
-    def watched_evaluate(state):
+    def watched_evaluate(state, actions):
         inside.append(depth[0] > 0)
-        return evaluate(state)
+        assert env.terminal_value(state) is None
+        assert actions == env.legal_actions(state)
+        return evaluate(state, actions)
 
     def watched_expand(node):
         depth[0] += 1
@@ -381,10 +392,32 @@ def test_every_evaluator_call_happens_inside_expand(transpositions, mini_batch_s
     assert searches > 1 and inside and all(inside)
 
 
+@pytest.mark.parametrize("transpositions", [True, False], ids=["graph", "tree"])
+@pytest.mark.parametrize("name", ["uniform", "heuristic", "oracle"])
+def test_an_expansion_asks_the_env_for_legal_actions_once(ttt_table, name, transpositions):
+    # The engine hands the evaluator the actions it asked the env for, so a
+    # search makes one legal_actions call per evaluator call.
+    env = make_env("tictactoe")
+    negamax_cache(env).update(ttt_table)  # the oracle evaluator solves nothing anew
+    evaluator = make_evaluator(name, env)
+    calls = collections.Counter()
+    for obj, attr in ((env, "legal_actions"), (evaluator, "evaluate")):
+        method = getattr(obj, attr)
+
+        def counted(*args, attr=attr, method=method):
+            calls[attr] += 1
+            return method(*args)
+
+        setattr(obj, attr, counted)
+    run_search(env, evaluator, env.initial_state(),
+               SearchConfig(budget_amount=500, transpositions=transpositions, seed=3))
+    assert calls["evaluate"] > 1 and calls["legal_actions"] == calls["evaluate"]
+
+
 def _first_expansion(engine, state):
     """The state's expansion as the engine builds it: value, actions, priors."""
-    evaluation = engine.evaluator.evaluate(state)
     actions = engine.env.legal_actions(state)
+    evaluation = engine.evaluator.evaluate(state, actions)
     priors = apply_node_temperature(evaluation.priors, engine.config.node_tau)
     order = sorted(range(len(actions)), key=lambda j: -priors[j])
     return evaluation.value, [actions[j] for j in order], [priors[j] for j in order]
