@@ -136,6 +136,10 @@ def generate_openings(env, plies: int, count: int, rng: random.Random) -> list[t
     prefix closes once each continuation has closed, and the draw has run
     dry once the empty prefix closes.
     """
+    if count < 1:
+        raise ValueError("opening_count must be >= 1")
+    if plies < 0:
+        raise ValueError("opening_plies must be >= 0")
     cache = negamax_cache(env)
     memo: dict = {}  # state -> (state, terminal value, legal actions, child per action)
 
@@ -274,6 +278,8 @@ def play_match(config: MatchConfig, openings: list[tuple[int, ...]] | None = Non
     if openings is None:
         openings = generate_openings(env, config.opening_plies, config.opening_count,
                                      random.Random(config.seed))
+    elif not openings:
+        raise ValueError("openings must hold at least one opening")
     games: list[GameRecord] = []
     wins = draws = losses = 0
     for g, opening in enumerate(openings):

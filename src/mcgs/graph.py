@@ -15,7 +15,10 @@ dropping pruned edges and edges into children proven WIN, LOSS or DRAW.
 Statistics are simple moving averages on both nodes and edges. Q-values start
 at q_init (a first-play-urgency pessimism, not a sample): the first real
 update replaces the initial value entirely because the SMA divides by the
-post-increment count.
+post-increment count. This module only lays the statistics out. A node's
+expansion counts its first visit; after that the engine's backup
+(SearchEngine._backpropagate) is the only code that writes the visit counts
+and averages of nodes and edges; the solver's pruning only sets a Q to -inf.
 
 With transpositions on, the store keys each node by env.state_key of its
 state, the state itself, so transposed positions share one node. With them
@@ -70,13 +73,6 @@ class Node:
             f"Node(state={self.state}, v={self.v:+.3f}, n={self.n}, "
             f"edges={len(self.actions)}, status={self.status.name})"
         )
-
-
-def update_node_value(node: Node, value: float) -> None:
-    """Moving-average update of the node value: n += 1, v += (value - v) / n."""
-    n1 = node.n + 1
-    node.n = n1
-    node.v += (value - node.v) / n1
 
 
 class GraphStore:

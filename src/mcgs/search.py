@@ -15,8 +15,9 @@ mechanisms reconcile them:
   the value handed further up is re-anchored to that node's negated value
   (qTarget) instead of the raw leaf sample.
 
-A simulation is backed up where it ends. One that ends on a terminal or
-proven node, or in an early stop, is backed up on the spot and never
+A simulation is backed up where it ends, by one _backpropagate call. One
+that ends in an early stop, or settles on a terminal or proven node (which
+counts a visit at its status value), is backed up on the spot and never
 occupies an evaluator slot. One that ends on a new leaf waits in the
 EvalQueue under virtual loss: a round gathers up to mini_batch_size such
 leaves, then its one flush hands them back to be expanded and backpropagated
@@ -45,11 +46,12 @@ from __future__ import annotations
 
 import random
 import time
+from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field, fields
 from math import inf, isfinite, log, sqrt
 
 from .evaluators import apply_node_temperature
-from .graph import NEG_INF, GraphStore, Node, StoreFullError, update_node_value
+from .graph import NEG_INF, GraphStore, Node, StoreFullError
 from .solver import (
     STATUS_VALUE,
     TerminalSolver,
@@ -443,13 +445,11 @@ class SearchEngine:
         for node, i in pairs:  # the leaf no longer waits: lift its virtual loss
             node.evl[i] -= 1
             node.edge_total -= 1
-        if not leaf.expanded:
-            self._expand(leaf)
+        if leaf.expanded:  # a sibling of this flush expanded it: count this visit
+            self._backpropagate(pairs, leaf.eval_value, leaf)
         else:
-            # A sibling simulation of this batch expanded the leaf already:
-            # count the extra visit, keep N(s,a) <= N(child).
-            update_node_value(leaf, leaf.eval_value)
-        self._backpropagate(pairs, leaf.eval_value)
+            self._expand(leaf)  # the leaf's first visit
+            self._backpropagate(pairs, leaf.eval_value)
 
     # ----- simulation ------------------------------------------------------
 
@@ -492,10 +492,7 @@ class SearchEngine:
         q_eps = cfg.q_epsilon
         pairs = []
         i = self._select_index(node) if forced_idx is None else forced_idx
-        while True:
-            if i < 0:
-                # Every edge settled: back up the node's proven value.
-                return self._settle(pairs, node)
+        while i >= 0:  # i < 0: every edge settled, so the solver proved node
             pairs.append((node, i))
             child = node.child[i]
             if child is None:
@@ -506,7 +503,8 @@ class SearchEngine:
             # 7% slower.
             status = child.status
             if 0 < status < 4:
-                return self._settle(pairs, child)
+                node = child
+                break
             if transpositions:
                 edge_n = node.en[i]
                 if child.n > edge_n:
@@ -518,7 +516,8 @@ class SearchEngine:
                             # The edge was pruned as it resolved, onto an
                             # oracle-proven loss: -inf has no correction
                             # sample, so back up the settled value.
-                            return self._settle(pairs, child)
+                            node = child
+                            break
                         value = correction_value(q_edge, v_star, edge_n)
                         self._backpropagate(pairs, -value)
                         self.stats.early_stops += 1
@@ -530,19 +529,10 @@ class SearchEngine:
                 return pairs, child
             node = child
             i = self._select_index(node)
-
-    def _settle(self, pairs: list, node: Node) -> None:
-        """Back up a simulation that ends on a terminal or proven node.
-
-        The endpoint counts as a visit of the reached node too, keeping
-        N(s,a) <= N(child), and adds the status value to the node's average:
-        a terminal's v already equals it and never moves, but a node the
-        solver proved keeps the average of its search and moves toward it.
-        """
-        value = STATUS_VALUE[node.status]
-        update_node_value(node, value)
-        self._backpropagate(pairs, value)
+        # Settled: back up the status value of the node the simulation ended on.
+        self._backpropagate(pairs, STATUS_VALUE[node.status], node)
         self.stats.terminals += 1
+        return None
 
     def _select_index(self, node: Node) -> int:
         """PUCT argmax over the node's live edges, reading Q through virtual loss.
@@ -656,17 +646,26 @@ class SearchEngine:
             solver.probe_expanded(node)
 
     def _check_evaluation(self, evaluation, k: int) -> None:
-        """Reject evaluator output the search cannot use, naming the evaluator."""
-        priors = evaluation.priors
-        value = evaluation.value
-        if len(priors) != k:
-            problem = f"{len(priors)} priors for {k} legal actions"
-        elif not 0.0 < sum(priors) < inf or min(priors) < 0.0:
-            problem = f"priors that are negative, non-finite or of no mass: {priors}"
-        elif not -1.0 <= value <= 1.0:
-            problem = f"value {value} outside [-1, 1]"
-        else:
-            return
+        """Reject evaluator output the search cannot use, naming the evaluator.
+
+        An Evaluation's priors must be a sequence of real numbers (not a
+        mapping, set, iterator or string) and its value a real number.
+        """
+        try:
+            priors = evaluation.priors
+            value = evaluation.value
+            if isinstance(priors, (str, bytes)) or not isinstance(priors, Sequence):
+                problem = f"priors of type {type(priors).__name__}, not a sequence"
+            elif len(priors) != k:
+                problem = f"{len(priors)} priors for {k} legal actions"
+            elif not 0.0 < sum(priors) < inf or min(priors) < 0.0:
+                problem = f"priors that are negative, non-finite or of no mass: {priors}"
+            elif not -1.0 <= value <= 1.0:
+                problem = f"value {value} outside [-1, 1]"
+            else:
+                return
+        except (AttributeError, TypeError):
+            problem = f"{evaluation!r}, not an Evaluation of real numbers"
         name = getattr(self.evaluator, "name", type(self.evaluator).__name__)
         raise ValueError(f"evaluator {name!r} returned {problem}")
 
@@ -698,7 +697,7 @@ class SearchEngine:
 
     # ----- backpropagation ---------------------------------------------------
 
-    def _backpropagate(self, pairs: list, value: float) -> None:
+    def _backpropagate(self, pairs: list, value: float, leaf: Node | None = None) -> None:
         """Algorithm: reverse walk with qTarget re-anchoring at transpositions.
 
         value is from the side to move at the node the last pair's edge
@@ -706,32 +705,34 @@ class SearchEngine:
         Above a node with several parents the pushed value is re-derived from
         that node's own (fresher) statistics. Each pair counts one visit (en
         and edge_total); virtual loss is left to the caller.
+
+        leaf, when given, is that node: its visit is counted first, adding value
+        to its average, which keeps N(s,a) <= N(child). A terminal's v equals
+        its status value and never moves; a solver-proven node's v moves toward
+        it. _expand counts a fresh leaf's first visit; an early stop passes none.
         """
-        qtarget_set = False
-        qtarget = 0.0
+        if leaf is not None:
+            n1 = leaf.n + 1
+            leaf.n = n1
+            leaf.v += (value - leaf.v) / n1
+        qtarget = None  # -v of the node just backed up, when it has several parents
         for node, i in reversed(pairs):
-            if qtarget_set:
-                q_edge = node.q[i]
-                if q_edge != NEG_INF:
-                    value = correction_value(q_edge, qtarget, node.en[i])
-                else:
-                    value = qtarget  # node averages never leave the value range
-            else:
+            q_edge = node.q[i]
+            if qtarget is None:
                 value = -value
+            elif q_edge != NEG_INF:
+                value = correction_value(q_edge, qtarget, node.en[i])
+            else:
+                value = qtarget  # node averages never leave the value range
             n1 = node.en[i] + 1
             node.en[i] = n1
-            q_edge = node.q[i]
             if q_edge != NEG_INF:
                 node.q[i] = q_edge + (value - q_edge) / n1
             node.edge_total += 1
             m1 = node.n + 1
             node.n = m1
             node.v += (value - node.v) / m1
-            if len(node.parents) > 1:
-                qtarget = -node.v
-                qtarget_set = True
-            else:
-                qtarget_set = False
+            qtarget = -node.v if len(node.parents) > 1 else None
 
     # ----- result assembly ---------------------------------------------------
 

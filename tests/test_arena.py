@@ -255,6 +255,25 @@ def test_match_config_validates_counts():
         config.validate()
 
 
+@pytest.mark.parametrize("plies,count,message", [
+    (3, 0, "opening_count must be >= 1"),
+    (3, -3, "opening_count must be >= 1"),
+    (-1, 3, "opening_plies must be >= 0"),
+])
+def test_openings_reject_a_count_or_plies_out_of_range(ttt, plies, count, message):
+    # A count of 0 or -3 once blamed the game ("no line ... left the game
+    # unfinished"), and plies -1 returned three empty openings.
+    with pytest.raises(ValueError) as error:
+        generate_openings(ttt, plies, count, random.Random(0))
+    assert str(error.value) == message
+
+
+def test_a_match_on_no_openings_fails_naming_the_argument():
+    # It once divided by its zero games.
+    with pytest.raises(ValueError, match="^openings must hold at least one opening$"):
+        play_match(_match_config("nim:1,1", budget=16), openings=[])
+
+
 @pytest.mark.parametrize("key,value,message", [
     ("opening_count", 1.5, "opening_count must be int, got 1.5"),
     ("opening_plies", True, "opening_plies must be int, got True"),

@@ -192,8 +192,8 @@ def test_branch_trajectories_never_touch_ancestors(ttt):
     assert idx is not None
     backprop = engine._backpropagate
     backed_up = []
-    engine._backpropagate = lambda pairs, value: (backed_up.append(pairs),
-                                                  backprop(pairs, value))
+    engine._backpropagate = lambda pairs, value, leaf=None: (backed_up.append(pairs),
+                                                             backprop(pairs, value, leaf))
     descent = engine._descend(branch, idx)
     pairs = backed_up[0] if descent is None else descent[0]
     assert pairs[0] == (branch, idx)

@@ -1,7 +1,7 @@
 """Graph store: statistics updates, transposition joins, memory accounting.
 
-Edge updates are driven through the engine's backpropagation, which holds
-the only copy of the edge moving-average update.
+Edge and node updates are driven through the engine's backpropagation, which
+holds the only copy of the moving-average updates after expansion.
 """
 
 import statistics
@@ -17,7 +17,6 @@ from mcgs.graph import (
     GraphStore,
     Node,
     StoreFullError,
-    update_node_value,
 )
 from mcgs.search import SearchConfig, SearchEngine, run_search
 
@@ -83,10 +82,11 @@ def test_edge_sma_equals_the_running_mean(values):
 
 
 def test_node_value_sma():
+    # the node a simulation ends on, counted by the engine's backpropagation
     node = Node()
-    update_node_value(node, 0.8)
+    _ENGINE._backpropagate([], 0.8, node)
     assert (node.n, node.v) == (1, 0.8)
-    update_node_value(node, -0.2)
+    _ENGINE._backpropagate([], -0.2, node)
     assert node.n == 2
     assert node.v == pytest.approx(0.3)
 

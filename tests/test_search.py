@@ -237,6 +237,28 @@ def test_bad_evaluator_output_is_rejected_naming_the_evaluator(ttt, evaluation, 
     assert message in str(err.value)
 
 
+@pytest.mark.parametrize("evaluation,message", [
+    (Evaluation(0.0, dict.fromkeys(range(9), 1 / 9)), "priors of type dict, not a sequence"),
+    (Evaluation(0.0, set(range(1, 10))), "priors of type set, not a sequence"),
+    (Evaluation(0.0, (1 / 9 for _ in range(9))), "priors of type generator, not a sequence"),
+    (Evaluation(0.0, "123456789"), "priors of type str, not a sequence"),
+    (Evaluation(0.0, [None] * 9), "not an Evaluation of real numbers"),
+    (Evaluation("0.5", [1 / 9] * 9), "not an Evaluation of real numbers"),
+    (Evaluation(None, [1 / 9] * 9), "not an Evaluation of real numbers"),
+    (Evaluation(0j, [1 / 9] * 9), "not an Evaluation of real numbers"),
+    ((0.0, [1 / 9] * 9), "not an Evaluation of real numbers"),
+], ids=["dict", "set", "generator", "str", "none-priors", "str-value", "none-value",
+        "complex-value", "plain-tuple"])
+def test_evaluator_output_of_the_wrong_type_is_rejected_naming_the_evaluator(
+        ttt, evaluation, message):
+    # Each of these once searched on, summing a mapping's keys or a set's
+    # elements as priors, or escaped as a TypeError or AttributeError.
+    config = SearchConfig(budget_amount=32)
+    with pytest.raises(ValueError, match="evaluator 'fixed' returned") as err:
+        run_search(ttt, FixedEvaluator(evaluation), ttt.initial_state(), config)
+    assert message in str(err.value)
+
+
 def test_an_already_expanded_leaf_counts_its_own_evaluation_again(ttt):
     # A sibling simulation of the flush expanded the leaf: the second
     # submission adds the leaf's own evaluator value once more.
@@ -814,7 +836,7 @@ def _early_stop_probe(q_edge, edge_n, child_n, child_v, **overrides):
     """Descend the stale edge: (descent, early stops, values handed to backprop)."""
     engine, root, idx = _early_stop_setup(q_edge, edge_n, child_n, child_v, **overrides)
     backups = []
-    engine._backpropagate = lambda pairs, value: backups.append(value)
+    engine._backpropagate = lambda pairs, value, leaf=None: backups.append(value)
     descent = engine._descend(root, forced_idx=idx)
     return descent, engine.stats.early_stops, backups
 
@@ -891,8 +913,8 @@ def test_backprop_lands_an_early_stop_edge_on_the_child_value():
     engine, root, idx = _early_stop_setup(q_edge=0.25, edge_n=1, child_n=6, child_v=-0.5)
     backprop = engine._backpropagate
     backed_up = []
-    engine._backpropagate = lambda pairs, value: (backed_up.append(list(pairs)),
-                                                  backprop(pairs, value))
+    engine._backpropagate = lambda pairs, value, leaf=None: (backed_up.append(list(pairs)),
+                                                             backprop(pairs, value, leaf))
     child = root.child[idx]
     child_v = child.v
     assert engine._descend(root, forced_idx=idx) is None
@@ -973,6 +995,44 @@ def test_backprop_counts_visits_on_pruned_edges_without_unpruning(ttt):
     assert root.q[0] == NEG_INF
 
 
+def test_a_proven_root_counts_each_settled_simulation_at_its_status_value(ttt):
+    # After 0,4,1,5 the side to move wins at once. With stop_when_solved off,
+    # each simulation after the proof settles on the root itself: one root
+    # visit and one terminal, whose sample is the WIN value +1, so the
+    # root's search average moves toward it. A terminal's v never moves.
+    state = ttt.initial_state()
+    for action in (0, 4, 1, 5):
+        state = ttt.apply(state, action)
+    engine = SearchEngine(ttt, UniformEvaluator(ttt), SearchConfig(
+        stop_when_solved=False, seed=1, budget_amount=100))
+    engine.reset(state)
+    engine.search()
+    root = engine._root
+    assert root.status == SolverStatus.WIN
+    assert (root.n, root.v) == (100, pytest.approx(0.67))
+    edges = list(root.en)
+    engine.config.budget_amount = 1
+    for _ in range(3):
+        n, v = root.n, root.v
+        result = engine.search()
+        assert (result.simulations, result.terminal_trajectories) == (1, 1)
+        assert root.n == n + 1
+        assert root.v == v + (1.0 - v) / (n + 1)
+    assert root.en == edges
+
+    # With the solver off, nothing proves the root, and the descents settle
+    # on the terminals themselves.
+    engine = SearchEngine(ttt, UniformEvaluator(ttt), SearchConfig(
+        terminal_solver=False, seed=1, budget_amount=100))
+    engine.reset(state)
+    assert engine.search().terminal_trajectories > 0
+    terminals = [node for node in engine.store.nodes.values()
+                 if ttt.terminal_value(node.state) is not None]
+    assert max(node.n for node in terminals) > 1
+    for node in terminals:
+        assert node.v == ttt.terminal_value(node.state).score
+
+
 # ----- virtual loss -------------------------------------------------------------
 
 
@@ -1003,8 +1063,8 @@ def _record_backups(engine):
     """The list of path pairs that each later _backpropagate call receives."""
     backprop = engine._backpropagate
     seen = []
-    engine._backpropagate = lambda pairs, value: (seen.append(list(pairs)),
-                                                  backprop(pairs, value))
+    engine._backpropagate = lambda pairs, value, leaf=None: (seen.append(list(pairs)),
+                                                             backprop(pairs, value, leaf))
     return seen
 
 
