@@ -9,8 +9,12 @@ it with each count: backpropagation adds a visit, and a leaf that waits for
 the evaluator adds and then lifts one virtual loss on its path.
 
 Each node also keeps live, the ascending indices of the edges selection may
-pick: every edge at expansion, then only the solver's _recompute writes it,
-dropping pruned edges and edges into children proven WIN, LOSS or DRAW.
+pick: every edge at expansion, as one range(k) the store shares among all its
+k-edge nodes, then only the solver's _recompute writes it, rebinding it to a
+tuple that drops pruned edges and edges into children proven WIN, LOSS or
+DRAW. A node's parents, one entry per incoming edge, are a tuple that link
+extends; most nodes have one parent, and a tuple of one is the smallest
+container that holds it.
 
 Statistics are simple moving averages on both nodes and edges. Q-values start
 at q_init (a first-play-urgency pessimism, not a sample): the first real
@@ -25,7 +29,9 @@ state, the state itself, so transposed positions share one node. With them
 off, each node gets the next serial int, and the store is the tree a
 path-keyed search would build. Each node keeps its state, so a descent
 applies a move only to resolve an unknown edge. Cost: one state object per
-node, 128 bytes for a four-pile NimState, 168 for a TicTacToeState.
+node, 128 bytes for a four-pile NimState, 168 for a TicTacToeState; in tree
+mode the engine's expansion hands every expanded node of a state that
+state's first object, so the cost is paid once per state there too.
 
 Memory accounting distinguishes the nodes actually allocated from
 tree_equivalent_node_count, the nodes a pure tree would have allocated for
@@ -45,7 +51,7 @@ class StoreFullError(RuntimeError):
 
 class Node:
     __slots__ = (
-        "state", "v", "n", "eval_value", "expanded",
+        "state", "v", "n", "expanded",
         "actions", "p", "q", "en", "evl", "child", "edge_total", "live",
         "status", "end_in_ply", "parents",
     )
@@ -54,7 +60,6 @@ class Node:
         self.state = state
         self.v = 0.0
         self.n = 0
-        self.eval_value = 0.0         # the evaluator's value, set at expansion
         self.expanded = False
         self.actions: list[int] = []  # may be shared by the state's other nodes
         self.p: list[float] = []      # priors, one per edge; may be shared: root noise rebinds it
@@ -63,10 +68,10 @@ class Node:
         self.evl: list[int] = []      # edge virtual-loss (in-flight) counts
         self.child: list = []         # child Node or None while unresolved
         self.edge_total = 0           # sum(en) + sum(evl), kept by the search
-        self.live = ()                # edges selection may pick, kept by the solver
+        self.live = ()                # edges selection may pick: shared until the solver narrows it
         self.status = SolverStatus.UNKNOWN
         self.end_in_ply = 0
-        self.parents: list["Node"] = []  # one entry per incoming edge
+        self.parents: tuple["Node", ...] = ()  # one entry per incoming edge
 
     def __repr__(self) -> str:
         return (
@@ -89,6 +94,7 @@ class GraphStore:
         self.join_count = 0
         self.edge_count = 0
         self._serial = 0
+        self._live = {}  # k -> the range(k) every k-edge node starts with
 
     def lookup_or_insert(self, key, state=None,
                          over_capacity: bool = False) -> tuple[Node, bool]:
@@ -121,14 +127,14 @@ class GraphStore:
         node.en = [0] * k
         node.evl = [0] * k
         node.child = [None] * k
-        node.live = range(k)
+        node.live = self._live.setdefault(k, range(k))
         node.expanded = True
         self.edge_count += k
 
     def link(self, parent: Node, idx: int, child: Node, was_existing: bool) -> None:
         """Resolve an edge to its child node and record the back-reference."""
         parent.child[idx] = child
-        child.parents.append(parent)
+        child.parents += (parent,)
         if was_existing:
             self.join_count += 1
 

@@ -32,14 +32,17 @@ expansion once there: the evaluator's value plus the checked, tempered,
 prior-sorted actions and priors. In graph mode the store holds one node per
 state; in tree mode every later node of an expanded state, a second leaf of
 the same flush among them, reuses the first one's expansion, sharing its
-actions and priors lists. So the evaluator must be a pure function of the
-state, and the root's Dirichlet noise, the one change to a node's priors
-after expansion, rebinds node.p instead of writing into it.
+state object and its actions and priors lists. So the evaluator must be a
+pure function of the state, and the root's Dirichlet noise, the one change
+to a node's priors after expansion, rebinds node.p instead of writing into
+it.
 
 Module state: _U_SCALES holds one exploration-scale table per
 (c_puct_base, c_puct_init), shared by every engine with those two floats.
 An entry is a pure function of its index, so sharing changes no result; it
 spares the many short-lived engines of a match from rebuilding the table.
+A table grows in steps of 1,024 entries past the largest edge total read,
+so it ends within one step of what it serves.
 """
 
 from __future__ import annotations
@@ -311,9 +314,9 @@ class SearchEngine:
         oracle = make_endgame_oracle(config.endgame_oracle, env)
         self.solver = TerminalSolver(oracle) if config.terminal_solver else None
         self._root: Node | None = None
-        # Tree mode: state -> its expansion (value, actions, priors), made by
-        # the state's first expanded node and reused by every later one. In
-        # graph mode the store already holds one node per state.
+        # Tree mode: state -> its expansion (value, actions, priors, state),
+        # made by the state's first expanded node and reused by every later
+        # one. In graph mode the store already holds one node per state.
         self._expansions: dict | None = None if config.transpositions else {}
         # _u_scale[t] is the PUCT exploration scale at edge total t, shared by
         # every engine with the same _puct constants; it grows from those
@@ -440,16 +443,21 @@ class SearchEngine:
                 stall_rounds = 0 if flushed else stall_rounds + 1
 
     def _finish_eval(self, descent: tuple[list, Node]) -> None:
-        """Expand a flushed leaf and back its evaluator value up its path."""
+        """Expand a flushed leaf and back its evaluator value up its path.
+
+        leaf.v is that value: no descent of the round passed the unexpanded
+        leaf, the solver never writes v, and a sibling's repeat visit adds a
+        sample equal to v, which leaves v as it was.
+        """
         pairs, leaf = descent
         for node, i in pairs:  # the leaf no longer waits: lift its virtual loss
             node.evl[i] -= 1
             node.edge_total -= 1
         if leaf.expanded:  # a sibling of this flush expanded it: count this visit
-            self._backpropagate(pairs, leaf.eval_value, leaf)
+            self._backpropagate(pairs, leaf.v, leaf)
         else:
             self._expand(leaf)  # the leaf's first visit
-            self._backpropagate(pairs, leaf.eval_value)
+            self._backpropagate(pairs, leaf.v)
 
     # ----- simulation ------------------------------------------------------
 
@@ -561,7 +569,7 @@ class SearchEngine:
         except IndexError:
             base, init = self._puct
             table.extend(cpuct(t, base, init) * sqrt(t)
-                         for t in range(len(table), max(total + 1, 2 * len(table), 1024)))
+                         for t in range(len(table), max(total + 1, len(table) + 1024)))
             u_scale = table[total]
         best = -1
         best_score = NEG_INF
@@ -613,9 +621,12 @@ class SearchEngine:
     def _expand(self, node: Node) -> None:
         """Create the node's edges from its state's expansion; run solver hooks.
 
-        A tree-mode state expanded before reuses that expansion. Otherwise the
-        expansion is built from the evaluator's output for node.state and the
-        legal actions asked of the env: this is the engine's one evaluator call.
+        A tree-mode state expanded before reuses that expansion, and the node
+        takes its state object, so equal states are stored once. Otherwise
+        the expansion is built from the evaluator's output for node.state and
+        the legal actions asked of the env: this is the engine's one evaluator
+        call. The node's first visit is counted here at the evaluator's value,
+        which its v holds until _finish_eval backs the value up.
         """
         cfg = self.config
         state = node.state
@@ -628,12 +639,13 @@ class SearchEngine:
             priors = apply_node_temperature(evaluation.priors, cfg.node_tau)
             order = sorted(range(len(actions)), key=lambda j: -priors[j])
             expansion = (evaluation.value, [actions[j] for j in order],
-                         [priors[j] for j in order])
+                         [priors[j] for j in order], state)
             if expansions is not None:
                 expansions[state] = expansion
-        value, actions, priors = expansion
+        value, actions, priors, state = expansion
+        node.state = state
         self.store.attach_edges(node, actions, priors, cfg.q_init)
-        node.eval_value = node.v = value
+        node.v = value
         node.n = 1
         solver = self.solver
         if solver is not None:
@@ -649,7 +661,9 @@ class SearchEngine:
         """Reject evaluator output the search cannot use, naming the evaluator.
 
         An Evaluation's priors must be a sequence of real numbers (not a
-        mapping, set, iterator or string) and its value a real number.
+        mapping, set, iterator or string), and its value and the priors' sum
+        must be int or float: a Decimal fails the search's float arithmetic,
+        and a Fraction would reach its output.
         """
         try:
             priors = evaluation.priors
@@ -658,14 +672,17 @@ class SearchEngine:
                 problem = f"priors of type {type(priors).__name__}, not a sequence"
             elif len(priors) != k:
                 problem = f"{len(priors)} priors for {k} legal actions"
-            elif not 0.0 < sum(priors) < inf or min(priors) < 0.0:
+            elif not (isinstance(value, (int, float))
+                      and isinstance(mass := sum(priors), (int, float))):
+                raise TypeError("a value or prior sum that is not int or float")
+            elif not 0.0 < mass < inf or min(priors) < 0.0:
                 problem = f"priors that are negative, non-finite or of no mass: {priors}"
             elif not -1.0 <= value <= 1.0:
                 problem = f"value {value} outside [-1, 1]"
             else:
                 return
         except (AttributeError, TypeError):
-            problem = f"{evaluation!r}, not an Evaluation of real numbers"
+            problem = f"{evaluation!r}, not an Evaluation of real numbers (int or float)"
         name = getattr(self.evaluator, "name", type(self.evaluator).__name__)
         raise ValueError(f"evaluator {name!r} returned {problem}")
 

@@ -124,7 +124,7 @@ def test_link_counts_joins_and_in_degree():
     store.link(p1, 0, child, was_existing=False)
     store.link(p2, 0, child, was_existing=True)
     assert len(child.parents) == 2
-    assert child.parents == [p1, p2]
+    assert child.parents == (p1, p2)
     assert store.join_count == 1
     report = store.memory_report(7)  # the search's figure: the store keeps none
     assert list(report) == ["node_count", "edge_count", "trajectory_buffer_size",

@@ -6,6 +6,8 @@ import itertools
 import math
 import random
 import time
+from decimal import Decimal
+from fractions import Fraction
 
 import pytest
 from hypothesis import given
@@ -247,12 +249,19 @@ def test_bad_evaluator_output_is_rejected_naming_the_evaluator(ttt, evaluation, 
     (Evaluation(None, [1 / 9] * 9), "not an Evaluation of real numbers"),
     (Evaluation(0j, [1 / 9] * 9), "not an Evaluation of real numbers"),
     ((0.0, [1 / 9] * 9), "not an Evaluation of real numbers"),
+    (Evaluation(Decimal("0.5"), [1 / 9] * 9), "not an Evaluation of real numbers (int or float)"),
+    (Evaluation(0.0, [Decimal(1)] * 9), "not an Evaluation of real numbers (int or float)"),
+    (Evaluation(Fraction(1, 2), [1 / 9] * 9), "not an Evaluation of real numbers (int or float)"),
+    (Evaluation(0.0, [Fraction(1, 9)] * 9), "not an Evaluation of real numbers (int or float)"),
 ], ids=["dict", "set", "generator", "str", "none-priors", "str-value", "none-value",
-        "complex-value", "plain-tuple"])
+        "complex-value", "plain-tuple", "decimal-value", "decimal-priors",
+        "fraction-value", "fraction-priors"])
 def test_evaluator_output_of_the_wrong_type_is_rejected_naming_the_evaluator(
         ttt, evaluation, message):
     # Each of these once searched on, summing a mapping's keys or a set's
-    # elements as priors, or escaped as a TypeError or AttributeError.
+    # elements as priors, or escaped as a TypeError or AttributeError. A
+    # Decimal failed the float arithmetic with a bare TypeError, and a
+    # Fraction value reached the result, which JSON cannot encode.
     config = SearchConfig(budget_amount=32)
     with pytest.raises(ValueError, match="evaluator 'fixed' returned") as err:
         run_search(ttt, FixedEvaluator(evaluation), ttt.initial_state(), config)
@@ -272,7 +281,7 @@ def test_an_already_expanded_leaf_counts_its_own_evaluation_again(ttt):
     root.evl[0] = 1
     root.edge_total = 1
     engine._finish_eval(([(root, 0)], child))
-    assert (child.n, child.v, child.eval_value) == (2, 0.5, 0.5)
+    assert (child.n, child.v) == (2, 0.5)
     assert (root.en[0], root.evl[0], root.edge_total, root.q[0]) == (1, 0, 1, -0.5)
 
 
@@ -437,12 +446,13 @@ def test_an_expansion_asks_the_env_for_legal_actions_once(ttt_table, name, trans
 
 
 def _first_expansion(engine, state):
-    """The state's expansion as the engine builds it: value, actions, priors."""
+    """The state's expansion as the engine builds it: value, actions, priors, state."""
     actions = engine.env.legal_actions(state)
     evaluation = engine.evaluator.evaluate(state, actions)
     priors = apply_node_temperature(evaluation.priors, engine.config.node_tau)
     order = sorted(range(len(actions)), key=lambda j: -priors[j])
-    return evaluation.value, [actions[j] for j in order], [priors[j] for j in order]
+    return (evaluation.value, [actions[j] for j in order], [priors[j] for j in order],
+            state)
 
 
 def _two_nodes_of_one_state(engine, env, lines):
@@ -511,6 +521,27 @@ def test_a_tree_mode_solver_search_prunes_no_shared_prior():
         assert expansion == _first_expansion(engine, state)
 
 
+def test_a_tree_mode_search_shares_what_its_nodes_never_write(ttt):
+    # Equal expanded states are one object, every k-edge node the solver has
+    # not narrowed reads one range(k), and back-references are tuples.
+    engine = SearchEngine(ttt, make_evaluator("heuristic", ttt),
+                          SearchConfig(budget_amount=2_000, **PLAIN))
+    engine.reset(ttt.initial_state())
+    engine.search()
+    states, lives = {}, {}
+    expanded = 0
+    for node in engine.store.nodes.values():
+        assert type(node.parents) is tuple
+        if not node.expanded:
+            continue
+        expanded += 1
+        assert node.state is states.setdefault(node.state, node.state)
+        k = len(node.actions)
+        assert node.live == range(k)
+        assert node.live is lives.setdefault(k, node.live)
+    assert expanded > len(states) and len(lives) > 1
+
+
 # ----- selection --------------------------------------------------------------
 
 
@@ -553,6 +584,22 @@ def test_selection_grows_the_scale_table_past_its_length_in_one_call(ttt, monkey
     scores = _reference_scores(node, cfg)
     assert scores[picked] == max(scores)
     assert len(engine._u_scale) > 5000
+    for t, scale in enumerate(engine._u_scale):
+        assert scale == cpuct(t, cfg.c_puct_base, cfg.c_puct_init) * math.sqrt(t)
+
+
+def test_the_scale_table_stops_within_one_step_of_the_total_it_serves(ttt, monkeypatch):
+    # Raised one selection at a time, the table grows 1,024 entries past
+    # the total it must reach, never to twice its length.
+    monkeypatch.setattr(search, "_U_SCALES", {})
+    engine = _engine(ttt, terminal_solver=False)
+    cfg = engine.config
+    node = expanded_node(engine.store, actions=[0, 1])
+    for total in range(3000):
+        node.en[0] = node.edge_total = total
+        engine._select_index(node)
+        assert total < len(engine._u_scale) <= total + 1 + 1024
+    assert len(engine._u_scale) == 3072
     for t, scale in enumerate(engine._u_scale):
         assert scale == cpuct(t, cfg.c_puct_base, cfg.c_puct_init) * math.sqrt(t)
 
