@@ -3,10 +3,14 @@
 A small fraction of simulations branch off the best-known line at a
 geometrically sampled depth instead of following PUCT from the root. The
 branch point's subtree receives the backup; ancestors above it see nothing
-(their statistics would otherwise be polluted by deliberately off-policy
-play). Two branch flavors exist: epsilon-greedy expansion of the first
-untried action, and forcing-move-first expansion for games that define
-check-like actions.
+at the time (their statistics would otherwise be polluted by deliberately
+off-policy play). The branch node is left with more visits than the edge
+into it, though, so in graph mode a later descent along that edge may take
+the early stop, even when the node has one parent, and its correction
+sample carries the branch's value above the branch point. Tree mode never
+makes that check. Two branch flavors exist: epsilon-greedy expansion of the
+first untried action, and forcing-move-first expansion for games that
+define check-like actions.
 """
 
 from __future__ import annotations

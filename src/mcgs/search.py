@@ -637,7 +637,7 @@ class SearchEngine:
             evaluation = self.evaluator.evaluate(state, actions)
             self._check_evaluation(evaluation, len(actions))
             priors = apply_node_temperature(evaluation.priors, cfg.node_tau)
-            order = sorted(range(len(actions)), key=lambda j: -priors[j])
+            order = sorted(range(len(actions)), key=priors.__getitem__, reverse=True)
             expansion = (evaluation.value, [actions[j] for j in order],
                          [priors[j] for j in order], state)
             if expansions is not None:

@@ -2,6 +2,9 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -175,15 +178,8 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error:")
 
 
-def test_invalid_config_value_exits_1(tmp_path, capsys):
-    path = tmp_path / "bad.cfg"
-    path.write_text("tau = -1\n")
-    assert main(["search", "--config", str(path)]) == 1
-    assert "tau" in capsys.readouterr().err
-
-
 @pytest.mark.parametrize("command, text, argv, named", [
-    ("search", "mini_batch_size = abc\n", [], "mini_batch_size"),
+    ("search", "mini_batch_size = abc\n", [], "error: config key 'mini_batch_size'"),
     ("search", "transpositions = maybe\n", [], "transpositions"),
     ("match", "game = nim:1,1\nopening_count = x\n", [], "opening_count"),
     ("search", "", ["--game", "nim:3,x"], "nim:3,x"),
@@ -197,15 +193,32 @@ def test_invalid_config_value_exits_1(tmp_path, capsys):
     ("match", "game = nim:1,1\nengineA.epsilon_greedy = 2\n", [],
      "error: engineA.epsilon_greedy must lie in [0, 1]"),
     ("search", "budget_amount = 0\n", [], "error: budget_amount must be >= 1"),
+    ("search", "tau = -1\n", [], "error: tau must be >= 0"),
+    ("match", "game = nim:1,1\nengineA.simulations = 3\n", [], "engineA.simulations"),
+    ("match", "game = nim:1,1\nrounds = 3\n", [], "rounds"),
     ("search", "", ["--q-weight", "-10"], "error: q_weight must be >= 0"),
     ("search", "", ["--q-epsilon", "-1"], "error: q_epsilon must be >= 0"),
     ("search", "", ["--dirichlet-epsilon", "0.5", "--dirichlet-alpha", "0"],
      "error: dirichlet_alpha must be > 0"),
     ("match", "game = nim:1,1\nengineA.dirichlet_epsilon = 0.25\nengineA.dirichlet_alpha = 0\n",
      [], "error: engineA.dirichlet_alpha must be > 0"),
+    ("search", "", ["--dirichlet-alpha", "0"], "error: dirichlet_alpha must be > 0"),
+    ("search", "", ["--game", "tictactoe:9"], "error: game id 'tictactoe:9'"),
+    ("search", "", ["--game", "nim:"], "error: game id 'nim:'"),
+    ("search", "", ["--game", "nim:3,-1"], "error: game id 'nim:3,-1'"),
+    ("search", "", ["--endgame-oracle", "table:"], "error: endgame oracle"),
+    ("search", "", ["--game", "tictactoe", "--endgame-oracle", "table:tictactoe:"],
+     "error: endgame oracle"),
+    # nim:1,1,1 always ends within three plies, so every draw of four runs dry.
+    ("match", "game = nim:1,1,1\nopening_plies = 4\n", [],
+     "error: opening_plies 4: no line of 4 plies from the start of nim:1,1,1 "
+     "leaves the game unfinished\n"),
 ], ids=["int_key", "bool_key", "match_key", "game_id", "engine_a_key", "engine_b_key",
         "budgets", "moves", "engine_b_range", "engine_a_probability", "range",
-        "q_weight", "q_epsilon", "dirichlet_alpha", "engine_a_alpha"])
+        "tau_range", "match_engine_unknown_key", "match_unknown_top_key", "q_weight",
+        "q_epsilon", "dirichlet_alpha", "engine_a_alpha", "alpha_alone", "game_id_argument",
+        "game_id_empty", "game_id_negative_pile", "oracle_table_empty",
+        "oracle_table_game_empty", "openings_run_dry"])
 def test_unparsable_setting_exits_1_naming_it(tmp_path, capsys, command, text, argv, named):
     path = tmp_path / "bad.cfg"
     path.write_text(text)
@@ -236,6 +249,17 @@ def test_settings_past_their_float_bounds_exit_1_naming_the_key(argv, key, capsy
     assert main(["search"] + argv) == 1
     captured = capsys.readouterr()
     assert captured.err.startswith(f"error: {key} must ") and not captured.out
+
+
+def test_huge_dirichlet_alpha_exits_1_in_a_fresh_process_within_20_s():
+    # A huge alpha once hung the gamma sampler: the timeout turns a hang into a failure.
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    argv = ["search", "--game", "tictactoe", "--dirichlet-epsilon", "0.5",
+            "--dirichlet-alpha", "1e308", "--budget-sims", "50"]
+    done = subprocess.run([sys.executable, "-m", "mcgs.cli", *argv], capture_output=True,
+                          text=True, timeout=20, env=env)
+    assert done.returncode == 1
+    assert done.stderr.startswith("error: dirichlet_alpha") and "Traceback" not in done.stderr
 
 
 @pytest.mark.parametrize("flag,value", [
@@ -294,6 +318,30 @@ def test_search_moves_shift_the_root(capsys):
     assert payload["ply"] == 2
     assert 0 not in payload["actions"]
     assert 4 not in payload["actions"]
+
+
+@pytest.mark.parametrize("command, text, argv, expected", [
+    ("search", "", ["--tau", "0.005", "--budget-sims", "3000"], {}),
+    ("search", "", ["--game", "nim:3,4,5", "--plain", "--endgame-oracle", "table",
+                    "--budget-sims", "20"], {}),
+    ("search", "", ["--game", "nim:3,4,5", "--endgame-oracle", "table:nim:3,4,5:6"], {}),
+    ("search", "", ["--game", "tictactoe", "--evaluator", "oracle", "--endgame-oracle", "table",
+                    "--budget-sims", "200"], {}),
+    ("search", "", ["--plain", "--game", "tictactoe", "--moves", "4,0,1,7,6,2,3,5,8"],
+     {"stop_reason": "terminal_root", "root_status": "DRAW"}),
+    # Both engines fill their 60-node stores; a forfeit would exit 1.
+    ("match", "game = tictactoe\nopening_plies = 1\nopening_count = 3\n"
+              "engineA.capacity = 60\nengineA.budget_amount = 200\n"
+              "engineB.capacity = 60\nengineB.budget_amount = 200\n", [], {"games": 6}),
+], ids=["tiny_tau", "table_oracle_solver_off", "table_oracle_from_ply_6",
+        "table_oracle_beside_oracle_evaluator", "terminal_root_draw", "full_node_stores"])
+def test_edge_case_runs_exit_0_with_finite_json(tmp_path, capsys, command, text, argv, expected):
+    path = tmp_path / "run.cfg"
+    path.write_text(text)
+    assert main([command, "--config", str(path), *argv]) == 0
+    payload = json.loads(capsys.readouterr().out,
+                         parse_constant=lambda name: pytest.fail(f"{name} in the output"))
+    assert payload.items() >= expected.items()
 
 
 @pytest.mark.parametrize("argv", [
@@ -395,20 +443,6 @@ def test_match_with_a_forfeit_writes_its_record_and_exits_1(tmp_path, monkeypatc
     assert len(log.read_text().splitlines()) == 4
     assert captured.err == ("error: 2 of 2 games forfeited; "
                             "first: RuntimeError: evaluator crashed\n")
-
-
-def test_match_unknown_engine_key_exits_1(tmp_path, capsys):
-    cfg = tmp_path / "match.cfg"
-    write_match_config(cfg, extra="engineA.simulations = 3\n")
-    assert main(["match", "--config", str(cfg)]) == 1
-    assert "engineA.simulations" in capsys.readouterr().err
-
-
-def test_match_unknown_top_key_exits_1(tmp_path, capsys):
-    cfg = tmp_path / "match.cfg"
-    write_match_config(cfg, extra="rounds = 3\n")
-    assert main(["match", "--config", str(cfg)]) == 1
-    assert "rounds" in capsys.readouterr().err
 
 
 def test_match_with_another_games_endgame_oracle_exits_1(tmp_path, capsys):
@@ -541,6 +575,14 @@ def test_solve_limit_overflow_exits_1(capsys):
     captured = capsys.readouterr()
     assert captured.err == "error: oracle node limit 10 exceeded\n"
     assert captured.out == ""
+
+
+def test_solve_limit_of_the_state_count_passes_and_one_less_fails(capsys):
+    # The tictactoe solve holds 5,478 states.
+    assert main(["solve", "--game", "tictactoe", "--limit", "5477"]) == 1
+    assert capsys.readouterr().err == "error: oracle node limit 5477 exceeded\n"
+    assert main(["solve", "--game", "tictactoe", "--limit", "5478"]) == 0
+    assert json.loads(capsys.readouterr().out)["states"] == 5478
 
 
 def test_solve_unknown_game_exits_1(capsys):

@@ -20,19 +20,19 @@ _nim = st.lists(st.integers(1, 5), min_size=1, max_size=3).map(
 _leftright = st.integers(2, 16).map(lambda n: f"leftright:{n}")
 
 
-def _assert_same_tree(root, ref_root) -> int:
+_PUCT_FIELDS = ("n", "v", "actions", "p", "en", "q")
+
+
+def _assert_same_tree(root, ref_root, fields=_PUCT_FIELDS, kids="kids") -> int:
+    """Assert the two trees equal on `fields`, node for node; return the nodes compared."""
     compared = 0
     stack = [(root, ref_root)]
     while stack:
         node, tnode = stack.pop()
         compared += 1
-        assert node.n == tnode.n
-        assert node.v == tnode.v
-        assert node.actions == tnode.actions
-        assert node.p == tnode.p
-        assert node.en == tnode.en
-        assert node.q == tnode.q
-        for child, kid in zip(node.child, tnode.kids):
+        for name in fields:
+            assert getattr(node, name) == getattr(tnode, name), (name, node)
+        for child, kid in zip(node.child, getattr(tnode, kids), strict=True):
             assert (child is None) == (kid is None)
             if child is not None:
                 stack.append((child, kid))
@@ -109,3 +109,46 @@ def test_plain_engine_equals_reference_tree_puct_on_a_kept_tree(game, evaluator,
         state = env.apply(state, action)
         engine.advance(action)
         reference.advance(action)
+
+
+# Matched by state: the statistics, the live edges and the proofs.
+_NODE_FIELDS = ("state", *_PUCT_FIELDS, "live", "status", "end_in_ply")
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(length=st.sampled_from([3, 6, 12, 40]),
+       evaluator=st.sampled_from(["uniform", "heuristic", "deceptive"]),
+       batch=st.sampled_from([1, 5, 16]),
+       virtual_loss=st.sampled_from([1.0, 3.0]),
+       solver=st.booleans(),
+       kind=st.sampled_from(["simulations", "evaluations"]),
+       budget=st.integers(1, 300),
+       seed=st.integers(0, 3),
+       searches=st.integers(1, 3))
+def test_graph_engine_equals_tree_engine_where_nothing_transposes(
+        length, evaluator, batch, virtual_loss, solver, kind, budget, seed, searches):
+    # leftright reaches each state by one path, so the store makes no joins,
+    # and with exploration off the graph corrections never fire.
+    env = make_env(f"leftright:{length}")
+    evaluate = make_evaluator(evaluator, env)
+    engines = [SearchEngine(env, evaluate, SearchConfig(
+        transpositions=transpositions, terminal_solver=solver,
+        eps_greedy=False, check_enhance=False, budget=kind, budget_amount=budget,
+        mini_batch_size=batch, virtual_loss=virtual_loss, seed=seed))
+        for transpositions in (True, False)]
+    for engine in engines:
+        engine.reset(env.initial_state())
+    graph, tree = engines
+    start, tree_start = graph._root, tree._root
+    for _ in range(searches):
+        results = [{k: v for k, v in engine.search().to_dict().items()
+                    if k not in ("wall_ms", "memory")} for engine in engines]
+        assert results[0] == results[1]
+        # the whole kept store, from the first root down
+        compared = _assert_same_tree(start, tree_start, _NODE_FIELDS, "child")
+        assert compared == len(graph.store.nodes)
+        action = results[0]["selected_action"]
+        if action is None:
+            break
+        for engine in engines:
+            engine.advance(action)

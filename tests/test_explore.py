@@ -202,6 +202,36 @@ def test_branch_trajectories_never_touch_ancestors(ttt):
     assert root.en == root_en
 
 
+@pytest.mark.parametrize("transpositions", [True, False], ids=["graph", "tree"])
+def test_a_branch_can_feed_an_early_stop_above_a_one_parent_node(transpositions):
+    # The branch backs up below its branch node only, so that node ends with
+    # more visits than the edge into it. In graph mode the next descent along
+    # that edge takes the early stop although the node has one parent, and
+    # the correction carries the branch's value above the branch point.
+    env = make_env("leftright:6")
+    config = SearchConfig(transpositions=transpositions, terminal_solver=False,
+                          budget_amount=6, mini_batch_size=1)
+    engine = SearchEngine(env, UniformEvaluator(env), config)
+    engine.reset(env.initial_state())
+    engine.search()
+    root = engine._root
+    engine.rng = _FixedRng(0.75)  # branch at depth 1
+    branch = make_plan(engine, root)
+    j = root.child.index(branch)
+    left = engine.rng.pick = branch.actions.index(0)  # LEFT ends the game
+    assert execute_branch(engine, branch, EPS_GREEDY) == left
+    assert engine._descend(branch, left) is None  # backed up at once
+    assert len(branch.parents) == 1 and branch.n == root.en[j] + 1
+
+    early_stops = engine.stats.early_stops
+    descent = engine._descend(root, j)
+    if transpositions:
+        assert descent is None and engine.stats.early_stops == early_stops + 1
+        assert root.q[j] == -branch.v and branch.n == root.en[j]
+    else:  # tree mode never compares the node with its edge
+        assert descent is not None and engine.stats.early_stops == early_stops
+
+
 def test_branch_rates_track_the_configured_epsilons(ttt, monkeypatch):
     calls = {"eps_greedy": 0, "forcing": 0}
     real = explore.execute_branch
