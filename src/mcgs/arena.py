@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from .envs import Outcome, make_env
 from .evaluators import make_evaluator
 from .oracle import negamax_cache, negamax_solve
-from .search import ENHANCEMENTS, SearchConfig, SearchEngine, check_fields
+from .search import ENHANCEMENTS, SearchConfig, SearchEngine, Settings
 
 log = logging.getLogger("mcgs.arena")
 
@@ -24,7 +24,7 @@ WILSON_Z = 1.96  # two-sided 95%
 
 
 @dataclass
-class MatchConfig:
+class MatchConfig(Settings):
     game: str = "nim:3,4,5"
     engine_a: SearchConfig = field(default_factory=SearchConfig)
     engine_b: SearchConfig = field(default_factory=SearchConfig)
@@ -35,7 +35,7 @@ class MatchConfig:
     seed: int = 0
 
     def validate(self) -> None:
-        check_fields(self)
+        self.check_fields()
         self.engine_a.validate()
         self.engine_b.validate()
         if (self.engine_a.budget, self.engine_a.budget_amount) != (

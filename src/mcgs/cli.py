@@ -9,8 +9,12 @@ address the two engines with engineA. / engineB. prefixes:
     engineA.budget_amount = 256
     engineB.transpositions = false
 
-Exit status is 0 on success, 1 on bad settings or input (an error line on
-stderr) and 2 on a malformed command line (argparse's usage error).
+Settings stay text until the from_dict of their config, or _int, parses
+them. Exit status is 0 on success; 1 on bad settings or input, with an
+error line on stderr that names the key or flag of a value that does not
+parse, from a flag or a file alike; 2 on a malformed command shape
+(argparse's usage error: an unknown subcommand, flag or choice, or two
+budget flags).
 """
 
 from __future__ import annotations
@@ -31,7 +35,12 @@ from .search import ENHANCEMENTS, SearchConfig, run_search
 # Historic short names; any other field x_y is --x-y, or --no-x-y for a toggle.
 _FLAG_NAMES = {"epsilon_greedy": "--eps-greedy", "epsilon_checks": "--eps-checks",
                "mini_batch_size": "--mini-batch"}
-_PARSERS = {"float": float, "int": int, "str": str}
+# The budget flags' dests and the budget kind each one selects.
+_BUDGET_FLAGS = {"budget_sims": "simulations", "budget_evals": "evaluations",
+                 "budget_ms": "milliseconds"}
+# A match file's keys outside the engine sections and the MatchConfig field of each.
+_MATCH_KEYS = {"evaluatorA": "evaluator_a", "evaluatorB": "evaluator_b",
+               **{key: key for key in ("game", "opening_plies", "opening_count", "seed")}}
 
 
 def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
@@ -42,19 +51,18 @@ def _add_engine_flags(parser: argparse.ArgumentParser) -> None:
             group.add_argument(f"--no-{flag}", dest=spec.name, action="store_false", default=None)
         elif spec.name not in ("budget", "budget_amount"):  # the budget flags set these
             group.add_argument(_FLAG_NAMES.get(spec.name, f"--{flag}"), dest=spec.name,
-                               type=_PARSERS[spec.type], default=None)
+                               default=None)
     group.add_argument("--no-explore", action="store_true",
                        help="disable both exploration mechanisms")
     group.add_argument("--plain", action="store_true",
                        help="tree-PUCT baseline: all enhancements off")
     budget = group.add_mutually_exclusive_group()
-    budget.add_argument("--budget-sims", type=int, default=None)
-    budget.add_argument("--budget-evals", type=int, default=None)
-    budget.add_argument("--budget-ms", type=int, default=None)
+    for dest in _BUDGET_FLAGS:
+        budget.add_argument("--" + dest.replace("_", "-"), default=None)
 
 
 def _config_from_args(args) -> SearchConfig:
-    # Only the settings given; from_dict fills in the defaults.
+    # Only the settings given, as text; from_dict parses them and fills in the defaults.
     data = _read_kv(args.config) if getattr(args, "config", None) else {}
     for spec in fields(SearchConfig):
         value = getattr(args, spec.name, None)  # a budget field is never a dest
@@ -65,12 +73,9 @@ def _config_from_args(args) -> SearchConfig:
         data["check_enhance"] = False
     if args.plain:
         data.update(dict.fromkeys(ENHANCEMENTS, False))
-    if args.budget_sims is not None:
-        data["budget"], data["budget_amount"] = "simulations", args.budget_sims
-    elif args.budget_evals is not None:
-        data["budget"], data["budget_amount"] = "evaluations", args.budget_evals
-    elif args.budget_ms is not None:
-        data["budget"], data["budget_amount"] = "milliseconds", args.budget_ms
+    for dest, kind in _BUDGET_FLAGS.items():  # argparse lets one at most through
+        if getattr(args, dest) is not None:
+            data["budget"], data["budget_amount"] = kind, getattr(args, dest)
     return SearchConfig.from_dict(data)
 
 
@@ -95,44 +100,29 @@ def _read_kv(path: str) -> dict:
 
 
 def _parse_match_file(path: str) -> MatchConfig:
+    """Route each key of the file to the from_dict that parses it."""
     engines: dict[str, dict] = {"engineA.": {}, "engineB.": {}}
-    top = {}
+    data = {}
     for key, value in _read_kv(path).items():
         if key[8:] == "seed" and key[:8] in engines:
             raise ValueError(f"match config key {key!r}: engine seeds come from the match seed")
         if key[:8] in engines:
             engines[key[:8]][key[8:]] = value
-        else:
-            top[key] = value
-    config = MatchConfig(engine_a=SearchConfig.from_dict(engines["engineA."], "engineA."),
-                         engine_b=SearchConfig.from_dict(engines["engineB."], "engineB."))
-    for key, value in top.items():
-        if key == "game":
-            config.game = value
-        elif key == "evaluatorA":
-            config.evaluator_a = value
-        elif key == "evaluatorB":
-            config.evaluator_b = value
-        elif key in ("opening_plies", "opening_count", "seed"):
-            try:
-                setattr(config, key, int(value))
-            except ValueError as exc:
-                raise ValueError(f"match config key {key!r}: {exc}") from None
+        elif key in _MATCH_KEYS:
+            data[_MATCH_KEYS[key]] = value
         else:
             raise ValueError(f"unknown match config key {key!r}")
-    config.validate()
-    return config
+    data["engine_a"] = SearchConfig.from_dict(engines["engineA."], "engineA.")
+    data["engine_b"] = SearchConfig.from_dict(engines["engineB."], "engineB.")
+    return MatchConfig.from_dict(data)
 
 
-def _int_list(flag: str, text: str) -> list[int]:
-    """The integers of a comma-separated flag value; a bad token names both."""
-    values = []
-    for token in text.split(","):
-        try:
-            values.append(int(token))
-        except ValueError:
-            raise ValueError(f"{flag}: {token!r} is not an integer") from None
-    return values
+def _int(flag: str, text: str) -> int:
+    """The integer of a flag's text; a bad one is an error naming the flag and the text."""
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"{flag}: {text!r} is not an integer") from None
 
 
 def _write(text: str, out: str | None) -> None:
@@ -153,7 +143,7 @@ def _cmd_search(args) -> int:
     config = _config_from_args(args)
     state = env.initial_state()
     if args.moves:
-        for action in _int_list("--moves", args.moves):
+        for action in [_int("--moves", token) for token in args.moves.split(",")]:
             if env.terminal_value(state) is not None:
                 raise ValueError(f"move {action}: the game is already over")
             state = env.apply(state, action)
@@ -183,10 +173,10 @@ def _cmd_match(args) -> int:
 
 def _cmd_scaling(args) -> int:
     config = _config_from_args(args)
-    budgets = _int_list("--budgets", args.budgets)
+    budgets = [_int("--budgets", token) for token in args.budgets.split(",")]
     rows = scaling_report(args.game, config, budgets,
-                          opening_count=args.openings,
-                          opening_plies=args.plies,
+                          opening_count=_int("--openings", args.openings),
+                          opening_plies=_int("--plies", args.plies),
                           evaluator=args.evaluator, seed=config.seed)
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(rows[0].keys()))
@@ -198,7 +188,8 @@ def _cmd_scaling(args) -> int:
 
 def _cmd_solve(args) -> int:
     env = make_env(args.game)
-    table = solved_table(env, node_limit=args.limit)
+    limit = None if args.limit is None else _int("--limit", args.limit)
+    table = solved_table(env, node_limit=limit)
     entries = [
         {
             **{field: list(value) if isinstance(value, tuple) else value
@@ -244,8 +235,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_scaling.add_argument("--game", default="tictactoe")
     p_scaling.add_argument("--budgets", default="32,64,128",
                            help="ascending comma-separated budget amounts")
-    p_scaling.add_argument("--openings", type=int, default=10)
-    p_scaling.add_argument("--plies", type=int, default=2)
+    p_scaling.add_argument("--openings", default="10")
+    p_scaling.add_argument("--plies", default="2")
     p_scaling.add_argument("--evaluator", default="heuristic")
     p_scaling.add_argument("--config", default=None)
     p_scaling.add_argument("--out", default=None)
@@ -254,7 +245,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_solve = sub.add_parser("solve", help="dump the brute-force solution table")
     p_solve.add_argument("--game", default="tictactoe")
-    p_solve.add_argument("--limit", type=int, default=None,
+    p_solve.add_argument("--limit", default=None,
                          help="abort if the state count exceeds this")
     p_solve.add_argument("--pretty", action="store_true")
     p_solve.add_argument("--out", default=None)

@@ -37,7 +37,9 @@ def apply_node_temperature(priors: list[float], node_tau: float) -> list[float]:
     """Flatten priors by raising them to 1/node_tau and renormalizing.
 
     node_tau > 1 flattens the distribution, < 1 sharpens it, and 1 only
-    renormalizes it. Raises ValueError for node_tau <= 0.
+    renormalizes it. When every tempered prior underflows to 0 (a node_tau
+    near 0), the mass is split evenly over the largest priors, the limit as
+    node_tau falls to 0. Raises ValueError for node_tau <= 0.
     """
     if node_tau <= 0:
         raise ValueError(f"node_tau must be positive, got {node_tau}")
@@ -45,7 +47,9 @@ def apply_node_temperature(priors: list[float], node_tau: float) -> list[float]:
     flattened = [p ** inv for p in priors]
     total = sum(flattened)
     if total <= 0.0:
-        return [1.0 / len(priors)] * len(priors)
+        top = max(priors)
+        share = 1.0 / priors.count(top)
+        return [share if p == top else 0.0 for p in priors]
     return [p / total for p in flattened]
 
 

@@ -30,8 +30,8 @@ off, each node gets the next serial int, and the store is the tree a
 path-keyed search would build. Each node keeps its state, so a descent
 applies a move only to resolve an unknown edge. Cost: one state object per
 node, 128 bytes for a four-pile NimState, 168 for a TicTacToeState; in tree
-mode the engine's expansion hands every expanded node of a state that
-state's first object, so the cost is paid once per state there too.
+mode the engine hands every node of a state that state's first object, so
+the cost is paid once per state there too.
 
 Memory accounting distinguishes the nodes actually allocated from
 tree_equivalent_node_count, the nodes a pure tree would have allocated for

@@ -30,12 +30,12 @@ _expand is the one place that calls the evaluator, for the root and for
 every flushed leaf alike, and an engine turns each distinct state into an
 expansion once there: the evaluator's value plus the checked, tempered,
 prior-sorted actions and priors. In graph mode the store holds one node per
-state; in tree mode every later node of an expanded state, a second leaf of
-the same flush among them, reuses the first one's expansion, sharing its
-state object and its actions and priors lists. So the evaluator must be a
-pure function of the state, and the root's Dirichlet noise, the one change
-to a node's priors after expansion, rebinds node.p instead of writing into
-it.
+state; in tree mode every node of a state holds the state's first object,
+and every later node of an expanded state, a second leaf of the same flush
+among them, reuses the first one's expansion, sharing its actions and
+priors lists. So the evaluator must be a pure function of the state, and
+the root's Dirichlet noise, the one change to a node's priors after
+expansion, rebinds node.p instead of writing into it.
 
 Module state: _U_SCALES holds one exploration-scale table per
 (c_puct_base, c_puct_init), shared by every engine with those two floats.
@@ -80,8 +80,44 @@ STALL_ROUNDS = 16
 _U_SCALES: dict[tuple[float, float], list[float]] = {}
 
 
+class Settings:
+    """Base of the settings dataclasses: one parser of flag and file text, one type check."""
+
+    @classmethod
+    def from_dict(cls, data: dict, prefix: str = ""):
+        """Build and validate the settings; every error carries prefix before its key."""
+        known = {f.name: f for f in fields(cls)}
+        kwargs = {}
+        for key, value in data.items():
+            spec = known.get(key)
+            if spec is None:
+                raise ValueError(f"unknown config key {prefix + key!r}")
+            try:
+                kwargs[key] = _coerce(value, spec.type)
+            except ValueError as exc:
+                raise ValueError(f"config key {prefix + key!r}: {exc}") from None
+        settings = cls(**kwargs)
+        try:
+            settings.validate()
+        except ValueError as exc:
+            raise ValueError(prefix + str(exc)) from None
+        return settings
+
+    def check_fields(self) -> None:
+        """Check each bool, int, float or str field against its annotation, and
+        each float field for finiteness; a ValueError names the key. A bool is
+        neither an int nor a float here, though Python makes it both."""
+        for spec in fields(self):
+            value = getattr(self, spec.name)
+            kind = _FIELD_TYPES.get(spec.type)
+            if kind and (not isinstance(value, kind) or isinstance(value, bool) != (kind is bool)):
+                raise ValueError(f"{spec.name} must be {spec.type}, got {value!r}")
+            if spec.type == "float" and not isfinite(value):
+                raise ValueError(f"{spec.name} must be finite, got {value}")
+
+
 @dataclass
-class SearchConfig:
+class SearchConfig(Settings):
     """Engine settings. Numeric defaults follow the reference configuration.
 
     Note the near-namesakes: eps_greedy / check_enhance are feature toggles,
@@ -124,7 +160,7 @@ class SearchConfig:
     endgame_oracle: str = "none"
 
     def validate(self) -> None:
-        check_fields(self)
+        self.check_fields()
         if self.budget not in BUDGET_KINDS:
             raise ValueError(f"budget must be one of {BUDGET_KINDS}, got {self.budget!r}")
         for key in ("budget_amount", "mini_batch_size", "capacity"):
@@ -152,59 +188,23 @@ class SearchConfig:
             if abs(getattr(self, key)) > 1e300:
                 raise ValueError(f"{key} must not exceed 1e300 in magnitude")
 
-    @classmethod
-    def from_dict(cls, data: dict, prefix: str = "") -> "SearchConfig":
-        """Build and validate a config; every error carries prefix before its key."""
-        known = {f.name: f for f in fields(cls)}
-        kwargs = {}
-        for key, value in data.items():
-            spec = known.get(key)
-            if spec is None:
-                raise ValueError(f"unknown config key {prefix + key!r}")
-            try:
-                kwargs[key] = _coerce(value, spec.type)
-            except ValueError as exc:
-                raise ValueError(f"config key {prefix + key!r}: {exc}") from None
-        cfg = cls(**kwargs)
-        try:
-            cfg.validate()
-        except ValueError as exc:
-            raise ValueError(prefix + str(exc)) from None
-        return cfg
-
 
 _FIELD_TYPES = {"bool": bool, "int": int, "float": (int, float), "str": str}
-
-
-def check_fields(config) -> None:
-    """Check each bool, int, float or str field of a dataclass against its
-    annotation, and each float field for finiteness; a ValueError names the
-    key. A bool is neither an int nor a float here, though Python makes it both."""
-    for spec in fields(config):
-        value = getattr(config, spec.name)
-        kind = _FIELD_TYPES.get(spec.type)
-        if kind and (not isinstance(value, kind) or isinstance(value, bool) != (kind is bool)):
-            raise ValueError(f"{spec.name} must be {spec.type}, got {value!r}")
-        if spec.type == "float" and not isfinite(value):
-            raise ValueError(f"{spec.name} must be finite, got {value}")
+_BOOL_WORDS = {**dict.fromkeys(("1", "true", "yes", "on"), True),
+               **dict.fromkeys(("0", "false", "no", "off"), False)}
+_PARSE = {"int": int, "float": float, "str": str}
 
 
 def _coerce(value, typename):
+    """A text value parsed as its field's annotation names; any other value as it is."""
     if not isinstance(value, str):
         return value
     text = value.strip()
-    if typename == "bool":
-        lowered = text.lower()
-        if lowered in ("1", "true", "yes", "on"):
-            return True
-        if lowered in ("0", "false", "no", "off"):
-            return False
-        raise ValueError(f"cannot parse bool from {value!r}")
-    if typename == "int":
-        return int(text)
-    if typename == "float":
-        return float(text)
-    return text
+    if typename == "bool" and text.lower() in _BOOL_WORDS:
+        return _BOOL_WORDS[text.lower()]
+    if typename in _PARSE:
+        return _PARSE[typename](text)
+    raise ValueError(f"cannot parse {typename} from {value!r}")
 
 
 def cpuct(total_visits: float, c_base: float = 19652.0, c_init: float = 2.5) -> float:
@@ -314,9 +314,10 @@ class SearchEngine:
         oracle = make_endgame_oracle(config.endgame_oracle, env)
         self.solver = TerminalSolver(oracle) if config.terminal_solver else None
         self._root: Node | None = None
-        # Tree mode: state -> its expansion (value, actions, priors, state),
-        # made by the state's first expanded node and reused by every later
-        # one. In graph mode the store already holds one node per state.
+        # Tree mode: state -> its first object, held by every node of the state,
+        # and state -> its expansion (value, actions, priors), made by its first
+        # expanded node. In graph mode the store holds one node per state.
+        self._states: dict | None = None if config.transpositions else {}
         self._expansions: dict | None = None if config.transpositions else {}
         # _u_scale[t] is the PUCT exploration scale at edge total t, shared by
         # every engine with the same _puct constants; it grows from those
@@ -598,8 +599,11 @@ class SearchEngine:
         A terminal's status is its outcome, solver or not: it is the base
         case of every proof, and the only status a node gets without one.
         A root is placed even in a full store, one node past capacity per
-        placement; the search that follows stops with store_full.
+        placement; the search that follows stops with store_full. A new
+        tree-mode node holds its state's first object.
         """
+        if self._states is not None:
+            state = self._states.setdefault(state, state)
         node, existed = self.store.lookup_or_insert(self.env.state_key(state), state, root)
         if not existed:
             outcome = self.env.terminal_value(state)
@@ -621,8 +625,7 @@ class SearchEngine:
     def _expand(self, node: Node) -> None:
         """Create the node's edges from its state's expansion; run solver hooks.
 
-        A tree-mode state expanded before reuses that expansion, and the node
-        takes its state object, so equal states are stored once. Otherwise
+        A tree-mode state expanded before reuses that expansion. Otherwise
         the expansion is built from the evaluator's output for node.state and
         the legal actions asked of the env: this is the engine's one evaluator
         call. The node's first visit is counted here at the evaluator's value,
@@ -639,11 +642,10 @@ class SearchEngine:
             priors = apply_node_temperature(evaluation.priors, cfg.node_tau)
             order = sorted(range(len(actions)), key=priors.__getitem__, reverse=True)
             expansion = (evaluation.value, [actions[j] for j in order],
-                         [priors[j] for j in order], state)
+                         [priors[j] for j in order])
             if expansions is not None:
                 expansions[state] = expansion
-        value, actions, priors, state = expansion
-        node.state = state
+        value, actions, priors = expansion
         self.store.attach_edges(node, actions, priors, cfg.q_init)
         node.v = value
         node.n = 1

@@ -289,6 +289,22 @@ def test_match_config_type_errors_name_their_key(key, value, message):
     assert str(error.value) == message
 
 
+def test_match_config_from_dict_parses_text_as_search_config_does():
+    engine = SearchConfig(budget_amount=16)
+    config = MatchConfig.from_dict({"game": "nim:1,1", "opening_count": " 3", "seed": "7",
+                                    "engine_a": engine, "engine_b": engine})
+    assert (config.opening_count, config.seed, config.engine_a) == (3, 7, engine)
+    for data, message in [
+        ({"opening_plies": "x"}, "config key 'opening_plies': invalid literal for int()"),
+        ({"engine_a": "x"}, "config key 'engine_a': cannot parse SearchConfig from 'x'"),
+        ({"rounds": "3"}, "unknown config key 'rounds'"),
+        ({"opening_count": "0"}, "opening_count must be >= 1"),
+    ]:
+        with pytest.raises(ValueError) as error:
+            MatchConfig.from_dict(data)
+        assert str(error.value).startswith(message)
+
+
 def test_play_game_scores_the_forced_miniature():
     env = make_env("nim:1,1")
     config = _match_config("nim:1,1", budget=16)

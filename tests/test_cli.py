@@ -213,18 +213,32 @@ def test_missing_config_file_exits_1(tmp_path, capsys):
     ("match", "game = nim:1,1,1\nopening_plies = 4\n", [],
      "error: opening_plies 4: no line of 4 plies from the start of nim:1,1,1 "
      "leaves the game unfinished\n"),
+    # A flag's value takes the config file's path, so it fails the same way.
+    ("search", "", ["--tau", "abc"],
+     "error: config key 'tau': could not convert string to float: 'abc'\n"),
+    ("search", "", ["--mini-batch", "1.5"], "error: config key 'mini_batch_size': "),
+    ("search", "", ["--seed", "1e3"], "error: config key 'seed': "),
+    ("search", "", ["--budget-sims", "x"], "error: config key 'budget_amount': "),
+    ("search", "", ["--budget-ms", "x"], "error: config key 'budget_amount': "),
+    ("scaling", "", ["--openings", "x"], "error: --openings: 'x' is not an integer\n"),
+    ("scaling", "", ["--plies", "x"], "error: --plies: 'x' is not an integer\n"),
+    ("solve", None, ["--limit", "x"], "error: --limit: 'x' is not an integer\n"),
 ], ids=["int_key", "bool_key", "match_key", "game_id", "engine_a_key", "engine_b_key",
         "budgets", "moves", "engine_b_range", "engine_a_probability", "range",
         "tau_range", "match_engine_unknown_key", "match_unknown_top_key", "q_weight",
         "q_epsilon", "dirichlet_alpha", "engine_a_alpha", "alpha_alone", "game_id_argument",
         "game_id_empty", "game_id_negative_pile", "oracle_table_empty",
-        "oracle_table_game_empty", "openings_run_dry"])
+        "oracle_table_game_empty", "openings_run_dry", "tau_flag", "mini_batch_flag",
+        "seed_flag", "budget_sims_flag", "budget_ms_flag", "openings_flag", "plies_flag",
+        "limit_flag"])
 def test_unparsable_setting_exits_1_naming_it(tmp_path, capsys, command, text, argv, named):
     path = tmp_path / "bad.cfg"
-    path.write_text(text)
-    assert main([command, "--config", str(path), *argv]) == 1
+    if text is not None:  # solve takes no config file
+        path.write_text(text)
+        argv = ["--config", str(path), *argv]
+    assert main([command, *argv]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error:")
+    assert err.startswith("error:") and err.count("\n") == 1
     assert named in err
 
 

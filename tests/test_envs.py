@@ -177,11 +177,23 @@ def test_forcing_nim_one_pile_left():
     assert not env.is_forcing(state, 1)  # take 2, leaves nothing
 
 
-def test_legal_actions_on_terminal_raises():
-    env = make_env("nim:1")
-    terminal = env.apply(env.initial_state(), 0)
-    with pytest.raises(ValueError):
-        env.legal_actions(terminal)
+@pytest.mark.parametrize("game, line, call, message", [
+    ("nim:1", (0,), "legal_actions", "legal_actions called on a terminal"),
+    ("tictactoe", (0, 3, 1, 4, 2), "legal_actions", "legal_actions called on a terminal"),
+    ("leftright:4", (LEFT,), "legal_actions", "legal_actions called on a terminal"),
+    ("leftright:4", (RIGHT, RIGHT, RIGHT), "apply", "illegal leftright action 1"),
+], ids=["nim_empty", "tictactoe_won", "leftright_left", "leftright_apply_at_the_end"])
+def test_a_finished_game_has_no_moves(game, line, call, message):
+    env = make_env(game)
+    state = env.initial_state()
+    for action in line:
+        state = env.apply(state, action)
+    assert env.terminal_value(state) is not None
+    with pytest.raises(ValueError, match=message):
+        if call == "apply":
+            env.apply(state, RIGHT)
+        else:
+            env.legal_actions(state)
 
 
 def test_leftright_left_ends_game():

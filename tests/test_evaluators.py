@@ -160,6 +160,25 @@ def test_node_temperature_flattens_at_default_strength():
     assert sharpened[0] > 0.9
 
 
+@pytest.mark.parametrize("game, evaluator, line, node_tau, expected", [
+    # The heuristic's largest start prior is the centre's; 0.003 keeps it
+    # representable, 0.002 underflows all nine tempered priors.
+    ("tictactoe", "heuristic", (), 0.003, [0.0] * 4 + [1.0] + [0.0] * 4),
+    ("tictactoe", "heuristic", (), 0.002, [0.0] * 4 + [1.0] + [0.0] * 4),
+    # Three optimal replies of a third each: (1/3) ** 1000 underflows.
+    ("tictactoe", "oracle", (0, 1), 0.001, [0.0, 1 / 3, 1 / 3, 0.0, 1 / 3, 0.0, 0.0]),
+], ids=["heuristic_0.003", "heuristic_0.002", "oracle_0.001"])
+def test_node_temperature_near_zero_splits_the_mass_over_the_largest_priors(
+        game, evaluator, line, node_tau, expected):
+    env = make_env(game)
+    state = env.initial_state()
+    for action in line:
+        state = env.apply(state, action)
+    actions = env.legal_actions(state)
+    priors = make_evaluator(evaluator, env).evaluate(state, actions).priors
+    assert apply_node_temperature(priors, node_tau) == pytest.approx(expected, abs=1e-20)
+
+
 @given(
     st.lists(st.floats(min_value=1e-6, max_value=1.0), min_size=2, max_size=9),
     st.floats(min_value=0.25, max_value=4.0),

@@ -446,13 +446,12 @@ def test_an_expansion_asks_the_env_for_legal_actions_once(ttt_table, name, trans
 
 
 def _first_expansion(engine, state):
-    """The state's expansion as the engine builds it: value, actions, priors, state."""
+    """The state's expansion as the engine builds it: value, actions, priors."""
     actions = engine.env.legal_actions(state)
     evaluation = engine.evaluator.evaluate(state, actions)
     priors = apply_node_temperature(evaluation.priors, engine.config.node_tau)
     order = sorted(range(len(actions)), key=lambda j: -priors[j])
-    return (evaluation.value, [actions[j] for j in order], [priors[j] for j in order],
-            state)
+    return (evaluation.value, [actions[j] for j in order], [priors[j] for j in order])
 
 
 def _two_nodes_of_one_state(engine, env, lines):
@@ -522,24 +521,23 @@ def test_a_tree_mode_solver_search_prunes_no_shared_prior():
 
 
 def test_a_tree_mode_search_shares_what_its_nodes_never_write(ttt):
-    # Equal expanded states are one object, every k-edge node the solver has
-    # not narrowed reads one range(k), and back-references are tuples.
+    # Equal states are one object, a terminal's and an unexpanded node's too,
+    # every k-edge node the solver has not narrowed reads one range(k), and
+    # back-references are tuples.
     engine = SearchEngine(ttt, make_evaluator("heuristic", ttt),
                           SearchConfig(budget_amount=2_000, **PLAIN))
     engine.reset(ttt.initial_state())
     engine.search()
     states, lives = {}, {}
-    expanded = 0
     for node in engine.store.nodes.values():
         assert type(node.parents) is tuple
-        if not node.expanded:
-            continue
-        expanded += 1
         assert node.state is states.setdefault(node.state, node.state)
-        k = len(node.actions)
-        assert node.live == range(k)
-        assert node.live is lives.setdefault(k, node.live)
-    assert expanded > len(states) and len(lives) > 1
+        if node.expanded:
+            k = len(node.actions)
+            assert node.live == range(k)
+            assert node.live is lives.setdefault(k, node.live)
+    leaves = [node.state for node in engine.store.nodes.values() if not node.expanded]
+    assert len(leaves) > len(set(leaves)) and len(lives) > 1
 
 
 # ----- selection --------------------------------------------------------------
