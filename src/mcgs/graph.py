@@ -19,10 +19,11 @@ container that holds it.
 Statistics are simple moving averages on both nodes and edges. Q-values start
 at q_init (a first-play-urgency pessimism, not a sample): the first real
 update replaces the initial value entirely because the SMA divides by the
-post-increment count. This module only lays the statistics out. A node's
-expansion counts its first visit; after that the engine's backup
-(SearchEngine._backpropagate) is the only code that writes the visit counts
-and averages of nodes and edges; the solver's pruning only sets a Q to -inf.
+post-increment count. Each part of a node has one writer: attach_edges, at
+expansion, is the only code that makes edge storage, and the engine's backup
+(SearchEngine._backpropagate) the only code that counts visits and averages
+on nodes and edges, a node's first visit too. The solver's pruning only sets
+a Q to -inf; a terminal's v is its outcome, stamped when the node is made.
 
 With transpositions on, the store keys each node by env.state_key of its
 state, the state itself, so transposed positions share one node. With them
@@ -56,17 +57,16 @@ class Node:
         "status", "end_in_ply", "parents",
     )
 
-    def __init__(self, state=None) -> None:
+    def __init__(self, state) -> None:
         self.state = state
         self.v = 0.0
         self.n = 0
         self.expanded = False
-        self.actions: list[int] = []  # may be shared by the state's other nodes
-        self.p: list[float] = []      # priors, one per edge; may be shared: root noise rebinds it
-        self.q: list[float] = []      # edge Q (SMA); -inf marks a pruned edge
-        self.en: list[int] = []       # edge visit counts
-        self.evl: list[int] = []      # edge virtual-loss (in-flight) counts
-        self.child: list = []         # child Node or None while unresolved
+        # Per edge, laid out by attach_edges: actions and priors p (either may
+        # be shared by the state's other nodes; root noise rebinds p), Q (SMA;
+        # -inf marks a pruned edge), visits en, virtual losses evl, and the
+        # child Node or None. An unexpanded node's six share one empty tuple.
+        self.actions = self.p = self.q = self.en = self.evl = self.child = ()
         self.edge_total = 0           # sum(en) + sum(evl), kept by the search
         self.live = ()                # edges selection may pick: shared until the solver narrows it
         self.status = SolverStatus.UNKNOWN
@@ -96,8 +96,7 @@ class GraphStore:
         self._serial = 0
         self._live = {}  # k -> the range(k) every k-edge node starts with
 
-    def lookup_or_insert(self, key, state=None,
-                         over_capacity: bool = False) -> tuple[Node, bool]:
+    def lookup_or_insert(self, key, state, over_capacity: bool = False) -> tuple[Node, bool]:
         """Return (node, was_existing); insert a fresh node holding state on miss.
 
         A full store raises StoreFullError on a miss, unless over_capacity.

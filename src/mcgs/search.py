@@ -15,21 +15,22 @@ mechanisms reconcile them:
   the value handed further up is re-anchored to that node's negated value
   (qTarget) instead of the raw leaf sample.
 
-A simulation is backed up where it ends, by one _backpropagate call. One
-that ends in an early stop, or settles on a terminal or proven node (which
-counts a visit at its status value), is backed up on the spot and never
-occupies an evaluator slot. One that ends on a new leaf waits in the
-EvalQueue under virtual loss: a round gathers up to mini_batch_size such
-leaves, then its one flush hands them back to be expanded and backpropagated
-in submission order. An evaluations budget counts every leaf of a flush.
-Each search() counts what it spends in a fresh SearchStats record, the one
-place a per-search count is kept: neither the eval queue nor the graph
-store, which outlives it, keeps one.
+A simulation is backed up where it ends, by one _backpropagate call, which
+counts every visit, a new leaf's first one too. One that ends in an early
+stop, or settles on a terminal or proven node (at its status value), is
+backed up on the spot and never occupies an evaluator slot. One that ends on
+a new leaf waits in the EvalQueue under virtual loss: a round gathers up to
+mini_batch_size such leaves, then its one flush hands them back to be
+expanded and backpropagated in submission order. An evaluations budget
+counts every leaf of a flush. Each search() counts what it spends in a fresh
+SearchStats record, the one place a per-search count is kept: neither the
+eval queue nor the graph store, which outlives it, keeps one.
 
 _expand is the one place that calls the evaluator, for the root and for
 every flushed leaf alike, and an engine turns each distinct state into an
 expansion once there: the evaluator's value plus the checked, tempered,
-prior-sorted actions and priors. In graph mode the store holds one node per
+prior-sorted actions and priors. It lays out the node's edges and returns
+the value; it counts no visit. In graph mode the store holds one node per
 state; in tree mode every node of a state holds the state's first object,
 and every later node of an expanded state, a second leaf of the same flush
 among them, reuses the first one's expansion, sharing its actions and
@@ -277,8 +278,6 @@ class EvalQueue:
     """
 
     def __init__(self, mini_batch_size: int) -> None:
-        if mini_batch_size < 1:
-            raise ValueError("mini_batch_size must be >= 1")
         self.mini_batch_size = mini_batch_size
         self._pending: list[tuple[list, Node]] = []
 
@@ -366,7 +365,7 @@ class SearchEngine:
         if not root.expanded:
             if is_real(root.status):  # a terminal: stamped at creation, never expanded
                 return self._result(root, t0, "terminal_root")
-            self._expand(root)
+            self._backpropagate((), self._expand(root), root)
             self.stats.evaluations = 1
             self._mix_root_noise(root)
 
@@ -446,19 +445,16 @@ class SearchEngine:
     def _finish_eval(self, descent: tuple[list, Node]) -> None:
         """Expand a flushed leaf and back its evaluator value up its path.
 
-        leaf.v is that value: no descent of the round passed the unexpanded
-        leaf, the solver never writes v, and a sibling's repeat visit adds a
-        sample equal to v, which leaves v as it was.
+        A leaf a sibling of this flush expanded holds that value as its v: no
+        descent of the round passed it unexpanded, the solver never writes v,
+        and a repeat visit adds a sample equal to v, which leaves v as it was.
         """
         pairs, leaf = descent
         for node, i in pairs:  # the leaf no longer waits: lift its virtual loss
             node.evl[i] -= 1
             node.edge_total -= 1
-        if leaf.expanded:  # a sibling of this flush expanded it: count this visit
-            self._backpropagate(pairs, leaf.v, leaf)
-        else:
-            self._expand(leaf)  # the leaf's first visit
-            self._backpropagate(pairs, leaf.v)
+        value = leaf.v if leaf.expanded else self._expand(leaf)
+        self._backpropagate(pairs, value, leaf)
 
     # ----- simulation ------------------------------------------------------
 
@@ -622,14 +618,14 @@ class SearchEngine:
             self.solver.note_link(node, child)
         return child
 
-    def _expand(self, node: Node) -> None:
+    def _expand(self, node: Node) -> float:
         """Create the node's edges from its state's expansion; run solver hooks.
 
         A tree-mode state expanded before reuses that expansion. Otherwise
         the expansion is built from the evaluator's output for node.state and
         the legal actions asked of the env: this is the engine's one evaluator
-        call. The node's first visit is counted here at the evaluator's value,
-        which its v holds until _finish_eval backs the value up.
+        call. Returns the value, at which the caller's backup counts the
+        node's first visit.
         """
         cfg = self.config
         state = node.state
@@ -647,8 +643,6 @@ class SearchEngine:
                 expansions[state] = expansion
         value, actions, priors = expansion
         self.store.attach_edges(node, actions, priors, cfg.q_init)
-        node.v = value
-        node.n = 1
         solver = self.solver
         if solver is not None:
             env = self.env
@@ -658,6 +652,7 @@ class SearchEngine:
             except StoreFullError:
                 self.stats.store_full = True
             solver.probe_expanded(node)
+        return value
 
     def _check_evaluation(self, evaluation, k: int) -> None:
         """Reject evaluator output the search cannot use, naming the evaluator.
@@ -725,10 +720,11 @@ class SearchEngine:
         that node's own (fresher) statistics. Each pair counts one visit (en
         and edge_total); virtual loss is left to the caller.
 
-        leaf, when given, is that node: its visit is counted first, adding value
-        to its average, which keeps N(s,a) <= N(child). A terminal's v equals
-        its status value and never moves; a solver-proven node's v moves toward
-        it. _expand counts a fresh leaf's first visit; an early stop passes none.
+        leaf, when given, is that node: its visit, a new leaf's or root's first
+        one too, is counted first, adding value to its average, which keeps
+        N(s,a) <= N(child). A terminal's v equals its status value and never
+        moves; a solver-proven node's v moves toward it. An early stop passes
+        no leaf.
         """
         if leaf is not None:
             n1 = leaf.n + 1

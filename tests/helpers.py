@@ -1,17 +1,22 @@
-"""Builders for synthetic graph fixtures, the engine invariant check, and a
-reachable-state enumeration that shares no code with the oracle's solve.
+"""Builders for synthetic graph fixtures, the plain engine's toggles, the
+engine invariant check, and a reachable-state enumeration that shares no
+code with the oracle's solve.
 """
 
 from collections import deque
 
 from mcgs.graph import NEG_INF, GraphStore
 from mcgs.oracle import negamax_solve
+from mcgs.search import ENHANCEMENTS
 from mcgs.solver import (
     STATUS_VALUE,
     SolverStatus,
     is_real,
     status_for_outcome,
 )
+
+# Every enhancement off: the plain tree-PUCT engine.
+PLAIN = dict.fromkeys(ENHANCEMENTS, False)
 
 _serial = [7000]
 
@@ -25,7 +30,7 @@ def fresh_key(ply: int = 0) -> tuple[int, int]:
 def expanded_node(store: GraphStore, actions, priors=None, ply: int = 0,
                   q_init: float = -1.0):
     """A standalone expanded node with the given edges, no children resolved."""
-    node, _ = store.lookup_or_insert(fresh_key(ply))
+    node, _ = store.lookup_or_insert(fresh_key(ply), None)
     k = len(actions)
     if priors is None:
         priors = [1.0 / k] * k
@@ -36,7 +41,7 @@ def expanded_node(store: GraphStore, actions, priors=None, ply: int = 0,
 def attach_child(store: GraphStore, parent, idx: int,
                  status=SolverStatus.UNKNOWN, eip: int = 0, ply: int = 1):
     """Resolve one parent edge onto a fresh child with a preset status."""
-    child, _ = store.lookup_or_insert(fresh_key(ply))
+    child, _ = store.lookup_or_insert(fresh_key(ply), None)
     child.status = status
     child.end_in_ply = eip
     store.link(parent, idx, child, was_existing=False)
@@ -120,7 +125,8 @@ def check_invariants(engine) -> None:
         if solver_on:
             before = (node.status, node.end_in_ply, list(node.q), list(node.p), node.live)
             assert not engine.solver._recompute(node), f"{node} is not quiescent"
-            assert (node.status, node.end_in_ply, node.q, node.p, node.live) == before, node
+            after = (node.status, node.end_in_ply, list(node.q), list(node.p), node.live)
+            assert after == before, node
         if node.status != SolverStatus.UNKNOWN:
             entry = negamax_solve(env, node.state, cache=negamax_cache)
             assert STATUS_VALUE[node.status] == entry.outcome.score, (node, entry)

@@ -26,11 +26,8 @@ from mcgs.evaluators import Evaluation
 from mcgs.oracle import negamax_cache, negamax_solve
 from mcgs.search import SearchConfig, SearchEngine
 
-from helpers import FixedEvaluator, record_solves
+from helpers import PLAIN, FixedEvaluator, record_solves
 from reference_openings import reference_openings
-
-PLAIN = dict(transpositions=False, terminal_solver=False, eps_greedy=False,
-             check_enhance=False, q_boost=False)
 
 
 def _match_config(game, budget=64, **kwargs):

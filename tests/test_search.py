@@ -19,7 +19,6 @@ from mcgs.evaluators import Evaluation, UniformEvaluator, apply_node_temperature
 from mcgs.graph import NEG_INF, GraphStore, StoreFullError
 from mcgs.oracle import negamax_cache
 from mcgs.search import (
-    ENHANCEMENTS,
     SearchConfig,
     SearchEngine,
     correction_value,
@@ -28,10 +27,10 @@ from mcgs.search import (
 )
 from mcgs.solver import SolverStatus, is_real
 
-from helpers import FixedEvaluator, attach_child, check_invariants, expanded_node, record_solves
+from helpers import (PLAIN, FixedEvaluator, attach_child, check_invariants, expanded_node,
+                     record_solves)
 
 INF = float("inf")
-PLAIN = dict.fromkeys(ENHANCEMENTS, False)
 
 
 def _engine(env, **overrides):
@@ -269,20 +268,22 @@ def test_evaluator_output_of_the_wrong_type_is_rejected_naming_the_evaluator(
 
 
 def test_an_already_expanded_leaf_counts_its_own_evaluation_again(ttt):
-    # A sibling simulation of the flush expanded the leaf: the second
-    # submission adds the leaf's own evaluator value once more.
+    # Two simulations of one flush wait on the same leaf: the first expands
+    # it, and the second adds the leaf's own evaluator value once more.
     engine = SearchEngine(ttt, UniformEvaluator(ttt), SearchConfig())
     engine.reset(ttt.initial_state())
     root = engine._root
     engine._expand(root)
     child = engine._resolve_child(root, 0, ttt.apply(root.state, root.actions[0]))
-    engine.evaluator = FixedEvaluator(Evaluation(0.5, [1 / 8] * 8))
-    engine._expand(child)
-    root.evl[0] = 1
-    root.edge_total = 1
-    engine._finish_eval(([(root, 0)], child))
+    evaluator = _CountingEvaluator(FixedEvaluator(Evaluation(0.5, [1 / 8] * 8)))
+    engine.evaluator = evaluator
+    root.evl[0] = 2
+    root.edge_total = 2
+    for _ in range(2):
+        engine._finish_eval(([(root, 0)], child))
+    assert len(evaluator.states) == 1
     assert (child.n, child.v) == (2, 0.5)
-    assert (root.en[0], root.evl[0], root.edge_total, root.q[0]) == (1, 0, 1, -0.5)
+    assert (root.en[0], root.evl[0], root.edge_total, root.q[0]) == (2, 0, 2, -0.5)
 
 
 def test_eval_queue_partial_flush_and_empty_flush():
@@ -293,11 +294,6 @@ def test_eval_queue_partial_flush_and_empty_flush():
     assert [leaf for _, leaf in queue.flush()] == [0, 1, 2, 3, 4]
     assert len(queue) == 0
     assert queue.flush() == []
-
-
-def test_eval_queue_rejects_zero_batch():
-    with pytest.raises(ValueError):
-        search.EvalQueue(mini_batch_size=0)
 
 
 class _CountingEvaluator:
@@ -406,7 +402,7 @@ def test_every_evaluator_call_happens_inside_expand(transpositions, mini_batch_s
     def watched_expand(node):
         depth[0] += 1
         try:
-            expand(node)
+            return expand(node)
         finally:
             depth[0] -= 1
 
@@ -522,13 +518,14 @@ def test_a_tree_mode_solver_search_prunes_no_shared_prior():
 
 def test_a_tree_mode_search_shares_what_its_nodes_never_write(ttt):
     # Equal states are one object, a terminal's and an unexpanded node's too,
-    # every k-edge node the solver has not narrowed reads one range(k), and
-    # back-references are tuples.
+    # every k-edge node the solver has not narrowed reads one range(k),
+    # back-references are tuples, and every unexpanded node's six edge slots
+    # are one shared empty tuple.
     engine = SearchEngine(ttt, make_evaluator("heuristic", ttt),
                           SearchConfig(budget_amount=2_000, **PLAIN))
     engine.reset(ttt.initial_state())
     engine.search()
-    states, lives = {}, {}
+    states, lives, no_edges = {}, {}, set()
     for node in engine.store.nodes.values():
         assert type(node.parents) is tuple
         assert node.state is states.setdefault(node.state, node.state)
@@ -536,6 +533,11 @@ def test_a_tree_mode_search_shares_what_its_nodes_never_write(ttt):
             k = len(node.actions)
             assert node.live == range(k)
             assert node.live is lives.setdefault(k, node.live)
+        else:
+            assert node.child == ()
+            no_edges.update(map(id, (node.actions, node.p, node.q, node.en, node.evl,
+                                     node.child)))
+    assert len(no_edges) == 1
     leaves = [node.state for node in engine.store.nodes.values() if not node.expanded]
     assert len(leaves) > len(set(leaves)) and len(lives) > 1
 
@@ -821,11 +823,11 @@ def test_expansion_orders_edges_by_descending_prior():
     engine = SearchEngine(env, evaluator, SearchConfig(node_tau=1.0))
     engine.reset(env.initial_state())
     root = engine._root
-    engine._expand(root)
+    assert engine._expand(root) == 0.25
     assert root.actions == [1, 2, 0]
     assert root.p == [0.7, 0.2, 0.1]
     assert root.q == [-1.0] * 3
-    assert (root.n, root.v) == (1, 0.25)
+    assert (root.n, root.v) == (0, 0.0)  # the backup counts the first visit
     assert root.expanded
 
 
@@ -1030,16 +1032,6 @@ def test_backprop_correction_saturates_at_the_value_floor(ttt):
     assert root.q[0] == pytest.approx(0.9 + (-1.0 - 0.9) / 6)
 
 
-def test_backprop_counts_visits_on_pruned_edges_without_unpruning(ttt):
-    engine = _engine(ttt)
-    store = GraphStore()
-    root = expanded_node(store, actions=[0])
-    root.q[0] = NEG_INF
-    engine._backpropagate([(root, 0)], 0.4)
-    assert root.en[0] == 1
-    assert root.q[0] == NEG_INF
-
-
 def test_a_proven_root_counts_each_settled_simulation_at_its_status_value(ttt):
     # After 0,4,1,5 the side to move wins at once. With stop_when_solved off,
     # each simulation after the proof settles on the root itself: one root
@@ -1196,19 +1188,29 @@ def test_a_full_store_mid_descent_leaves_the_counts_as_they_were(ttt):
 def test_every_descent_of_a_search_touches_each_edge_once():
     # Leaves in flight, terminals, early stops and exploration branches: a
     # backed-up descent adds one visit to each of its edges, a waiting one
-    # one virtual loss, and no other count moves.
+    # one virtual loss, and no other count moves. Only the backups count
+    # visits: a node's n is its count as a backup's leaf plus its count in
+    # backup paths, a new leaf's or the root's first visit included.
     env = make_env("nim:2,3,4")
     engine = SearchEngine(env, make_evaluator("deceptive", env),
                           SearchConfig(budget_amount=300, mini_batch_size=8, seed=5))
     descend = engine._descend
+    backprop = engine._backpropagate
     kinds = set()
+    visits = collections.Counter()
+
+    def counted_backprop(pairs, value, leaf=None):
+        visits.update(node for node, _ in pairs)
+        if leaf is not None:
+            visits[leaf] += 1
+        backprop(pairs, value, leaf)
 
     def checked_descend(node, forced_idx=None):
         before = _counts(engine)
         early = engine.stats.early_stops
         backed_up = _record_backups(engine)
         descent = descend(node, forced_idx)
-        del engine._backpropagate
+        engine._backpropagate = counted_backprop
         if descent is None:
             [pairs] = backed_up
             kinds.add("early stop" if engine.stats.early_stops > early else "settled")
@@ -1220,9 +1222,11 @@ def test_every_descent_of_a_search_touches_each_edge_once():
         return descent
 
     engine._descend = checked_descend
+    engine._backpropagate = counted_backprop
     engine.reset(env.initial_state())
     engine.search()
     assert kinds == {"early stop", "settled", "leaf"}
+    assert {node: node.n for node in engine.store.nodes.values() if node.n} == visits
     check_invariants(engine)
 
 

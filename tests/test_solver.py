@@ -1,7 +1,6 @@
 """Terminal solver: status derivation, pruning, propagation, proven moves."""
 
 import itertools
-import random
 
 import pytest
 
@@ -37,7 +36,7 @@ def test_mark_terminal_stamps_the_node():
     # The engine stamps the status; the solver only counts the proof.
     solver = TerminalSolver()
     store = GraphStore()
-    node, _ = store.lookup_or_insert(fresh_key(4))
+    node, _ = store.lookup_or_insert(fresh_key(4), None)
     solver.mark_terminal(node)
     assert solver.nodes_solved == 1
 
@@ -232,27 +231,6 @@ def test_probe_skips_already_solved_nodes(ttt):
     assert node.end_in_ply == 3
 
 
-def test_selection_never_picks_a_pruned_edge(ttt):
-    engine = SearchEngine(ttt, UniformEvaluator(ttt), SearchConfig())
-    store = engine.store
-    rng = random.Random(17)
-    for _ in range(10_000):
-        node = expanded_node(store, actions=[0, 1, 2])
-        pruned = rng.randrange(3)
-        attach_child(store, node, pruned, status=SolverStatus.LOSS)
-        engine.solver.propagate(node)  # prunes the edge into the LOSS child
-        for i in range(3):
-            if i == pruned:
-                continue
-            node.p[i] = rng.random()
-            node.q[i] = rng.uniform(-1, 1)
-            node.en[i] = rng.randrange(0, 50)
-            node.evl[i] = rng.randrange(0, 3)
-        node.n = sum(node.en) + 1
-        node.edge_total = sum(node.en) + sum(node.evl)
-        assert engine._select_index(node) != pruned
-
-
 def test_selection_signals_when_everything_is_pruned(ttt):
     engine = SearchEngine(ttt, UniformEvaluator(ttt), SearchConfig())
     node = expanded_node(engine.store, actions=[0, 1])
@@ -402,11 +380,11 @@ def test_recompute_matches_the_rule_list():
             for kid in kids:
                 child = None
                 if kid:
-                    child = Node()
+                    child = Node(None)
                     child.status, child.end_in_ply = kid
                 children.append(child)
             for old in [(s, 2 if s else 0) for s in SolverStatus]:  # UNKNOWN is 0
-                node = Node()
+                node = Node(None)
                 store.attach_edges(node, list(range(k)), [1.0 / k] * k, 0.5)
                 node.child = children
                 node.status, node.end_in_ply = old
