@@ -4,27 +4,28 @@ The engine runs AlphaZero-style PUCT selection over a DAG instead of a tree.
 Nodes reached through different move orders share statistics; the price is
 that an edge's Q and its child's value can drift apart (a second parent keeps
 improving the child while the first parent's edge sees nothing). Two
-mechanisms reconcile them:
+mechanisms reconcile them by one qTarget rule, in _backpropagate: an edge
+into a node that carries a qTarget takes the correction sample that lands its
+moving average on it, where the raw leaf sample would go.
 
+- backprop correction: a node with several parents carries its negated value
+  as qTarget.
 - early stop: descending an edge whose child is better informed than the edge
   itself (child visits exceed edge visits), with a value gap above q_epsilon,
-  terminates the simulation and backpropagates a correction sample chosen so
-  the edge's moving average lands exactly on the child's negated value. No
-  evaluator call is spent.
-- backprop correction: while backing up through a node with several parents,
-  the value handed further up is re-anchored to that node's negated value
-  (qTarget) instead of the raw leaf sample.
+  ends the simulation with no evaluator call, in a backup that starts with
+  qTarget = -child.v.
 
 A simulation is backed up where it ends, by one _backpropagate call, which
 counts every visit, a new leaf's first one too. One that ends in an early
 stop, or settles on a terminal or proven node (at its status value), is
 backed up on the spot and never occupies an evaluator slot. One that ends on
 a new leaf waits in the EvalQueue under virtual loss: a round gathers up to
-mini_batch_size such leaves, then its one flush hands them back to be
-expanded and backpropagated in submission order. An evaluations budget
-counts every leaf of a flush. Each search() counts what it spends in a fresh
-SearchStats record, the one place a per-search count is kept: neither the
-eval queue nor the graph store, which outlives it, keeps one.
+mini_batch_size such leaves, then its one flush hands them, in submission
+order, to _finish_eval, which expands each, backs it up and counts the
+evaluation, as it does a fresh root. An evaluations budget counts every leaf
+of a flush. Each search() counts what it spends in a fresh SearchStats
+record, the one place a per-search count is kept: neither the eval queue nor
+the graph store, which outlives it, keeps one.
 
 _expand is the one place that calls the evaluator, for the root and for
 every flushed leaf alike, and an engine turns each distinct state into an
@@ -233,7 +234,9 @@ def correction_value(q_edge: float, v_star: float, visits: int,
 @dataclass(slots=True)
 class SearchStats:
     """One search's counts: simulations = evaluations + terminals (settled on a
-    terminal or proven node) + early_stops; batch_peak is the largest flush."""
+    terminal or proven node) + early_stops; batch_peak is the largest flush.
+    _descend counts terminals and early stops, _finish_eval evaluations, and
+    _run batch_peak."""
 
     evaluations: int = 0
     terminals: int = 0
@@ -269,27 +272,22 @@ class SearchResult:
         return asdict(self)
 
 
-class EvalQueue:
-    """The (pairs, leaf) descents that wait for the evaluator, in FIFO order.
+class EvalQueue(list):
+    """The list of (pairs, leaf) descents that wait for the evaluator.
 
-    The caller decides when a batch is full (mini_batch_size); flush() hands
-    the waiting descents back in submission order and empties the queue. The
-    queue keeps no count: the search counts what each flush returns.
+    The caller appends and decides when a batch is full (mini_batch_size);
+    flush() hands the descents back in submission order and empties the
+    queue, which keeps no count. The benchmark's tracer reads
+    mini_batch_size and wraps flush.
     """
 
     def __init__(self, mini_batch_size: int) -> None:
+        super().__init__()
         self.mini_batch_size = mini_batch_size
-        self._pending: list[tuple[list, Node]] = []
-
-    def __len__(self) -> int:
-        return len(self._pending)
-
-    def submit(self, descent: tuple[list, Node]) -> None:
-        self._pending.append(descent)
 
     def flush(self) -> list[tuple[list, Node]]:
-        batch = self._pending
-        self._pending = []
+        batch = self[:]
+        self.clear()
         return batch
 
 
@@ -365,8 +363,7 @@ class SearchEngine:
         if not root.expanded:
             if is_real(root.status):  # a terminal: stamped at creation, never expanded
                 return self._result(root, t0, "terminal_root")
-            self._backpropagate((), self._expand(root), root)
-            self.stats.evaluations = 1
+            self._finish_eval(((), root))
             self._mix_root_noise(root)
 
         queue = EvalQueue(self.config.mini_batch_size)
@@ -421,7 +418,7 @@ class SearchEngine:
                     if terminals_this_round == terminal_cap:
                         break
                 else:
-                    queue.submit(descent)
+                    queue.append(descent)
                     if len(queue) == queue_cap:
                         break
                 sims_left -= 1
@@ -434,7 +431,6 @@ class SearchEngine:
                     break
 
             flushed = queue.flush()
-            stats.evaluations += len(flushed)
             if len(flushed) > stats.batch_peak:
                 stats.batch_peak = len(flushed)
             for descent in flushed:
@@ -443,7 +439,7 @@ class SearchEngine:
                 stall_rounds = 0 if flushed else stall_rounds + 1
 
     def _finish_eval(self, descent: tuple[list, Node]) -> None:
-        """Expand a flushed leaf and back its evaluator value up its path.
+        """Expand a flushed leaf or a fresh root, back it up, count the evaluation.
 
         A leaf a sibling of this flush expanded holds that value as its v: no
         descent of the round passed it unexpanded, the solver never writes v,
@@ -455,6 +451,7 @@ class SearchEngine:
             node.edge_total -= 1
         value = leaf.v if leaf.expanded else self._expand(leaf)
         self._backpropagate(pairs, value, leaf)
+        self.stats.evaluations += 1
 
     # ----- simulation ------------------------------------------------------
 
@@ -510,23 +507,20 @@ class SearchEngine:
             if 0 < status < 4:
                 node = child
                 break
-            if transpositions:
-                edge_n = node.en[i]
-                if child.n > edge_n:
-                    v_star = -child.v
-                    q_edge = node.q[i]
-                    delta = v_star - q_edge
-                    if delta > q_eps or delta < -q_eps:
-                        if q_edge == NEG_INF:
-                            # The edge was pruned as it resolved, onto an
-                            # oracle-proven loss: -inf has no correction
-                            # sample, so back up the settled value.
-                            node = child
-                            break
-                        value = correction_value(q_edge, v_star, edge_n)
-                        self._backpropagate(pairs, -value)
-                        self.stats.early_stops += 1
-                        return None
+            if transpositions and child.n > node.en[i]:
+                v_star = -child.v
+                q_edge = node.q[i]
+                delta = v_star - q_edge
+                if delta > q_eps or delta < -q_eps:
+                    if q_edge == NEG_INF:
+                        # The edge was pruned as it resolved, onto an
+                        # oracle-proven loss: -inf has no correction
+                        # sample, so back up the settled value.
+                        node = child
+                        break
+                    self._backpropagate(pairs, v_star, None)
+                    self.stats.early_stops += 1
+                    return None
             if not child.expanded:
                 for pnode, pi in pairs:
                     pnode.evl[pi] += 1
@@ -711,26 +705,30 @@ class SearchEngine:
 
     # ----- backpropagation ---------------------------------------------------
 
-    def _backpropagate(self, pairs: list, value: float, leaf: Node | None = None) -> None:
+    def _backpropagate(self, pairs: list, value: float, leaf: Node | None) -> None:
         """Algorithm: reverse walk with qTarget re-anchoring at transpositions.
 
-        value is from the side to move at the node the last pair's edge
-        reaches, so the walk negates it into each node's perspective in turn.
-        Above a node with several parents the pushed value is re-derived from
-        that node's own (fresher) statistics. Each pair counts one visit (en
-        and edge_total); virtual loss is left to the caller.
-
-        leaf, when given, is that node: its visit, a new leaf's or root's first
-        one too, is counted first, adding value to its average, which keeps
+        leaf is the node the last pair's edge reaches, and value is from its
+        side to move: the leaf's visit, a new leaf's or root's first one too,
+        is counted first, adding value to its average, which keeps
         N(s,a) <= N(child). A terminal's v equals its status value and never
-        moves; a solver-proven node's v moves toward it. An early stop passes
-        no leaf.
+        moves; a solver-proven node's v moves toward it.
+
+        The walk negates value into each node's perspective in turn, except
+        into a node that carries a qTarget: a node with several parents
+        carries -v, and the edge into it takes the correction sample that
+        lands its average there. An early stop passes no leaf and value =
+        v* = -child.v: the walk starts with qTarget = v*, so the stale edge
+        lands on it. Each pair counts one visit (en and edge_total); virtual
+        loss is left to the caller.
         """
-        if leaf is not None:
+        if leaf is None:  # an early stop
+            qtarget = value
+        else:
             n1 = leaf.n + 1
             leaf.n = n1
             leaf.v += (value - leaf.v) / n1
-        qtarget = None  # -v of the node just backed up, when it has several parents
+            qtarget = None  # -v of the node just backed up, when it has several parents
         for node, i in reversed(pairs):
             q_edge = node.q[i]
             if qtarget is None:

@@ -16,9 +16,10 @@ The proof is one ply longer than its child's line. Because the first proven
 mate is not always the shortest one, END_IN_PLY of WIN nodes may refine
 downward as further LOSS children are proven; statuses move monotonically
 from UNKNOWN to solved and never back. The same derivation prunes every edge
-into a LOSS or TB_LOSS child, so simulations stop re-entering refuted lines:
-Q = -inf is the one mark, as the solver writes no prior. It also keeps
-node.live, so selection skips settled edges without a status test.
+into a LOSS or TB_LOSS child, a proven win for the side to move, so
+simulations stop re-entering a line with nothing left to learn: Q = -inf is
+the one mark, as the solver writes no prior. It also keeps node.live, so
+selection skips settled edges without a status test.
 
 TB_* statuses come from an endgame oracle probe and behave like their real
 counterparts for propagation and pruning, except that search keeps flowing

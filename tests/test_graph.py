@@ -34,7 +34,7 @@ def _edge_update(node, sample):
     The visit counts in the edge total; virtual loss is not backprop's to lift.
     """
     total = node.edge_total
-    _ENGINE._backpropagate([(node, 0)], -sample)
+    _ENGINE._backpropagate([(node, 0)], -sample, Node(None))
     assert node.edge_total == total + 1
     assert node.evl[0] == 0
 

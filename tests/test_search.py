@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 from mcgs.envs import make_env
 from mcgs import search
 from mcgs.evaluators import Evaluation, UniformEvaluator, apply_node_temperature, make_evaluator
-from mcgs.graph import NEG_INF, GraphStore, StoreFullError
+from mcgs.graph import NEG_INF, GraphStore, Node, StoreFullError
 from mcgs.oracle import negamax_cache
 from mcgs.search import (
     SearchConfig,
@@ -289,7 +289,7 @@ def test_an_already_expanded_leaf_counts_its_own_evaluation_again(ttt):
 def test_eval_queue_partial_flush_and_empty_flush():
     queue = search.EvalQueue(mini_batch_size=16)
     for i in range(5):
-        assert queue.submit(([], i)) is None
+        queue.append(([], i))
     assert len(queue) == 5
     assert [leaf for _, leaf in queue.flush()] == [0, 1, 2, 3, 4]
     assert len(queue) == 0
@@ -364,7 +364,7 @@ def test_a_state_twice_in_one_flush_is_checked_on_its_first_evaluation(
 
     class RecordingQueue(search.EvalQueue):
         def flush(self):
-            flushes.append([leaf.state for _, leaf in self._pending])
+            flushes.append([leaf.state for _, leaf in self])
             return super().flush()
 
     monkeypatch.setattr(search, "EvalQueue", RecordingQueue)
@@ -880,51 +880,53 @@ def _early_stop_setup(q_edge, edge_n, child_n, child_v, **overrides):
 
 
 def _early_stop_probe(q_edge, edge_n, child_n, child_v, **overrides):
-    """Descend the stale edge: (descent, early stops, values handed to backprop)."""
+    """Descend the stale edge: (descent, early stops, the edge's (en, q) after it)."""
     engine, root, idx = _early_stop_setup(q_edge, edge_n, child_n, child_v, **overrides)
-    backups = []
-    engine._backpropagate = lambda pairs, value, leaf=None: backups.append(value)
     descent = engine._descend(root, forced_idx=idx)
-    return descent, engine.stats.early_stops, backups
+    return descent, engine.stats.early_stops, (root.en[idx], root.q[idx])
 
 
 def test_early_stop_fires_on_a_stale_edge():
-    descent, early, backups = _early_stop_probe(q_edge=0.2, edge_n=2, child_n=6, child_v=-0.5)
+    descent, early, (en, q) = _early_stop_probe(q_edge=0.2, edge_n=2, child_n=6, child_v=-0.5)
     assert descent is None and early == 1
-    # v* = 0.5 from the parent's perspective; 0.5 + 2 * 0.3 = 1.1 clips to 1,
-    # and the backup carries it from the child's side
-    assert backups == [-1.0]
+    # v* = 0.5 from the parent's perspective; the landing sample
+    # 0.5 + 2 * 0.3 = 1.1 clips to 1, which moves Q only part of the way
+    assert en == 3
+    assert q == pytest.approx(0.2 + 0.8 / 3)
 
 
 def test_early_stop_clips_the_worked_example_to_minus_one():
-    descent, early, backups = _early_stop_probe(q_edge=0.8, edge_n=5, child_n=6, child_v=-0.2)
+    descent, early, (en, q) = _early_stop_probe(q_edge=0.8, edge_n=5, child_n=6, child_v=-0.2)
     assert descent is None and early == 1
-    assert backups == [1.0]
+    # 0.2 + 5 * (0.2 - 0.8) = -2.8 clips to -1: Q = (5 * 0.8 - 1) / 6
+    assert en == 6
+    assert q == pytest.approx(0.5)
 
 
 def test_early_stop_value_inside_range_is_the_exact_landing_sample():
-    descent, early, backups = _early_stop_probe(q_edge=0.2, edge_n=1, child_n=6, child_v=-0.3)
+    descent, early, (en, q) = _early_stop_probe(q_edge=0.2, edge_n=1, child_n=6, child_v=-0.3)
     assert descent is None and early == 1
-    assert backups == [pytest.approx(-(0.3 + 1 * (0.3 - 0.2)))]
+    # the sample 0.3 + 1 * (0.3 - 0.2) = 0.4 is inside the range: Q = v* exactly
+    assert en == 2
+    assert q == pytest.approx(0.3)
 
 
-def _reaches_a_leaf(probe):
-    descent, early, backups = probe
-    return descent is not None and early == 0 and backups == []
+def _reaches_a_leaf(q_edge, edge_n, **kwargs):
+    descent, early, edge = _early_stop_probe(q_edge, edge_n, **kwargs)
+    return descent is not None and early == 0 and edge == (edge_n, q_edge)
 
 
 def test_no_early_stop_inside_the_agreement_band():
     # |v* - q| <= q_epsilon: keep walking
-    assert _reaches_a_leaf(_early_stop_probe(q_edge=0.495, edge_n=2, child_n=6, child_v=-0.5))
+    assert _reaches_a_leaf(q_edge=0.495, edge_n=2, child_n=6, child_v=-0.5)
 
 
 def test_no_early_stop_without_extra_child_visits():
-    assert _reaches_a_leaf(_early_stop_probe(q_edge=0.2, edge_n=6, child_n=6, child_v=-0.5))
+    assert _reaches_a_leaf(q_edge=0.2, edge_n=6, child_n=6, child_v=-0.5)
 
 
 def test_no_early_stop_with_transpositions_off():
-    assert _reaches_a_leaf(_early_stop_probe(q_edge=0.2, edge_n=2, child_n=6, child_v=-0.5,
-                                             transpositions=False))
+    assert _reaches_a_leaf(q_edge=0.2, edge_n=2, child_n=6, child_v=-0.5, transpositions=False)
 
 
 def test_resolving_onto_an_oracle_proven_loss_ends_on_its_settled_value():
@@ -947,7 +949,7 @@ def test_backprop_flips_the_leaf_value_once(ttt):
     engine = _engine(ttt)
     store = GraphStore()
     root = expanded_node(store, actions=[0])
-    engine._backpropagate([(root, 0)], 0.6)
+    engine._backpropagate([(root, 0)], 0.6, Node(None))
     assert root.en[0] == 1
     assert root.edge_total == 1
     assert root.q[0] == pytest.approx(-0.6)
@@ -986,7 +988,7 @@ def test_backprop_reanchors_above_a_join(ttt):
     mid.n, mid.v = 3, -0.1
     root.q[0], root.en[0] = 0.3, 4
 
-    engine._backpropagate([(root, 0), (mid, 0)], 0.5)
+    engine._backpropagate([(root, 0), (mid, 0)], 0.5, Node(None))
     # mid's value moved to -0.2, so the edge above re-anchors on +0.2 and the
     # correction sample lands root's average exactly there.
     assert mid.v == pytest.approx(-0.2)
@@ -1006,7 +1008,7 @@ def test_backprop_through_a_pruned_edge_above_a_join_averages_the_join_value_neg
     root.n, root.v = 1, 0.0
     root.q[0] = NEG_INF
 
-    engine._backpropagate([(root, 0), (mid, 0)], 0.5)
+    engine._backpropagate([(root, 0), (mid, 0)], 0.5, Node(None))
     # mid's value moved to -0.2. The pruned edge has no Q to correct, so
     # root's average takes qTarget = -mid.v = +0.2 itself as its sample.
     assert mid.v == pytest.approx(-0.2)
@@ -1026,7 +1028,7 @@ def test_backprop_correction_saturates_at_the_value_floor(ttt):
     mid.n, mid.v = 0, 0.0
     root.q[0], root.en[0] = 0.9, 5
 
-    engine._backpropagate([(root, 0), (mid, 0)], -0.5)
+    engine._backpropagate([(root, 0), (mid, 0)], -0.5, Node(None))
     assert mid.v == pytest.approx(0.5)
     # raw landing sample is -7.5; the clipped -1 moves Q as far as it can
     assert root.q[0] == pytest.approx(0.9 + (-1.0 - 0.9) / 6)
@@ -1368,11 +1370,10 @@ class _StopCheckedEverySimulation(SearchEngine):
                 if descent is None:
                     terminals_this_round += 1
                 else:
-                    queue.submit(descent)
+                    queue.append(descent)
                     if len(queue) == batch:
                         break
             flushed = queue.flush()
-            self.stats.evaluations += len(flushed)
             self.stats.batch_peak = max(self.stats.batch_peak, len(flushed))
             for descent in flushed:
                 self._finish_eval(descent)
